@@ -10,13 +10,16 @@
 // concurrent run replays those captures instead of regenerating them, so
 // the bit-identity check also covers the replay path.
 //
-// Where the speedup comes from on a single-core host: the concurrent path
-// pays the tokenizer build, base-model materialization, and worker
-// construction once instead of per user, and every user's evaluation
-// generations share batched decode steps at the fleet width instead of one
-// user's decode_batch — more rows per forward step, fewer steps per token
-// (see bench_perf's decode-throughput rows for the per-width numbers).
-// Extra threads add scheduling freedom, not compute.
+// Where the speedup comes from: both paths run the same loop (one
+// fleet::UserSession per user, evaluations scored by fleet::flush_evals
+// with shared-prefix forking of the sampling repeats and dedup of the
+// final evaluation), so the ratio measures only what running users
+// together adds. The concurrent path pays the tokenizer build, base-model
+// materialization, and worker construction once instead of per user; its
+// evaluations flush once per wave, so every user's generations share
+// batched decode steps at the fleet width (12) instead of one user's
+// decode_batch (4) after each chunk; and its chunks run on up to
+// --threads lanes.
 //
 // The workload is deliberately decode-heavy (learning-curve evaluation at
 // every fine-tune round with several sampling repeats): this is the

@@ -47,6 +47,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/ops.h"
+#include "text/tokenizer.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -412,7 +413,8 @@ int main(int argc, char** argv) {
 
     // ---- Continuous-batched decode: tok/s at batch ∈ {1,2,4,8}, fp32 and
     // int8, on the same weight-streaming-bound model. Every width's output
-    // is checked token-for-token against a serial Sampler run with the same
+    // is checked token-for-token against a serial DecodeSession loop (an
+    // implementation independent of the scheduler) with the same
     // per-session seeds; a mismatch or a batch=4 int8 slowdown vs batch=1
     // fails the bench (DESIGN.md §12). ----
     {
@@ -426,6 +428,24 @@ int main(int argc, char** argv) {
           p[i] = fixed_token(b * prompt_len + i);
         }
         return p;
+      };
+      // One session decoded alone: prime, then sample until <eos>, the
+      // token budget, or a full session.
+      const auto serial_decode = [&](const std::vector<int>& prompt,
+                                     std::uint64_t seed) {
+        util::Rng rng(seed);
+        llm::DecodeSession session(model);
+        std::vector<int> ids;
+        const tensor::Tensor* logits = &session.prime(prompt);
+        while (ids.size() < sc.max_new_tokens && !session.full()) {
+          const int next = llm::sample_from_logits(logits->row(0),
+                                                   logits->cols(), sc, rng);
+          if (next == text::Vocab::kEos) break;
+          ids.push_back(next);
+          if (ids.size() >= sc.max_new_tokens || session.full()) break;
+          logits = &session.step(next);
+        }
+        return ids;
       };
       // One full continuous-batched generation of `width` sessions; returns
       // the total tokens pushed through the model (prompt + generated).
@@ -464,8 +484,9 @@ int main(int argc, char** argv) {
           const std::size_t tokens = run_batch(width, &outs);
           bool exact = true;
           for (std::size_t b = 0; b < width; ++b) {
-            llm::Sampler sampler(model, sc, util::Rng(100 + b));
-            if (sampler.generate_ids(prompt_for(b)) != outs[b]) exact = false;
+            if (serial_decode(prompt_for(b), 100 + b) != outs[b]) {
+              exact = false;
+            }
           }
           if (!exact) {
             std::fprintf(stderr,

@@ -331,41 +331,65 @@ std::vector<double> PersonalizationEngine::evaluate_per_set(
   static obs::Histogram& h_eval =
       obs::registry().histogram("engine.evaluate.us");
   util::Stopwatch eval_sw;
-  std::vector<double> scores(test.size(), 0.0);
-  if (test.empty() || repeats == 0) return scores;
+  if (test.empty() || repeats == 0) {
+    return std::vector<double>(test.size(), 0.0);
+  }
   if (precision) model_.set_inference_precision(*precision);
 
-  // All (repeat, set) generations run through one continuous-batched
-  // scheduler: up to decode_batch sessions share each forward step. Fixed
-  // per-(repeat, set) sampler seeds make every generation independent of
-  // the batching schedule (and of checkpoints/methods under comparison), so
-  // scores are bit-identical at any decode_batch, including 1.
-  llm::BatchedDecodeScheduler scheduler(
-      model_, std::max<std::size_t>(1, config_.decode_batch));
-  std::vector<std::size_t> tickets;
-  tickets.reserve(repeats * test.size());
-  for (std::size_t r = 0; r < repeats; ++r) {
-    for (std::size_t i = 0; i < test.size(); ++i) {
-      tickets.push_back(scheduler.submit(
-          tokenizer_.encode_prompt(test[i]->question,
-                                   model_.config().max_seq_len / 2),
-          config_.sampler,
-          util::Rng(0xE7A1ull + r * 7919ull + i * 0x9E3779B9ull)));
+  EvalDecodeStats decode;
+  std::vector<double> scores = std::move(
+      evaluate_requests(model_, tokenizer_,
+                        {EvalRequest{&test, repeats, config_.sampler, nullptr}},
+                        std::max<std::size_t>(1, config_.decode_batch),
+                        &decode)
+          .front());
+  last_decode_occupancy_ = std::max<std::size_t>(1, decode.peak_occupancy);
+  h_eval.record(eval_sw.elapsed_seconds() * 1e6);
+  return scores;
+}
+
+std::vector<std::vector<double>> evaluate_requests(
+    llm::MiniLlm& model, const text::Tokenizer& tokenizer,
+    const std::vector<EvalRequest>& requests, std::size_t decode_batch,
+    EvalDecodeStats* stats) {
+  llm::BatchedDecodeScheduler scheduler(model, decode_batch);
+  // tickets[q][i][r]: request q, set i, repeat r.
+  std::vector<std::vector<std::vector<std::size_t>>> tickets(requests.size());
+  for (std::size_t q = 0; q < requests.size(); ++q) {
+    const EvalRequest& req = requests[q];
+    for (std::size_t i = 0; i < req.sets->size(); ++i) {
+      std::vector<util::Rng> rngs;
+      rngs.reserve(req.repeats);
+      for (std::size_t r = 0; r < req.repeats; ++r) {
+        rngs.emplace_back(0xE7A1ull + r * 7919ull + i * 0x9E3779B9ull);
+      }
+      tickets[q].push_back(scheduler.submit_shared_prefix(
+          tokenizer.encode_prompt((*req.sets)[i]->question,
+                                  model.config().max_seq_len / 2),
+          req.sampler, rngs, req.overlay));
     }
   }
   scheduler.run();
-  last_decode_occupancy_ = std::max<std::size_t>(1, scheduler.peak_occupancy());
-
-  std::size_t t = 0;
-  for (std::size_t r = 0; r < repeats; ++r) {
-    for (std::size_t i = 0; i < test.size(); ++i) {
-      const std::string response =
-          tokenizer_.decode(scheduler.result(tickets[t++]));
-      scores[i] += eval::rouge1_f1(response, test[i]->reference);
-    }
+  if (stats) {
+    stats->steps = scheduler.steps();
+    stats->peak_occupancy = scheduler.peak_occupancy();
   }
-  for (double& s : scores) s /= static_cast<double>(repeats);
-  h_eval.record(eval_sw.elapsed_seconds() * 1e6);
+
+  ODLP_TRACE_SCOPE("eval.rouge");
+  std::vector<std::vector<double>> scores(requests.size());
+  for (std::size_t q = 0; q < requests.size(); ++q) {
+    const EvalRequest& req = requests[q];
+    scores[q].assign(req.sets->size(), 0.0);
+    if (req.repeats == 0) continue;
+    for (std::size_t r = 0; r < req.repeats; ++r) {
+      for (std::size_t i = 0; i < req.sets->size(); ++i) {
+        const std::string response =
+            tokenizer.decode(scheduler.result(tickets[q][i][r]));
+        scores[q][i] += eval::rouge1_f1(response, (*req.sets)[i]->reference);
+      }
+    }
+    for (double& s : scores[q]) s /= static_cast<double>(req.repeats);
+  }
   return scores;
 }
 

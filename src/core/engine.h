@@ -28,6 +28,7 @@
 #include "llm/minillm.h"
 #include "llm/sampler.h"
 #include "llm/trainer.h"
+#include "nn/lora_overlay.h"
 #include "text/tokenizer.h"
 #include "util/rng.h"
 
@@ -81,6 +82,37 @@ struct EngineStats {
   // — see DESIGN.md §10. CheckpointManager persists a registry snapshot per
   // generation, so cumulative timings survive reboots alongside the stats.
 };
+
+// One evaluation for evaluate_requests: per-set ROUGE-1 over `sets`, each
+// score the mean over `repeats` sampled responses. `overlay`, when set,
+// applies one user's adapter snapshot to this request's rows (the model
+// must then be an adapter-free base; see llm::BatchedDecodeScheduler).
+struct EvalRequest {
+  const std::vector<const data::DialogueSet*>* sets = nullptr;
+  std::size_t repeats = 1;
+  llm::SamplerConfig sampler;
+  const nn::LoraOverlaySet* overlay = nullptr;  // borrowed
+};
+
+struct EvalDecodeStats {
+  std::size_t steps = 0;           // batched forward steps
+  std::size_t peak_occupancy = 0;  // most sessions in one step
+};
+
+// The evaluation protocol — the one scoring loop behind
+// PersonalizationEngine::evaluate_per_set and the fleet's eval flush
+// (fleet::flush_evals). Every generation of every request shares one
+// BatchedDecodeScheduler of width `decode_batch`. The repeats of one
+// (request, set) share prompt and adapter, so they are submitted as one
+// shared-prefix group with the fixed sampler seeds
+// 0xE7A1 + r*7919 + i*0x9E3779B9 (r = repeat, i = set index). Fixed seeds
+// make each score independent of the batch width, of the other requests,
+// and of the user's training state. Returns one score vector per request,
+// aligned with its sets; `stats`, when set, receives the decode counts.
+std::vector<std::vector<double>> evaluate_requests(
+    llm::MiniLlm& model, const text::Tokenizer& tokenizer,
+    const std::vector<EvalRequest>& requests, std::size_t decode_batch,
+    EvalDecodeStats* stats = nullptr);
 
 class PersonalizationEngine {
  public:
@@ -151,8 +183,9 @@ class PersonalizationEngine {
                   std::optional<nn::InferencePrecision> precision = std::nullopt);
 
   // Per-set ROUGE-1 scores (mean over `repeats` sampler seeds), aligned with
-  // `test`. Input to eval::paired_bootstrap / sign tests when comparing two
-  // engines evaluated on the identical subset.
+  // `test`: one evaluate_requests call on this engine's model, at
+  // decode_batch width. Input to eval::paired_bootstrap / sign tests when
+  // comparing two engines evaluated on the identical subset.
   std::vector<double> evaluate_per_set(
       const std::vector<const data::DialogueSet*>& test,
       std::size_t repeats = 1,
@@ -176,10 +209,10 @@ class PersonalizationEngine {
   llm::Trainer& trainer() { return trainer_; }
 
   // --- Fleet state-swap surface (src/fleet/) ---
-  // A worker engine is a reusable shell: between activations the scheduler
-  // moves each user's mutable state (buffer, stats, policy, synthesizer,
-  // rngs, optimizer moments, adapter values) in and out so any worker
-  // resumes any user bit-identically to a dedicated sequential engine.
+  // A worker engine is a reusable shell: fleet::run_user_chunk moves each
+  // user's mutable state (buffer, stats, policy, synthesizer, rngs,
+  // optimizer moments, adapter values) in and out so any worker resumes
+  // any user bit-identically to a dedicated engine.
   util::Rng& rng() { return rng_; }
   void set_stats(const EngineStats& stats) { stats_ = stats; }
   DataBuffer take_buffer() { return std::move(buffer_); }
@@ -188,12 +221,6 @@ class PersonalizationEngine {
   }
   std::unique_ptr<Synthesizer> take_synthesizer() {
     return std::move(synthesizer_);
-  }
-  void install_policy(std::unique_ptr<ReplacementPolicy> policy) {
-    policy_ = std::move(policy);
-  }
-  void install_synthesizer(std::unique_ptr<Synthesizer> synthesizer) {
-    synthesizer_ = std::move(synthesizer);
   }
 
  private:

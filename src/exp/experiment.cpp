@@ -10,12 +10,10 @@
 #include "baselines/single_metric_policy.h"
 #include "data/generator.h"
 #include "data/phrase_pools.h"
-#include "io/stream_capture.h"
-#include "llm/embedding_extractor.h"
+#include "fleet/user_session.h"
 #include "llm/trainer.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
-#include "obs/scope.h"
 #include "obs/trace.h"
 #include "util/log.h"
 #include "util/stopwatch.h"
@@ -24,17 +22,6 @@
 namespace odlp::exp {
 
 namespace {
-
-// Stable dataset hash so different datasets get decorrelated rng streams
-// while the same (seed, dataset) pair is fully reproducible.
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 bool file_exists(const std::string& path) {
   struct stat st{};
@@ -86,39 +73,8 @@ llm::ModelConfig make_model_config(const ExperimentConfig& config,
   return mc;
 }
 
-std::uint64_t experiment_data_seed(const ExperimentConfig& config) {
-  return config.seed ^ fnv1a(config.dataset);
-}
-
-std::uint64_t experiment_engine_seed(const ExperimentConfig& config) {
-  return experiment_data_seed(config) ^ fnv1a(config.method) ^ 0xabcdef12345ull;
-}
-
 std::uint64_t experiment_base_seed(const ExperimentConfig& config) {
   return config.base_seed != 0 ? config.base_seed : config.seed * 7919 + 17;
-}
-
-data::GeneratedDataset make_experiment_dataset(const ExperimentConfig& config,
-                                               data::UserOracle& oracle) {
-  if (!config.traffic_replay_path.empty()) {
-    if (!config.traffic_record_path.empty()) {
-      throw std::invalid_argument(
-          "experiment: traffic_record_path and traffic_replay_path are "
-          "mutually exclusive");
-    }
-    // Safe to skip the generator entirely: UserOracle derives all preferred
-    // responses from its seed at construction, so a replayed dataset leaves
-    // the oracle in the same state a generated one would.
-    return io::replay_dataset(config.traffic_replay_path);
-  }
-  data::Generator generator(data::profile_by_name(config.dataset), oracle,
-                            util::Rng(experiment_data_seed(config)));
-  data::GeneratedDataset dataset =
-      generator.generate(config.stream_size, config.test_size);
-  if (!config.traffic_record_path.empty()) {
-    io::record_dataset(dataset, config.traffic_record_path);
-  }
-  return dataset;
 }
 
 core::EngineConfig make_engine_config(const ExperimentConfig& config) {
@@ -214,110 +170,50 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   // the same process; per-run training time is the delta over this run.
   const std::uint64_t train_us_before =
       obs::registry().counter("train.wall_us.total").value();
-  ExperimentResult result;
-  result.dataset = config.dataset;
-  result.method = config.method;
-  result.curve = eval::LearningCurve(config.method);
 
-  const auto& dict = lexicon::builtin_dictionary();
-  text::Tokenizer tokenizer = make_device_tokenizer();
+  const text::Tokenizer tokenizer = make_device_tokenizer();
+  // The pretrained base stays adapter-free and decodes every evaluation
+  // (adapter snapshots ride along as overlays); a LoRA-attached clone of it
+  // runs the rounds.
+  std::unique_ptr<llm::MiniLlm> base = make_base_model(config, tokenizer);
+  const core::EngineConfig ec = make_engine_config(config);
+  fleet::WorkerContext worker =
+      fleet::make_worker(make_model_config(config, tokenizer),
+                         experiment_base_seed(config), *base, ec.lora);
+  fleet::AdapterState adapter = fleet::initial_adapter_state(*worker.model);
 
-  // The simulated device owner. Depends on seed + dataset only, never on
-  // method: every method personalizes toward the same user.
-  const std::uint64_t data_seed = experiment_data_seed(config);
-  data::UserOracle oracle(data_seed * 2654435761ull + 1, dict);
+  std::vector<fleet::EvalJob> jobs;
+  const fleet::EvalSink sink = [&](fleet::EvalJob job) {
+    jobs.push_back(std::move(job));
+  };
+  std::vector<std::unique_ptr<fleet::UserSession>> sessions;
+  sessions.push_back(fleet::make_user_session(0, config, worker, sink));
+  fleet::UserSession& session = *sessions.front();
 
-  data::GeneratedDataset dataset = make_experiment_dataset(config, oracle);
-
-  // Fixed evaluation subset: a deterministic stride over the test pool,
-  // shared by every method under this seed.
-  std::vector<const data::DialogueSet*> eval_sets;
-  const std::size_t n_eval = std::min(config.eval_subset, dataset.test.size());
-  for (std::size_t i = 0; i < n_eval; ++i) {
-    eval_sets.push_back(&dataset.test[i * dataset.test.size() / n_eval]);
-  }
-
-  std::unique_ptr<llm::MiniLlm> model = make_base_model(config, tokenizer);
-  std::unique_ptr<llm::EmbeddingExtractor> extractor;
-  if (config.embedding_source == "llm") {
-    extractor = std::make_unique<llm::LlmEmbeddingExtractor>(*model, tokenizer);
-  } else if (config.embedding_source == "bow") {
-    extractor = std::make_unique<llm::BagOfWordsExtractor>(config.model_dim);
-  } else {
-    throw std::invalid_argument("unknown embedding source: " +
-                                config.embedding_source);
-  }
-
-  core::EngineConfig ec = make_engine_config(config);
-
-  // Method-dependent seed for policy tie-breaks / training shuffles only.
-  util::Rng engine_rng(experiment_engine_seed(config));
-
-  core::ParaphraseSynthesizer::Config synth_config;
-  synth_config.sanity.mode = config.sanity_mode;
-  synth_config.sanity.threshold = config.sanity_threshold;
-  // Hoisted splits: argument evaluation order is unspecified in C++, and the
-  // fleet scheduler must reproduce this exact derivation (synthesizer stream
-  // first, engine stream second) to match run_experiment bit-for-bit.
-  util::Rng synth_rng = engine_rng.split();
-  util::Rng engine_ctor_rng = engine_rng.split();
-  core::PersonalizationEngine engine(
-      *model, tokenizer, *extractor, oracle, dict, make_policy(config.method),
-      std::make_unique<core::ParaphraseSynthesizer>(dict, synth_rng,
-                                                    synth_config),
-      ec, engine_ctor_rng);
-
-  // Metrics journal: a full_snapshot() row-set before the stream, at every
-  // fine-tune round, and at the end — the single-device twin of the fleet
+  // Metrics journal: a full_snapshot() row-set before the stream, after
+  // every chunk, and at the end — the single-device twin of the fleet
   // scheduler's wave-boundary journal.
   std::unique_ptr<obs::JournalWriter> journal;
   if (!config.journal_out.empty()) {
     journal = std::make_unique<obs::JournalWriter>(config.journal_out);
   }
-  const auto journal_tick = [&] {
-    if (!journal) return;
-    journal->append(obs::full_snapshot(),
-                    static_cast<std::uint64_t>(watch.elapsed_seconds() * 1e6));
+  const auto flush = [&] {
+    fleet::flush_evals(std::move(jobs), sessions, *base, tokenizer,
+                       ec.decode_batch);
+    jobs.clear();
+    if (journal) {
+      journal->append(obs::full_snapshot(),
+                      static_cast<std::uint64_t>(watch.elapsed_seconds() * 1e6));
+    }
   };
 
-  if (config.record_curve) {
-    // Baseline point before any fine-tuning.
-    result.curve.record(0, engine.evaluate(eval_sets, config.eval_repeats));
-  }
-  journal_tick();
-  if (config.record_curve || journal) {
-    engine.set_finetune_hook([&](std::size_t seen) {
-      if (config.record_curve) {
-        result.curve.record(seen,
-                            engine.evaluate(eval_sets, config.eval_repeats));
-      }
-      journal_tick();
-    });
+  flush();  // the baseline curve point
+  while (!session.work_done) {
+    fleet::run_user_chunk(session, worker, tokenizer, adapter, sink);
+    flush();
   }
 
-  engine.run_stream(dataset.stream);
-
-  // Final fine-tune + evaluation if the stream did not end on an interval
-  // (interval 0 = no automatic fine-tuning; always fine-tune once at the end).
-  if (config.finetune_interval == 0 ||
-      config.stream_size % config.finetune_interval != 0) {
-    engine.finetune_now();
-    if (config.record_curve) {
-      result.curve.record(config.stream_size, engine.evaluate(eval_sets, config.eval_repeats));
-    }
-  }
-
-  result.final_per_set = engine.evaluate_per_set(eval_sets, config.eval_repeats);
-  double final_mean = 0.0;
-  for (double s : result.final_per_set) final_mean += s;
-  if (!result.final_per_set.empty()) {
-    final_mean /= static_cast<double>(result.final_per_set.size());
-  }
-  result.final_rouge =
-      config.record_curve ? result.curve.final_rouge() : final_mean;
-  result.engine_stats = engine.stats();
-  result.buffer = buffer_composition(engine.buffer());
-  result.annotation_requests = oracle.annotation_requests();
+  ExperimentResult result = std::move(session.result);
   result.train_wall_seconds =
       static_cast<double>(
           obs::registry().counter("train.wall_us.total").value() -
@@ -326,8 +222,11 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   result.last_seconds_per_epoch =
       obs::registry().gauge("train.seconds_per_epoch.last").value();
   result.wall_seconds = watch.elapsed_seconds();
-  journal_tick();
-  if (journal) journal->finish();
+  if (journal) {
+    journal->append(obs::full_snapshot(),
+                    static_cast<std::uint64_t>(result.wall_seconds * 1e6));
+    journal->finish();
+  }
   if (!config.metrics_out.empty()) obs::write_metrics_json(config.metrics_out);
   if (!config.trace_out.empty()) obs::flush_trace();
   return result;

@@ -7,6 +7,10 @@
 // checkpoint, and the same evaluation subset — the comparisons in the
 // paper's tables are therefore apples-to-apples.
 //
+// The loop itself lives in fleet/user_session.h: run_experiment is one
+// UserSession run chunk by chunk, and keeps only the run-level outputs
+// (trace, metrics dump, journal, training time).
+//
 // Base model: the paper personalizes a *pretrained* Llama-3B. The harness
 // reproduces "deployed generic LLM" by pretraining MiniLlm once on generic
 // assistant dialogue (questions from all domains answered with boilerplate,
@@ -105,8 +109,9 @@ struct ExperimentConfig {
   // at the end. Equivalent to setting ODLP_TRACE=<path> in the environment.
   std::string trace_out;
   // When non-empty, an OBSF metrics journal (obs/journal.h) is written to
-  // this path: one full_snapshot() before the stream, one at every
-  // fine-tune round, and one at the end of the run.
+  // this path: one full_snapshot() before the stream, one after every chunk
+  // (a fine-tune interval of the stream and its evaluations), and one at
+  // the end of the run.
   std::string journal_out;
 };
 
@@ -149,33 +154,28 @@ text::Tokenizer make_device_tokenizer();
 llm::ModelConfig make_model_config(const ExperimentConfig& config,
                                    const text::Tokenizer& tokenizer);
 
-// The exact seed derivations run_experiment uses, exported so the fleet
-// scheduler (src/fleet/) can reconstruct a user's rng streams bit-for-bit
-// without re-running the harness:
-//   data seed   = seed ^ fnv1a(dataset)      (oracle / generator stream)
-//   engine seed = data ^ fnv1a(method) ^ 0xabcdef12345 (policy/train stream)
-//   base seed   = base_seed, or seed*7919+17 when base_seed == 0
-std::uint64_t experiment_data_seed(const ExperimentConfig& config);
-std::uint64_t experiment_engine_seed(const ExperimentConfig& config);
+// Seed of the deployed base model: base_seed, or seed*7919+17 when
+// base_seed == 0. (Every per-user seed derives in fleet::make_user_session.)
 std::uint64_t experiment_base_seed(const ExperimentConfig& config);
 
-// The EngineConfig exactly as run_experiment builds it (shared with the
-// fleet scheduler so worker engines match sequential engines field-for-field).
+// The EngineConfig a user session runs with.
 core::EngineConfig make_engine_config(const ExperimentConfig& config);
 
 // Pretrain (or load from cache) the generic base model.
 std::unique_ptr<llm::MiniLlm> make_base_model(const ExperimentConfig& config,
                                               const text::Tokenizer& tokenizer);
 
-// The dataset exactly as run_experiment builds it: generated from the
-// config's data seed through `oracle`, or replayed bit-identically from
+// A user's traffic: generated through `oracle` from a seed derived from
+// (seed, dataset), or replayed bit-identically from
 // config.traffic_replay_path; a generated dataset is recorded to
-// config.traffic_record_path when set. Shared with the fleet session layer
-// so worker streams match sequential streams byte-for-byte.
+// config.traffic_record_path when set. Defined in fleet/user_session.cpp,
+// next to the session's other seed derivations.
 data::GeneratedDataset make_experiment_dataset(const ExperimentConfig& config,
                                                data::UserOracle& oracle);
 
-// Run the full pipeline for one (dataset, method) cell.
+// Runs the full pipeline for one (dataset, method) cell: one
+// fleet::UserSession, chunk by chunk, with its evaluations flushed after
+// every chunk at EngineConfig::decode_batch width.
 ExperimentResult run_experiment(const ExperimentConfig& config);
 
 // All method names of the paper's main comparison, in table order.

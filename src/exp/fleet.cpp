@@ -43,26 +43,32 @@ void finalize_stats(FleetResult& result) {
 
 }  // namespace
 
+ExperimentConfig device_config(const FleetConfig& config,
+                               ExperimentConfig device,
+                               const std::string& method, std::size_t index) {
+  device.method = method;
+  device.seed = config.seed_base + index;
+  if (config.shared_base_seed != 0) device.base_seed = config.shared_base_seed;
+  if (!config.traffic_dir.empty()) {
+    // Record-once/replay-many: the first run of a device records its
+    // stream, every later run replays it bit-identically.
+    const std::string path =
+        config.traffic_dir + "/user-" + std::to_string(index) + ".obsf";
+    if (std::filesystem::exists(path)) {
+      device.traffic_replay_path = path;
+    } else {
+      device.traffic_record_path = path;
+    }
+  }
+  return device;
+}
+
 FleetResult run_fleet(const FleetConfig& config, const std::string& method) {
   FleetResult result;
   result.method = method;
   for (std::size_t device = 0; device < config.num_devices; ++device) {
-    ExperimentConfig ec = config.device_template;
-    ec.method = method;
-    ec.seed = config.seed_base + device;
-    if (config.shared_base_seed != 0) ec.base_seed = config.shared_base_seed;
-    if (!config.traffic_dir.empty()) {
-      // Record-once/replay-many: first run of a device records its stream,
-      // every later run replays it bit-identically.
-      const std::string path =
-          config.traffic_dir + "/user-" + std::to_string(device) + ".obsf";
-      if (std::filesystem::exists(path)) {
-        ec.traffic_replay_path = path;
-      } else {
-        ec.traffic_record_path = path;
-      }
-    }
-    result.devices.push_back(run_experiment(ec));
+    result.devices.push_back(run_experiment(
+        device_config(config, config.device_template, method, device)));
   }
   finalize_stats(result);
   return result;

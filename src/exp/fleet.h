@@ -2,7 +2,8 @@
 // devices, each with its own user (different hidden style), its own stream,
 // and its own model copy — the deployment-scale view a platform team needs
 // before shipping (does the method win on average, or only for lucky
-// users?). Each device is an independent run_experiment; the fleet layer
+// users?). Each device is an independent run_experiment (one
+// fleet::UserSession); the fleet layer
 // aggregates distributional statistics across users, which also serves as
 // multi-seed replication for the single-user benches.
 #pragma once
@@ -52,7 +53,17 @@ struct FleetResult {
   std::size_t wins = 0;  // filled by compare_methods
 };
 
-// Runs the fleet for one method.
+// The experiment device `index` of the fleet runs: `device` (the fleet's
+// device_template unless the caller overrides it) with `method`, seed
+// seed_base + index, the shared base checkpoint when shared_base_seed is
+// set, and the <traffic_dir>/user-<index>.obsf recording (replayed when it
+// exists, else recorded). Shared by run_fleet and the concurrent scheduler,
+// so both run every user on the same config.
+ExperimentConfig device_config(const FleetConfig& config,
+                               ExperimentConfig device,
+                               const std::string& method, std::size_t index);
+
+// Runs the fleet for one method: one run_experiment per device, in order.
 FleetResult run_fleet(const FleetConfig& config, const std::string& method);
 
 // Runs several methods over the *same* fleet (same users/streams per device

@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/strings.h"
 
 namespace odlp::fleet {
@@ -52,6 +53,7 @@ std::string AdapterCache::spill_path(std::size_t user) const {
 
 void AdapterCache::evict_past_capacity_locked() {
   while (lru_.size() > capacity_) {
+    ODLP_TRACE_SCOPE("fleet.adapter_cache.spill");
     Entry& victim = lru_.back();
     ::mkdir(spill_dir_.c_str(), 0755);  // idempotent; first spill creates it
     save_adapter_state(victim.state, spill_path(victim.user));
@@ -74,6 +76,7 @@ void AdapterCache::insert(std::size_t user, AdapterState state) {
 }
 
 AdapterState AdapterCache::acquire(std::size_t user) {
+  ODLP_TRACE_SCOPE("fleet.adapter_cache.acquire");
   std::lock_guard<std::mutex> lock(mu_);
   AdapterState state;
   auto it = resident_.find(user);
@@ -96,6 +99,7 @@ AdapterState AdapterCache::acquire(std::size_t user) {
 }
 
 void AdapterCache::release(std::size_t user, AdapterState state) {
+  ODLP_TRACE_SCOPE("fleet.adapter_cache.release");
   std::lock_guard<std::mutex> lock(mu_);
   --pinned_;
   resident_bytes_ += state.bytes();

@@ -55,14 +55,6 @@ std::size_t AdapterState::bytes() const {
   return n;
 }
 
-nn::LoraOverlaySet AdapterState::overlay(const nn::LoraConfig& config) const {
-  nn::LoraOverlaySet set;
-  set.scaling = config.alpha / static_cast<float>(config.rank);
-  set.sites.reserve(sites.size());
-  for (const Site& s : sites) set.sites.push_back({s.a, s.b});
-  return set;
-}
-
 AdapterState extract_adapter_state(llm::MiniLlm& model, llm::Trainer& trainer) {
   AdapterState state;
   const nn::ParameterList params = lora_parameters(model);

@@ -18,7 +18,6 @@
 
 #include "llm/minillm.h"
 #include "llm/trainer.h"
-#include "nn/lora_overlay.h"
 #include "nn/optimizer.h"
 
 namespace odlp::fleet {
@@ -37,11 +36,6 @@ struct AdapterState {
   long long opt_step_count = 0;
 
   std::size_t bytes() const;
-
-  // Decode-time snapshot: adapter values only (no moments), with the
-  // configured alpha/rank scaling — what BatchedDecodeScheduler applies
-  // per-row on the shared base.
-  nn::LoraOverlaySet overlay(const nn::LoraConfig& config) const;
 };
 
 // Reads the current adapter values + optimizer moments out of a worker

@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
 
-#include "eval/rouge.h"
 #include "fleet/user_session.h"
-#include "llm/batch_decode.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/scope.h"
@@ -184,49 +181,32 @@ ConcurrentFleetResult run_concurrent_fleet(const ConcurrentFleetConfig& config) 
   result.stats.users = num_users;
   if (num_users == 0) return result;
 
-  // Per-user configs: template (or override) + method + per-user seed +
-  // the shared base checkpoint every user personalizes from. The shared
-  // base is what makes one pretrained model and one adapter-free decode
-  // base valid for the whole fleet — and what the sequential run_fleet must
-  // also be given (FleetConfig::shared_base_seed) for bit-identity.
-  std::vector<exp::ExperimentConfig> user_configs(num_users);
-  const std::uint64_t shared_base =
-      config.fleet.shared_base_seed != 0
-          ? config.fleet.shared_base_seed
-          : config.fleet.seed_base * 7919 + 17;
+  // Per-user configs as run_fleet builds them, all on one base checkpoint:
+  // shared_base_seed, or else user 0's own. The shared base is what makes
+  // one pretrained model and one adapter-free decode base valid for the
+  // whole fleet — and what the sequential run_fleet must also be given
+  // (FleetConfig::shared_base_seed) for bit-identity.
+  std::vector<exp::ExperimentConfig> user_configs;
   for (std::size_t u = 0; u < num_users; ++u) {
     const auto it = config.user_overrides.find(u);
-    exp::ExperimentConfig ec = it != config.user_overrides.end()
-                                   ? it->second
-                                   : config.fleet.device_template;
-    ec.method = config.method;
-    ec.seed = config.fleet.seed_base + u;
-    ec.base_seed = shared_base;
-    if (!config.fleet.traffic_dir.empty()) {
-      // Same record-once/replay-many layout as the sequential run_fleet, so
-      // a recorded sequential run replays bit-identically here.
-      const std::string path =
-          config.fleet.traffic_dir + "/user-" + std::to_string(u) + ".obsf";
-      if (std::filesystem::exists(path)) {
-        ec.traffic_replay_path = path;
-      } else {
-        ec.traffic_record_path = path;
-      }
-    }
-    user_configs[u] = std::move(ec);
+    user_configs.push_back(exp::device_config(
+        config.fleet,
+        it != config.user_overrides.end() ? it->second
+                                          : config.fleet.device_template,
+        config.method, u));
   }
+  const std::uint64_t shared_base = exp::experiment_base_seed(user_configs[0]);
+  for (exp::ExperimentConfig& ec : user_configs) ec.base_seed = shared_base;
 
   const text::Tokenizer tokenizer = exp::make_device_tokenizer();
   const llm::ModelConfig mc =
       exp::make_model_config(user_configs[0], tokenizer);
-  std::unique_ptr<llm::MiniLlm> pretrained =
+  // The pretrained base stays adapter-free: workers clone it, and it is
+  // the cross-user decode model, where per-slot LoRA overlays supply each
+  // request's adapter so requests from different users share forward steps.
+  const std::unique_ptr<llm::MiniLlm> pretrained =
       exp::make_base_model(user_configs[0], tokenizer);
-
-  // Adapter-free clone of the base for cross-user batched decode: per-slot
-  // LoRA overlays supply each request's adapter, so requests from different
-  // users share forward steps.
-  llm::MiniLlm decode_model(mc, shared_base);
-  decode_model.copy_parameters_from(*pretrained);
+  llm::MiniLlm& decode_model = *pretrained;
 
   const nn::LoraConfig lora = exp::make_engine_config(user_configs[0]).lora;
   std::vector<WorkerContext> workers;
@@ -235,10 +215,6 @@ ConcurrentFleetResult run_concurrent_fleet(const ConcurrentFleetConfig& config) 
     workers.push_back(make_worker(mc, shared_base, *pretrained, lora));
   }
   const AdapterState initial = initial_adapter_state(*workers[0].model);
-  std::vector<util::Rng> initial_dropout;
-  for (nn::Linear* site : workers[0].sites) {
-    initial_dropout.push_back(site->fallback_dropout_rng());
-  }
 
   std::size_t cache_capacity = config.adapter_cache_capacity;
   if (cache_capacity == 0 && config.memory_budget_bytes != 0) {
@@ -262,8 +238,9 @@ ConcurrentFleetResult run_concurrent_fleet(const ConcurrentFleetConfig& config) 
     queued[job.user].push_back(std::move(job));
   };
   for (std::size_t u = 0; u < num_users; ++u) {
-    sessions[u] = make_user_session(u, user_configs[u], initial,
-                                    initial_dropout, sink);
+    sessions[u] = make_user_session(u, user_configs[u], workers[0], sink);
+    sessions[u]->scope =
+        obs::scoped_registry().scopes().acquire("user=" + std::to_string(u));
     cache.insert(u, AdapterState(initial));  // everyone starts from the fresh attach
   }
 
@@ -272,8 +249,6 @@ ConcurrentFleetResult run_concurrent_fleet(const ConcurrentFleetConfig& config) 
   static obs::Gauge& g_behind = obs::registry().gauge("fleet.rounds_behind.max");
   static obs::Histogram& h_round =
       obs::registry().histogram("fleet.round.us", obs::default_us_bounds());
-  static obs::Counter& c_dedup =
-      obs::registry().counter("fleet.eval.jobs.deduped");
   // Per-user round-latency twin of fleet.round.us, recorded under the
   // session's scope so the spread ACROSS users is visible, not just the
   // fleet aggregate.
@@ -288,123 +263,19 @@ ConcurrentFleetResult run_concurrent_fleet(const ConcurrentFleetConfig& config) 
   std::vector<std::vector<double>> lane_latencies(pool_lanes);
   std::atomic<std::size_t> faults{0};
 
-  // The eval flush: drain every queued job, run all generations through one
-  // shared batched scheduler (jobs live in a stable vector so overlay
-  // pointers survive submission), then score in job order. Runs on the main
-  // thread with the full pool free for the decode kernels.
-  const auto flush_evals = [&] {
+  // The eval flush drains every queue into one flush_evals call on the
+  // main thread, with the full pool free for the decode kernels.
+  const auto flush = [&] {
     std::vector<EvalJob> batch;
     for (auto& q : queued) {
       for (auto& job : q) batch.push_back(std::move(job));
       q.clear();
     }
-    if (batch.empty()) return;
-
-    // Identical-evaluation dedup. Evaluation is a pure function of
-    // (user prompts, adapter snapshot, fixed per-(repeat, set) seeds), so
-    // two jobs for the same user whose overlays hold equal values generate
-    // bit-identical text — notably the learning-curve point at
-    // seen == stream_size and the final per-set job, which a dedicated
-    // sequential engine computes twice. Generate once, score each job from
-    // the shared tickets.
-    const auto same_eval = [](const EvalJob& x, const EvalJob& y) {
-      if (x.user != y.user) return false;
-      const nn::LoraOverlaySet& a = x.overlay;
-      const nn::LoraOverlaySet& b = y.overlay;
-      if (a.scaling != b.scaling || a.sites.size() != b.sites.size()) {
-        return false;
-      }
-      for (std::size_t s = 0; s < a.sites.size(); ++s) {
-        const auto equal = [](const tensor::Tensor& t, const tensor::Tensor& u) {
-          return t.size() == u.size() &&
-                 std::equal(t.data(), t.data() + t.size(), u.data());
-        };
-        if (!equal(a.sites[s].a, b.sites[s].a) ||
-            !equal(a.sites[s].b, b.sites[s].b)) {
-          return false;
-        }
-      }
-      return true;
-    };
-    std::vector<std::size_t> alias(batch.size());
-    for (std::size_t j = 0; j < batch.size(); ++j) {
-      alias[j] = j;
-      for (std::size_t k = 0; k < j; ++k) {
-        if (alias[k] == k && same_eval(batch[j], batch[k])) {
-          alias[j] = k;
-          c_dedup.inc();
-          break;
-        }
-      }
-    }
-
-    llm::BatchedDecodeScheduler scheduler(decode_model, config.decode_batch);
-    // tickets[j][i][r]: job j, eval set i, sampling repeat r. The repeats of
-    // one (job, set) share prompt AND adapter snapshot, so they form a
-    // shared-prefix group: the prompt KV is primed once and forked, instead
-    // of re-primed per repeat as a dedicated engine does.
-    std::vector<std::vector<std::vector<std::size_t>>> tickets;
-    tickets.reserve(batch.size());
-    for (std::size_t j = 0; j < batch.size(); ++j) {
-      const EvalJob& job = batch[j];
-      const UserSession& s = *sessions[job.user];
-      tickets.emplace_back();
-      if (alias[j] != j) continue;  // scored from the original's tickets
-      for (std::size_t i = 0; i < s.eval_sets.size(); ++i) {
-        std::vector<util::Rng> rngs;
-        rngs.reserve(s.config.eval_repeats);
-        for (std::size_t r = 0; r < s.config.eval_repeats; ++r) {
-          rngs.emplace_back(0xE7A1ull + r * 7919ull + i * 0x9E3779B9ull);
-        }
-        tickets.back().push_back(scheduler.submit_shared_prefix(
-            tokenizer.encode_prompt(s.eval_sets[i]->question,
-                                    mc.max_seq_len / 2),
-            s.ec.sampler, rngs, &job.overlay));
-      }
-    }
-    scheduler.run();
-    result.stats.decode_steps += scheduler.steps();
-    result.stats.decode_peak_occupancy = std::max(
-        result.stats.decode_peak_occupancy, scheduler.peak_occupancy());
-
-    for (std::size_t j = 0; j < batch.size(); ++j) {
-      const EvalJob& job = batch[j];
-      UserSession& s = *sessions[job.user];
-      std::vector<double> scores(s.eval_sets.size(), 0.0);
-      for (std::size_t r = 0; r < s.config.eval_repeats; ++r) {
-        for (std::size_t i = 0; i < s.eval_sets.size(); ++i) {
-          const std::string response =
-              tokenizer.decode(scheduler.result(tickets[alias[j]][i][r]));
-          scores[i] += eval::rouge1_f1(response, s.eval_sets[i]->reference);
-        }
-      }
-      if (s.config.eval_repeats > 0) {
-        for (double& v : scores) {
-          v /= static_cast<double>(s.config.eval_repeats);
-        }
-      }
-      double mean = 0.0;
-      for (double v : scores) mean += v;
-      if (!scores.empty()) mean /= static_cast<double>(scores.size());
-
-      if (job.final_per_set) {
-        s.result.final_per_set = std::move(scores);
-        s.final_mean = mean;
-      } else {
-        s.curve.record(job.seen, mean);
-      }
-      --s.pending_evals;
-      if (s.work_done && s.pending_evals == 0 && !s.finalized) {
-        s.result.final_rouge =
-            s.config.record_curve ? s.curve.final_rouge() : s.final_mean;
-        s.result.curve = s.curve;
-        s.result.engine_stats = s.stats;
-        s.result.buffer = exp::buffer_composition(s.buffer);
-        s.result.annotation_requests = s.oracle->annotation_requests();
-        s.result.wall_seconds = s.work_seconds;
-        s.finalized = true;
-      }
-    }
+    const core::EvalDecodeStats decode = flush_evals(
+        std::move(batch), sessions, decode_model, tokenizer, config.decode_batch);
+    result.stats.decode_steps += decode.steps;
+    result.stats.decode_peak_occupancy =
+        std::max(result.stats.decode_peak_occupancy, decode.peak_occupancy);
   };
 
   std::unique_ptr<obs::JournalWriter> journal;
@@ -455,7 +326,6 @@ ConcurrentFleetResult run_concurrent_fleet(const ConcurrentFleetConfig& config) 
                 // state is unrecoverable — drop the pin and retire the user
                 // so the rest of the fleet proceeds.
                 if (pinned) cache.abandon(user);
-                session.failed = true;
                 session.work_done = true;
                 faults.fetch_add(1, std::memory_order_relaxed);
                 registry.commit(user, session.rounds_done, /*done=*/true);
@@ -475,7 +345,7 @@ ConcurrentFleetResult run_concurrent_fleet(const ConcurrentFleetConfig& config) 
 
       // Wave boundary: all lanes are idle, so the decode kernels get the
       // whole pool.
-      flush_evals();
+      flush();
       journal_tick();
     }
   }

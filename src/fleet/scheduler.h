@@ -2,7 +2,10 @@
 // process, sharing one pretrained base model, one thread pool, one
 // cross-user batched decode path, and one LRU adapter cache.
 //
-// Execution model — cooperative round-steps in waves:
+// Every user runs the same loop as exp::run_experiment — a UserSession
+// advanced by run_user_chunk, evaluated by flush_evals (fleet/
+// user_session.h), on the config exp::device_config builds for run_fleet.
+// What this file adds is the multiplexing:
 //   * A user's work is divided into chunks of `finetune_interval` stream
 //     sets (the natural unit: score/admit/synthesize each set, fine-tune at
 //     the chunk boundary). One chunk == one round-step.
@@ -11,19 +14,18 @@
 //     user with the fewest completed rounds from the sharded registry, pins
 //     the user's adapter in the AdapterCache, swaps the session onto the
 //     lane's worker model, runs one chunk, and releases.
-//   * Evaluations (learning-curve points and the final per-set pass) never
-//     run inside a chunk: they are enqueued as EvalJobs against an adapter
-//     snapshot and flushed at the wave boundary through ONE shared
-//     BatchedDecodeScheduler, where generations from different users share
+//   * Evaluations never run inside a chunk: they are enqueued as EvalJobs
+//     against an adapter snapshot and flushed at the wave boundary in ONE
+//     flush_evals call, where generations from different users share
 //     batched forward steps via per-slot LoRA overlays.
 //
 // Determinism contract: per-user results are bit-identical to the
 // sequential exp::run_fleet at any thread/shard count, provided the fleet
-// shares one base checkpoint (FleetConfig::shared_base_seed). Every source
-// of nondeterminism is pinned: per-user rng streams travel with the
-// session, batched decode is width-invariant, nested kernel parallelism
-// runs inline on the lanes, and eval jobs use fixed per-(repeat, set)
-// seeds.
+// shares one base checkpoint (FleetConfig::shared_base_seed). Both run the
+// same session code; what the scheduler must keep out of the numbers is
+// the interleaving: per-user rng streams travel with the session, batched
+// decode is width-invariant, nested kernel parallelism runs inline on the
+// lanes, and eval jobs use fixed per-(repeat, set) seeds.
 #pragma once
 
 #include <cstddef>

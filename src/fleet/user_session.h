@@ -1,19 +1,21 @@
-// Per-user session state for the concurrent fleet scheduler (DESIGN.md §13).
+// The paper's round, for one user (DESIGN.md §13). This is the only
+// implementation of the loop: exp::run_experiment runs one session chunk
+// by chunk, exp::run_fleet runs N of those, and the concurrent scheduler
+// (fleet/scheduler.h) multiplexes N sessions over a few worker engines.
 //
 // A UserSession owns everything about one user that is NOT shared worker
 // infrastructure: the oracle, the generated stream and held-out pool, the
 // replacement policy and synthesizer (moved wholesale between activations —
 // they carry internal counters/rng state), the selection buffer, the engine
-// stats, the engine/trainer/dropout rng streams, and the learning curve.
-// The trainable adapter + optimizer moments live in the AdapterCache as an
-// AdapterState keyed by the session id.
+// stats, the engine/trainer/dropout rng streams, and the result being
+// built. The trainable adapter + optimizer moments travel separately as an
+// AdapterState (the scheduler keeps them in its AdapterCache).
 //
-// The determinism contract: activating a session on ANY worker engine,
-// running one chunk, and deactivating it yields bit-identical user state to
-// a dedicated sequential engine having run the same chunk. Session
-// construction mirrors exp::run_experiment's rng derivations exactly (see
-// experiment_data_seed / experiment_engine_seed), and activation overwrites
-// every rng the engine draws from with the session's saved streams.
+// Session construction owns every per-user seed derivation (oracle, data,
+// engine, synthesizer); activation overwrites every rng the worker engine
+// draws from with the session's saved streams. So any worker resumes any
+// user exactly where the previous chunk left it, and a session's results do
+// not depend on which worker ran which chunk.
 #pragma once
 
 #include <cstddef>
@@ -23,7 +25,6 @@
 
 #include "core/engine.h"
 #include "data/generator.h"
-#include "eval/learning_curve.h"
 #include "exp/experiment.h"
 #include "fleet/adapter_state.h"
 #include "llm/minillm.h"
@@ -33,11 +34,10 @@
 
 namespace odlp::fleet {
 
-// A deferred evaluation: generation runs later through the fleet's shared
-// cross-user BatchedDecodeScheduler, against the adapter snapshot taken at
-// enqueue time. Safe to defer because engine evaluation draws only from
-// fixed per-(repeat, set) seeds — it never touches the user's training
-// state (see core::PersonalizationEngine::evaluate_per_set).
+// A deferred evaluation: generation runs later in flush_evals, against the
+// adapter snapshot taken at enqueue time. Safe to defer because evaluation
+// draws only from fixed per-(repeat, set) seeds — it never touches the
+// user's training state (see core::evaluate_requests).
 struct EvalJob {
   std::size_t user = 0;
   bool final_per_set = false;  // else: one learning-curve point
@@ -45,13 +45,16 @@ struct EvalJob {
   nn::LoraOverlaySet overlay;  // adapter values at enqueue time
 };
 
+using EvalSink = std::function<void(EvalJob)>;
+
 struct UserSession {
   std::size_t id = 0;
   exp::ExperimentConfig config;
   core::EngineConfig ec;
   // Scope handle for per-user registry attribution ("user=<id>" samples via
-  // obs::scoped_registry()); acquired in make_user_session. Stale after an
-  // LRU demotion, in which case this user's samples aggregate under `other`.
+  // obs::scoped_registry()); the fleet scheduler acquires one per user, and
+  // the default handle aggregates under `other`, as does a handle gone
+  // stale after an LRU demotion.
   obs::ScopeTable::Handle scope;
 
   std::unique_ptr<data::UserOracle> oracle;
@@ -65,24 +68,21 @@ struct UserSession {
   std::vector<util::Rng> dropout_rngs;  // one per LoRA site, model order
   core::DataBuffer buffer{1};
   core::EngineStats stats;
-  eval::LearningCurve curve{""};
 
+  // Curve points and final scores land here as flush_evals scores them;
+  // the rest is filled once the last evaluation is scored.
   exp::ExperimentResult result;
 
-  // Scheduler progress.
-  std::size_t cursor = 0;      // next stream position
-  std::size_t chunk_size = 0;  // stream sets per chunk (= finetune interval)
+  // Progress.
+  std::size_t cursor = 0;  // next stream position
   std::size_t rounds_done = 0;
-  bool work_done = false;   // all chunks executed (evals may still be pending)
-  bool failed = false;      // chunk aborted by an injected fault
-  bool finalized = false;
+  bool work_done = false;  // all chunks executed (evals may still be pending)
   std::size_t pending_evals = 0;
-  double final_mean = 0.0;  // mean of final_per_set, filled by the flush
   double work_seconds = 0.0;  // total chunk wall time
 };
 
-// Shared per-lane worker: a LoRA-attached clone of the pretrained base that
-// any user's state can be swapped onto.
+// A LoRA-attached clone of the pretrained base that any user's state can be
+// swapped onto (one per scheduler lane; one for run_experiment).
 struct WorkerContext {
   std::unique_ptr<llm::MiniLlm> model;
   std::vector<nn::Linear*> sites;  // model->lora_linears(), cached
@@ -93,27 +93,41 @@ WorkerContext make_worker(const llm::ModelConfig& mc, std::uint64_t base_seed,
                           const nn::LoraConfig& lora);
 
 // Adapter values of a freshly-attached worker (A init, B = 0, no moments) —
-// every user starts from this state, exactly like a sequential engine.
+// every user starts from this state.
 AdapterState initial_adapter_state(llm::MiniLlm& model);
 
-// Builds the session for `config` (seed derivations identical to
-// run_experiment) and, when record_curve is set, emits the baseline
-// (seen = 0) EvalJob via `eval_sink`. `initial_dropout` is the
-// freshly-constructed worker's per-site dropout rng states; `initial` is
-// used only for the baseline overlay snapshot.
+// Builds the session for `config`. Throws std::invalid_argument for an
+// unknown method or embedding source. `fresh` must be a worker no chunk has
+// run on yet: its adapter values are every user's starting point and its
+// per-site dropout rngs seed the session's. When record_curve is set, the
+// baseline (seen = 0) EvalJob goes to `eval_sink`.
 std::unique_ptr<UserSession> make_user_session(
     std::size_t id, const exp::ExperimentConfig& config,
-    const AdapterState& initial, const std::vector<util::Rng>& initial_dropout,
-    const std::function<void(EvalJob)>& eval_sink);
+    const WorkerContext& fresh, const EvalSink& eval_sink);
 
 // Runs one chunk of `session` on `worker`: swaps the user state in
 // (adapter from `adapter`, buffer/stats/rngs/policy/synthesizer from the
-// session), processes the next chunk of the stream (the engine fine-tunes
-// at its configured interval; curve evaluations are emitted as EvalJobs),
-// handles the tail fine-tune and the final per-set EvalJob on the last
-// chunk, then swaps everything back out. `adapter` is updated in place.
+// session), processes the next fine-tune interval's worth of stream (the
+// engine fine-tunes at its configured interval; curve evaluations are
+// emitted as EvalJobs), handles the tail fine-tune and the final per-set
+// EvalJob on the last chunk, then swaps everything back out. `adapter` is
+// updated in place.
 void run_user_chunk(UserSession& session, WorkerContext& worker,
                     const text::Tokenizer& tokenizer, AdapterState& adapter,
-                    const std::function<void(EvalJob)>& eval_sink);
+                    const EvalSink& eval_sink);
+
+// The evaluation flush every runner calls. Scores `jobs` through one
+// core::evaluate_requests call on `decode_model` — an adapter-free base,
+// each job's overlay supplying its user's adapter — at `decode_batch`
+// width. Jobs of one user whose overlays hold equal values (the last curve
+// point and the final per-set pass) generate once. Records each curve
+// point or final per-set score on sessions[job.user], and finalizes the
+// result of every session whose work is done and whose evaluations are all
+// scored.
+core::EvalDecodeStats flush_evals(
+    std::vector<EvalJob> jobs,
+    std::vector<std::unique_ptr<UserSession>>& sessions,
+    llm::MiniLlm& decode_model, const text::Tokenizer& tokenizer,
+    std::size_t decode_batch);
 
 }  // namespace odlp::fleet

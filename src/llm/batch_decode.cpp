@@ -39,8 +39,7 @@ std::size_t BatchedDecodeScheduler::submit(std::vector<int> prompt_ids,
   req.config = config;
   req.rng = rng;
   if (req.prompt.empty()) {
-    // Same as Sampler::generate_ids_cached on an empty prompt: nothing to
-    // prime, nothing generated.
+    // An empty prompt: nothing to prime, nothing generated.
     req.done = true;
     ++finished_;
   } else {
@@ -209,8 +208,8 @@ void BatchedDecodeScheduler::advance(Slot& slot, const float* logits,
     // The last prompt token was just fed — fall through and treat these
     // logits as the generation loop's entry point.
   }
-  // From here this mirrors one iteration of Sampler::generate_ids_cached:
-  // loop bound, full-session check, sample, <eos> check, emit, re-check.
+  // One iteration of the generation loop: length bound, full-session
+  // check, sample, <eos> check, emit, re-check.
   if (req.generated.size() >= req.config.max_new_tokens) {
     finish(slot);
     return;
@@ -245,6 +244,11 @@ const std::vector<int>& BatchedDecodeScheduler::result(
     std::size_t ticket) const {
   assert(ticket < requests_.size() && requests_[ticket].done);
   return requests_[ticket].generated;
+}
+
+const util::Rng& BatchedDecodeScheduler::rng(std::size_t ticket) const {
+  assert(ticket < requests_.size() && requests_[ticket].done);
+  return requests_[ticket].rng;
 }
 
 }  // namespace odlp::llm

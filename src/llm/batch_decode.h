@@ -4,12 +4,13 @@
 // batched forward steps: every live session contributes one token per step
 // (the projections and FFN run as m = occupancy GEMMs), and sessions join
 // and leave between steps as prompts finish priming or hit <eos> / length
-// limits — no padding, no waiting for stragglers. Outputs are bit-identical
-// to running Sampler::generate_ids per request serially: row b of the
-// batched forward is bit-exact with the single-session incremental path
-// (see MultiHeadSelfAttention::forward_incremental_batch_ws) and each
-// request samples from its own rng stream, so results never depend on what
-// else happens to share the batch.
+// limits — no padding, no waiting for stragglers. This is the only decode
+// loop: Sampler::generate_ids is a width-1 run. Outputs are bit-identical
+// at every width and to a serial DecodeSession loop: row b of the batched
+// forward is bit-exact with the single-session incremental path (see
+// MultiHeadSelfAttention::forward_incremental_batch_ws) and each request
+// samples from its own rng stream, so results never depend on what else
+// happens to share the batch.
 #pragma once
 
 #include <cstddef>
@@ -31,9 +32,9 @@ class BatchedDecodeScheduler {
 
   // Enqueues one generation request and returns its ticket. `rng` is taken
   // by value: the request owns an independent sampling stream. Prompts
-  // longer than max_seq_len are truncated exactly as Sampler does; an empty
-  // prompt finishes immediately with an empty result. Requests are admitted
-  // to free slots in submission (FIFO) order.
+  // longer than max_seq_len are truncated to it; an empty prompt finishes
+  // immediately with an empty result. Requests are admitted to free slots
+  // in submission (FIFO) order.
   std::size_t submit(std::vector<int> prompt_ids, const SamplerConfig& config,
                      util::Rng rng);
 
@@ -65,6 +66,10 @@ class BatchedDecodeScheduler {
 
   // Generated ids (without the prompt, without <eos>) of a finished ticket.
   const std::vector<int>& result(std::size_t ticket) const;
+
+  // A finished ticket's sampling stream, advanced past every draw it made
+  // (Sampler continues its stream from here).
+  const util::Rng& rng(std::size_t ticket) const;
 
   bool finished() const { return finished_ == requests_.size(); }
 
@@ -117,8 +122,8 @@ class BatchedDecodeScheduler {
 
   bool admissible(std::size_t ticket) const;
   void admit_pending();
-  // Consumes this step's logits row for `slot` (fed token already counted);
-  // replicates Sampler::generate_ids_cached's loop exactly.
+  // Consumes this step's logits row for `slot` (fed token already counted):
+  // one iteration of the generation loop.
   void advance(Slot& slot, const float* logits, std::size_t vocab);
   void finish(Slot& slot);
 

@@ -3,46 +3,16 @@
 #include <algorithm>
 #include <cmath>
 
-#include "llm/decode_session.h"
+#include "llm/batch_decode.h"
 
 namespace odlp::llm {
 
 std::vector<int> Sampler::generate_ids(const std::vector<int>& prompt_ids) {
-  if (config_.use_kv_cache) return generate_ids_cached(prompt_ids);
-  std::vector<int> seq = prompt_ids;
-  std::vector<int> generated;
-  const std::size_t max_len = model_.config().max_seq_len;
-  for (std::size_t step = 0; step < config_.max_new_tokens; ++step) {
-    if (seq.size() >= max_len) break;
-    tensor::Tensor logits = model_.forward(seq, /*training=*/false);
-    const int next = sample_from_logits(logits.row(logits.rows() - 1),
-                                        logits.cols(), config_, rng_);
-    if (next == text::Vocab::kEos) break;
-    seq.push_back(next);
-    generated.push_back(next);
-  }
-  return generated;
-}
-
-std::vector<int> Sampler::generate_ids_cached(const std::vector<int>& prompt_ids) {
-  std::vector<int> generated;
-  if (prompt_ids.empty()) return generated;
-  DecodeSession session(model_);
-  std::vector<int> prompt = prompt_ids;
-  if (prompt.size() > model_.config().max_seq_len) {
-    prompt.resize(model_.config().max_seq_len);
-  }
-  tensor::Tensor logits = session.prime(prompt);
-  for (std::size_t step = 0; step < config_.max_new_tokens; ++step) {
-    if (session.full()) break;
-    const int next =
-        sample_from_logits(logits.row(0), logits.cols(), config_, rng_);
-    if (next == text::Vocab::kEos) break;
-    generated.push_back(next);
-    if (session.full() || generated.size() >= config_.max_new_tokens) break;
-    logits = session.step(next);
-  }
-  return generated;
+  BatchedDecodeScheduler scheduler(model_, 1);
+  const std::size_t ticket = scheduler.submit(prompt_ids, config_, rng_);
+  scheduler.run();
+  rng_ = scheduler.rng(ticket);
+  return scheduler.result(ticket);
 }
 
 std::string Sampler::respond(const text::Tokenizer& tokenizer,

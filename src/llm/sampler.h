@@ -18,12 +18,6 @@ struct SamplerConfig {
   std::size_t top_k = 0;        // 0 = no truncation
   float top_p = 1.0f;           // nucleus sampling mass; 1.0 = disabled
   std::size_t max_new_tokens = 24;
-  // Use KV-cached incremental decoding (O(T) per token instead of a full
-  // O(T²) recompute). On by default: logits are numerically equivalent up
-  // to float summation order, so sampled outputs can differ from the
-  // recompute path only in rare near-tie cases. Set false to force the
-  // full-recompute path (e.g. for bitwise A/B comparisons against it).
-  bool use_kv_cache = true;
 };
 
 // Samples one token id from a row of logits under `config` (temperature
@@ -39,7 +33,9 @@ class Sampler {
       : model_(model), config_(config), rng_(rng) {}
 
   // Continues `prompt_ids` until <eos> or max_new_tokens; returns only the
-  // newly generated ids (without the prompt, without <eos>).
+  // newly generated ids (without the prompt, without <eos>). KV-cached: a
+  // width-1 BatchedDecodeScheduler run, so serial and batched decode share
+  // one loop. The sampler's rng stream continues across calls.
   std::vector<int> generate_ids(const std::vector<int>& prompt_ids);
 
   // Convenience: encode question as prompt, generate, decode response text.
@@ -48,8 +44,6 @@ class Sampler {
   SamplerConfig& config() { return config_; }
 
  private:
-  std::vector<int> generate_ids_cached(const std::vector<int>& prompt_ids);
-
   MiniLlm& model_;
   SamplerConfig config_;
   util::Rng rng_;

@@ -1,5 +1,5 @@
 // BatchedDecodeScheduler: continuous-batched KV-cached generation must be
-// bit-identical to running Sampler::generate_ids per request serially, at
+// bit-identical to decoding each request serially on a DecodeSession, at
 // every batch width and under every KvCache edge case — sessions joining
 // mid-stream, slots drained and reused, prompts overflowing max_seq_len,
 // and the governor's KV-trim rung shrinking the generation budget.
@@ -14,7 +14,11 @@
 #include "devicesim/memory_model.h"
 #include "exp/experiment.h"
 #include "llm/batch_decode.h"
+#include "llm/decode_session.h"
 #include "llm/sampler.h"
+#include "nn/linear.h"
+#include "nn/lora_overlay.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace odlp::llm {
@@ -53,11 +57,30 @@ std::vector<std::vector<int>> mixed_prompts() {
   };
 }
 
-std::vector<int> serial_reference(MiniLlm& model, const std::vector<int>& p,
+// One request decoded on its own through a DecodeSession — an independent
+// implementation of the generation loop (Sampler itself is a width-1
+// scheduler run): truncate, prime, then sample until <eos>, the token
+// budget, or a full session.
+std::vector<int> serial_reference(MiniLlm& model, std::vector<int> prompt,
                                   const SamplerConfig& sc,
                                   std::uint64_t seed) {
-  Sampler sampler(model, sc, util::Rng(seed));
-  return sampler.generate_ids(p);
+  std::vector<int> generated;
+  if (prompt.empty()) return generated;
+  if (prompt.size() > model.config().max_seq_len) {
+    prompt.resize(model.config().max_seq_len);
+  }
+  util::Rng rng(seed);
+  DecodeSession session(model);
+  const tensor::Tensor* logits = &session.prime(prompt);
+  while (generated.size() < sc.max_new_tokens && !session.full()) {
+    const int next =
+        sample_from_logits(logits->row(0), logits->cols(), sc, rng);
+    if (next == text::Vocab::kEos) break;
+    generated.push_back(next);
+    if (generated.size() >= sc.max_new_tokens || session.full()) break;
+    logits = &session.step(next);
+  }
+  return generated;
 }
 
 TEST(BatchDecode, BitIdenticalToSerialAtEveryWidth) {
@@ -100,6 +123,104 @@ TEST(BatchDecode, BitIdenticalToSerialInt8) {
   }
 }
 #endif
+
+// Attaches LoRA to `model` with non-zero B factors (B starts at zero, which
+// would make every adapter a no-op) and returns the overlay snapshot of
+// those adapters, in lora_linears() site order.
+nn::LoraOverlaySet attach_test_adapters(MiniLlm& model) {
+  nn::LoraConfig lc;
+  lc.rank = 4;
+  lc.alpha = 8.0f;
+  model.attach_lora(lc);
+  util::Rng rng(77);
+  nn::LoraOverlaySet overlay;
+  overlay.scaling = lc.alpha / static_cast<float>(lc.rank);
+  for (nn::Linear* site : model.lora_linears()) {
+    tensor::Tensor& b = site->mutable_lora_b().value;
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      b.data()[i] = 0.2f * (static_cast<float>(rng.uniform()) - 0.5f);
+    }
+    overlay.sites.push_back(
+        {site->mutable_lora_a().value, site->mutable_lora_b().value});
+  }
+  return overlay;
+}
+
+// Shared-prefix groups (evaluation's sampling repeats) prime the prompt
+// prefix once and fork that KV snapshot into every other member. Each forked
+// request must still equal an independent serial decode with its own rng:
+// at every width, on the bare base and through a LoRA overlay (checked
+// against a DecodeSession on the LoRA-attached model), with a prompt that
+// overflows max_seq_len and one that fills the cache while generating, and
+// with plain requests interleaved so followers get admitted past.
+TEST(BatchDecode, SharedPrefixForksMatchSerial) {
+  MiniLlm base(tiny_config(), 31);
+  MiniLlm adapted(tiny_config(), 31);
+  const nn::LoraOverlaySet overlay = attach_test_adapters(adapted);
+  const std::size_t max_len = tiny_config().max_seq_len;
+  std::vector<int> filling;  // generation runs into max_seq_len
+  for (std::size_t i = 0; i < max_len - 4; ++i) {
+    filling.push_back(static_cast<int>(i % 31) + 5);
+  }
+  std::vector<int> overflow;
+  for (std::size_t i = 0; i < max_len + 6; ++i) {
+    overflow.push_back(static_cast<int>(i % 35) + 4);
+  }
+  const std::vector<std::vector<int>> prompts = {
+      {2, 7, 11, 5, 9}, {17}, {30, 14}, filling, overflow};
+  const SamplerConfig sc = decode_config(12);
+  const std::size_t repeats = 4;
+  bool overlay_changes_output = false;
+  for (const auto& prompt : prompts) {
+    overlay_changes_output |= serial_reference(adapted, prompt, sc, 1) !=
+                              serial_reference(base, prompt, sc, 1);
+  }
+  ASSERT_TRUE(overlay_changes_output);
+  obs::Counter& forks =
+      obs::registry().counter("decode.batch.prefix_forks.total");
+
+  for (const bool with_overlay : {false, true}) {
+    MiniLlm& reference_model = with_overlay ? adapted : base;
+    for (std::size_t width : {1u, 2u, 4u, 8u}) {
+      const std::uint64_t forks_before = forks.value();
+      BatchedDecodeScheduler scheduler(base, width);
+      std::vector<std::vector<std::size_t>> groups;
+      std::vector<std::size_t> plain;
+      for (std::size_t p = 0; p < prompts.size(); ++p) {
+        std::vector<util::Rng> rngs;
+        for (std::size_t r = 0; r < repeats; ++r) {
+          rngs.emplace_back(1000 + 10 * p + r);
+        }
+        groups.push_back(scheduler.submit_shared_prefix(
+            prompts[p], sc, rngs, with_overlay ? &overlay : nullptr));
+        plain.push_back(scheduler.submit(prompts[(p + 1) % prompts.size()],
+                                         sc, util::Rng(2000 + p),
+                                         with_overlay ? &overlay : nullptr));
+      }
+      scheduler.run();
+      ASSERT_TRUE(scheduler.finished());
+      for (std::size_t p = 0; p < prompts.size(); ++p) {
+        for (std::size_t r = 0; r < repeats; ++r) {
+          EXPECT_EQ(scheduler.result(groups[p][r]),
+                    serial_reference(reference_model, prompts[p], sc,
+                                     1000 + 10 * p + r))
+              << "overlay " << with_overlay << " width " << width
+              << " prompt " << p << " repeat " << r;
+        }
+        EXPECT_EQ(scheduler.result(plain[p]),
+                  serial_reference(reference_model,
+                                   prompts[(p + 1) % prompts.size()], sc,
+                                   2000 + p))
+            << "overlay " << with_overlay << " width " << width
+            << " plain " << p;
+      }
+      // Every prompt but {17} has a prefix to share, so each follower of
+      // those four groups forked instead of re-priming.
+      EXPECT_EQ(forks.value() - forks_before, 4 * (repeats - 1))
+          << "overlay " << with_overlay << " width " << width;
+    }
+  }
+}
 
 TEST(BatchDecode, EmptyPromptFinishesAtSubmit) {
   MiniLlm model(tiny_config(), 31);

@@ -20,6 +20,25 @@ ModelConfig session_config() {
   return mc;
 }
 
+// Full-recompute decode: every step reruns the whole sequence through
+// MiniLlm::forward (O(T²) per token). Independent of the KV cache, it is
+// the oracle the cached Sampler path is compared against.
+std::vector<int> recompute_generate(MiniLlm& model, std::vector<int> seq,
+                                    const SamplerConfig& config,
+                                    util::Rng rng) {
+  std::vector<int> generated;
+  for (std::size_t step = 0; step < config.max_new_tokens; ++step) {
+    if (seq.size() >= model.config().max_seq_len) break;
+    const tensor::Tensor logits = model.forward(seq, /*training=*/false);
+    const int next = sample_from_logits(logits.row(logits.rows() - 1),
+                                        logits.cols(), config, rng);
+    if (next == text::Vocab::kEos) break;
+    seq.push_back(next);
+    generated.push_back(next);
+  }
+  return generated;
+}
+
 TEST(DecodeSession, LogitsMatchFullForward) {
   MiniLlm model(session_config(), 31);
   const std::vector<int> tokens = {2, 7, 11, 5, 9, 30, 14};
@@ -92,15 +111,12 @@ TEST(DecodeSession, WorksWithLoraAttached) {
 
 TEST(SamplerKvCache, GreedyOutputsMatchRecompute) {
   MiniLlm model(session_config(), 36);
-  SamplerConfig plain;
-  plain.temperature = 0.0f;
-  plain.max_new_tokens = 10;
-  plain.use_kv_cache = false;  // force full recompute to A/B against cached
-  SamplerConfig cached = plain;
-  cached.use_kv_cache = true;
-  Sampler a(model, plain, util::Rng(1));
-  Sampler b(model, cached, util::Rng(2));
-  EXPECT_EQ(a.generate_ids({2, 5, 7}), b.generate_ids({2, 5, 7}));
+  SamplerConfig greedy;
+  greedy.temperature = 0.0f;
+  greedy.max_new_tokens = 10;
+  Sampler cached(model, greedy, util::Rng(2));
+  EXPECT_EQ(recompute_generate(model, {2, 5, 7}, greedy, util::Rng(1)),
+            cached.generate_ids({2, 5, 7}));
 }
 
 TEST(SamplerKvCache, CachedPathRespectsLimits) {
@@ -108,7 +124,6 @@ TEST(SamplerKvCache, CachedPathRespectsLimits) {
   SamplerConfig cached;
   cached.temperature = 1.0f;
   cached.max_new_tokens = 5;
-  cached.use_kv_cache = true;
   Sampler sampler(model, cached, util::Rng(3));
   const auto out = sampler.generate_ids({2, 5});
   EXPECT_LE(out.size(), 5u);

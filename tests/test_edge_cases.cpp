@@ -122,7 +122,6 @@ TEST(Sampler, EmptyPromptCachedPathIsSafe) {
   mc.max_seq_len = 8;
   llm::MiniLlm model(mc, 10);
   llm::SamplerConfig sc;
-  sc.use_kv_cache = true;
   llm::Sampler sampler(model, sc, util::Rng(11));
   EXPECT_TRUE(sampler.generate_ids({}).empty());
 }

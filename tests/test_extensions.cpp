@@ -2,10 +2,15 @@
 // budget, embedding-source selection, and sanity-mode plumbing.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <string>
+
 #include "core/engine.h"
 #include "core/weighted_policy.h"
 #include "data/generator.h"
 #include "exp/experiment.h"
+#include "fleet/scheduler.h"
 
 namespace odlp {
 namespace {
@@ -165,6 +170,14 @@ TEST(EmbeddingSource, UnknownSourceThrows) {
   c.stream_size = 4;
   c.test_size = 4;
   EXPECT_THROW(exp::run_experiment(c), std::invalid_argument);
+
+  // The concurrent fleet rejects it too, instead of silently scoring with
+  // bag-of-words embeddings.
+  fleet::ConcurrentFleetConfig fc;
+  fc.fleet.num_devices = 1;
+  fc.fleet.device_template = c;
+  fc.spill_dir = "/tmp/odlp_embedding_source_" + std::to_string(::getpid());
+  EXPECT_THROW(fleet::run_concurrent_fleet(fc), std::invalid_argument);
 }
 
 TEST(SanityModePlumbing, RejectAboveReachesSynthesizer) {

@@ -16,10 +16,13 @@
 #include <filesystem>
 #include <string>
 
+#include "core/engine.h"
 #include "exp/fleet.h"
 #include "fleet/adapter_cache.h"
 #include "fleet/adapter_state.h"
 #include "fleet/scheduler.h"
+#include "lexicon/lexicon.h"
+#include "llm/embedding_extractor.h"
 #include "util/fault.h"
 
 namespace odlp::fleet {
@@ -205,6 +208,117 @@ TEST_F(FleetSchedulerTest, SurvivesInjectedFaultsDuringConcurrentChunks) {
   }
   EXPECT_EQ(completed + result.stats.faults, 4u);
   EXPECT_GE(result.stats.rounds, completed * 2);
+}
+
+// Test-local copy of the session's string hash: the oracle below derives
+// every seed itself instead of reading them from the code under test.
+std::uint64_t oracle_fnv1a(const std::string& s) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// Independent oracle for the one personalization loop: a dedicated engine
+// on a LoRA-attached base, driven by hand (process per set, finetune_now at
+// the interval, evaluate_per_set on the attached model). run_experiment
+// runs the same user as a session swapped onto a worker clone and scores
+// its evaluations as overlays on the adapter-free base, with the sampling
+// repeats forked from one primed prompt (eval_repeats >= 2). Both must
+// agree exactly.
+TEST(RunExperimentOracle, MatchesHandDrivenDedicatedEngine) {
+  exp::ExperimentConfig config;
+  config.dataset = "MedDialog";
+  config.method = "Ours";
+  config.buffer_bins = 4;
+  config.stream_size = 10;
+  config.finetune_interval = 4;  // 4 + 4 + a tail of 2
+  config.test_size = 12;
+  config.eval_subset = 4;
+  config.eval_repeats = 3;
+  config.eval_temperature = 0.5f;  // sampled: every repeat draws its own stream
+  config.epochs = 1;
+  config.synth_per_set = 1;
+  config.pretrain_examples = 8;
+  config.pretrain_epochs = 1;
+  config.cache_dir = "";
+  config.seed = 11;
+
+  const exp::ExperimentResult result = exp::run_experiment(config);
+
+  const auto& dict = lexicon::builtin_dictionary();
+  const text::Tokenizer tokenizer = exp::make_device_tokenizer();
+  const std::uint64_t data_seed = config.seed ^ oracle_fnv1a(config.dataset);
+  data::UserOracle oracle(data_seed * 2654435761ull + 1, dict);
+  const data::GeneratedDataset dataset =
+      exp::make_experiment_dataset(config, oracle);
+  std::vector<const data::DialogueSet*> eval_sets;
+  const std::size_t n_eval = std::min(config.eval_subset, dataset.test.size());
+  for (std::size_t i = 0; i < n_eval; ++i) {
+    eval_sets.push_back(&dataset.test[i * dataset.test.size() / n_eval]);
+  }
+
+  std::unique_ptr<llm::MiniLlm> model =
+      exp::make_base_model(config, tokenizer);
+  llm::LlmEmbeddingExtractor extractor(*model, tokenizer);
+  core::EngineConfig ec = exp::make_engine_config(config);
+  ec.finetune_interval = 0;  // fine-tunes are driven by hand below
+  util::Rng outer(data_seed ^ oracle_fnv1a(config.method) ^ 0xabcdef12345ull);
+  core::ParaphraseSynthesizer::Config synth_config;
+  synth_config.sanity.mode = config.sanity_mode;
+  synth_config.sanity.threshold = config.sanity_threshold;
+  util::Rng synth_rng = outer.split();
+  util::Rng engine_rng = outer.split();
+  core::PersonalizationEngine engine(
+      *model, tokenizer, extractor, oracle, dict, exp::make_policy(config.method),
+      std::make_unique<core::ParaphraseSynthesizer>(dict, synth_rng,
+                                                    synth_config),
+      ec, engine_rng);
+
+  eval::LearningCurve curve(config.method);
+  curve.record(0, engine.evaluate(eval_sets, config.eval_repeats));
+  for (std::size_t i = 0; i < config.stream_size; ++i) {
+    engine.process(dataset.stream[i]);
+    if ((i + 1) % config.finetune_interval == 0 ||
+        i + 1 == config.stream_size) {
+      engine.finetune_now();
+      curve.record(i + 1, engine.evaluate(eval_sets, config.eval_repeats));
+    }
+  }
+  const std::vector<double> final_per_set =
+      engine.evaluate_per_set(eval_sets, config.eval_repeats);
+
+  ASSERT_EQ(result.curve.num_points(), curve.num_points());
+  for (std::size_t p = 0; p < curve.num_points(); ++p) {
+    EXPECT_EQ(result.curve.seen()[p], curve.seen()[p]);
+    EXPECT_EQ(result.curve.rouge()[p], curve.rouge()[p]) << "point " << p;
+  }
+  EXPECT_EQ(result.final_per_set, final_per_set);
+  EXPECT_EQ(result.final_rouge, curve.final_rouge());
+
+  const core::EngineStats& a = result.engine_stats;
+  const core::EngineStats& b = engine.stats();
+  EXPECT_EQ(a.seen, b.seen);
+  EXPECT_EQ(a.admitted_free, b.admitted_free);
+  EXPECT_EQ(a.admitted_replacing, b.admitted_replacing);
+  EXPECT_EQ(a.rejected, b.rejected);
+  EXPECT_EQ(a.quarantined, b.quarantined);
+  EXPECT_EQ(a.annotations_made, b.annotations_made);
+  EXPECT_EQ(a.finetune_rounds, b.finetune_rounds);
+  EXPECT_EQ(a.synthesis.generated, b.synthesis.generated);
+  EXPECT_EQ(a.synthesis.accepted, b.synthesis.accepted);
+  EXPECT_EQ(a.synthesized_used, b.synthesized_used);
+  EXPECT_EQ(a.last_train_loss, b.last_train_loss);
+  EXPECT_EQ(b.finetune_rounds, 3u);
+
+  const exp::BufferComposition comp = exp::buffer_composition(engine.buffer());
+  EXPECT_EQ(result.buffer.size, comp.size);
+  EXPECT_EQ(result.buffer.noise, comp.noise);
+  EXPECT_EQ(result.buffer.distinct_subtopics, comp.distinct_subtopics);
+  EXPECT_EQ(result.buffer.distinct_domains, comp.distinct_domains);
+  EXPECT_EQ(result.annotation_requests, oracle.annotation_requests());
 }
 
 TEST(FleetAdapterState, SpillRoundTripIsExact) {
