@@ -4,6 +4,9 @@
 //   * register-tiled matmul vs. the naive reference kernel (several shapes,
 //     including the 256x256x256 contract size), with GFLOP/s, at thread
 //     counts {1, 2, 4} and the configured lane count,
+//   * the fan-out cut-over table: model-shaped and cubic GEMMs plus softmax
+//     and LayerNorm rows at 1 lane vs. 4 lanes, wall and CPU time, on both
+//     sides of tensor::kFanOutMinFlops,
 //   * matmul_backward (both tiled products) vs. its serial reference, with
 //     GFLOP/s,
 //   * the allocation probe: tensor heap allocations during a steady-state
@@ -31,6 +34,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <string>
 #include <thread>
 #include <vector>
@@ -68,6 +72,13 @@ tensor::Tensor random_tensor(std::size_t rows, std::size_t cols,
     t.data()[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
   }
   return t;
+}
+
+// CPU time of the whole process (all threads), in seconds.
+double process_cpu_seconds() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return double(ts.tv_sec) + double(ts.tv_nsec) * 1e-9;
 }
 
 // Median-of-reps wall time for `fn`, in seconds. One warmup call.
@@ -159,6 +170,94 @@ int main(int argc, char** argv) {
   }
   matmul_rows += "]";
   json.raw("matmul", matmul_rows);
+
+  // ---- Fan-out cut-over: each kernel at 1 lane vs. 4 lanes. ----
+  // tensor::kFanOutMinFlops decides whether a kernel call leaves the calling
+  // thread. Rows below it must cost the same at 4 lanes as at 1 (nothing
+  // fans out); rows at or above it fan out and should gain wall time. CPU
+  // time (all threads, median rep) is reported next to wall time: a
+  // fanned-out call also charges the workers' wake-up and chunk claims.
+  {
+    std::printf("== fan-out cut-over (2^%d flops) ==\n",
+                static_cast<int>(std::log2(double(tensor::kFanOutMinFlops))));
+    struct Case {
+      const char* op;
+      std::size_t m, k, n;
+    };
+    const Case cases[] = {
+        {"matmul", 22, 48, 430},  {"matmul", 64, 48, 430},
+        {"matmul", 64, 64, 64},   {"matmul", 128, 128, 128},
+        {"matmul", 192, 192, 192}, {"matmul", 256, 256, 256},
+        {"matmul", 512, 512, 512}, {"softmax", 64, 0, 430},
+        {"softmax", 256, 0, 512},  {"softmax", 1024, 0, 512},
+        {"layernorm", 64, 0, 48},  {"layernorm", 256, 0, 512},
+        {"layernorm", 1024, 0, 512}};
+    std::string rows = "[";
+    for (const Case& cs : cases) {
+      const bool gemm = std::strcmp(cs.op, "matmul") == 0;
+      const tensor::Tensor a = random_tensor(cs.m, gemm ? cs.k : cs.n, rng);
+      const tensor::Tensor b =
+          random_tensor(gemm ? cs.k : 1, gemm ? cs.n : 1, rng);
+      const std::size_t work = gemm ? 2 * cs.m * cs.k * cs.n
+                                    : a.size() * tensor::kRowwiseFlopsPerElem;
+      tensor::Tensor out;
+      tensor::LayerNormCache cache;
+      auto call = [&] {
+        if (gemm) {
+          tensor::matmul_into(a, b, out);
+        } else if (std::strcmp(cs.op, "softmax") == 0) {
+          tensor::softmax_rows_into(a, out);
+        } else {
+          tensor::layernorm_rows_into(a, 1e-5f, &cache, out);
+        }
+      };
+      // Enough calls per rep that one rep spans ~2 ms at 1 lane.
+      util::Stopwatch probe;
+      call();
+      const double one_call = std::max(probe.elapsed_seconds(), 1e-7);
+      const int calls =
+          static_cast<int>(std::clamp(2e-3 / one_call, 1.0, 5000.0));
+      std::vector<std::pair<std::string, double>> kv = {
+          {"m", double(cs.m)}, {"k", double(cs.k)}, {"n", double(cs.n)},
+          {"work_flops", double(work)},
+          {"fans_out", tensor::fans_out(work) ? 1.0 : 0.0}};
+      double wall_us[2], cpu_us[2];
+      for (int li = 0; li < 2; ++li) {
+        pool.resize(li == 0 ? 1 : 4);
+        std::vector<double> cpu;
+        const double wall = timed_seconds(reps, [&] {
+          const double cpu0 = process_cpu_seconds();
+          for (int c = 0; c < calls; ++c) call();
+          cpu.push_back(process_cpu_seconds() - cpu0);
+        });
+        cpu.erase(cpu.begin());  // timed_seconds' warmup call
+        std::sort(cpu.begin(), cpu.end());
+        wall_us[li] = wall / calls * 1e6;
+        cpu_us[li] = cpu[cpu.size() / 2] / calls * 1e6;
+      }
+      pool.resize(configured);
+      kv.insert(kv.end(), {{"lanes1_us", wall_us[0]},
+                           {"lanes1_cpu_us", cpu_us[0]},
+                           {"lanes4_us", wall_us[1]},
+                           {"lanes4_cpu_us", cpu_us[1]},
+                           {"lanes4_vs_lanes1", wall_us[1] / wall_us[0]}});
+      const std::string dims =
+          std::to_string(cs.m) + "x" +
+          (gemm ? std::to_string(cs.k) + "x" : std::string()) +
+          std::to_string(cs.n);
+      std::printf("  %-9s %-11s work 2^%.1f, %s, 1 lane %.1f us, "
+                  "4 lanes %.1f us (%.2fx)\n",
+                  cs.op, dims.c_str(), std::log2(double(work)),
+                  tensor::fans_out(work) ? "fans out" : "inline", wall_us[0],
+                  wall_us[1], wall_us[1] / wall_us[0]);
+      if (rows.size() > 1) rows += ", ";
+      std::string row = json_object(kv);
+      row.insert(1, std::string("\"op\": \"") + cs.op + "\", ");
+      rows += row;
+    }
+    rows += "]";
+    json.raw("fanout_cutover", rows);
+  }
 
   // ---- matmul_backward: parallel vs. serial reference. ----
   {

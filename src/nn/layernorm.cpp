@@ -6,10 +6,6 @@
 
 namespace odlp::nn {
 
-namespace {
-constexpr std::size_t kParallelMinElems = 1u << 14;
-}  // namespace
-
 LayerNorm::LayerNorm(std::string name, std::size_t dim, float eps)
     : gain_(name + ".gain", 1, dim), bias_(name + ".bias", 1, dim), eps_(eps) {
   gain_.value.fill(1.0f);
@@ -42,7 +38,7 @@ tensor::Tensor& LayerNorm::backward_ws(const tensor::Tensor& dout,
   tensor::Tensor& dnorm = ws.acquire(dout.rows(), dout.cols());
   const float* g = gain_.value.row(0);
   const std::size_t cols = dout.cols();
-  if (dout.size() < kParallelMinElems) {
+  if (dout.size() < tensor::kChunkedReduceMinElems) {
     for (std::size_t i = 0; i < dout.rows(); ++i) {
       const float* d = dout.row(i);
       const float* n = cache_.normalized.row(i);
@@ -57,9 +53,10 @@ tensor::Tensor& LayerNorm::backward_ws(const tensor::Tensor& dout,
     tensor::layernorm_rows_backward_into(dnorm, cache_, din);
     return din;
   }
-  // Parallel path: dnorm rows are disjoint; the shared gain/bias gradients
+  // Chunked path: dnorm rows are disjoint; the shared gain/bias gradients
   // accumulate via chunk-local partials combined in chunk order (fixed
-  // grain), so the result is lane-count independent.
+  // grain), so the result is independent of the lane count and of whether
+  // the chunks fan out.
   struct Partial {
     std::vector<float> dgain, dbias;
   };
@@ -88,7 +85,8 @@ tensor::Tensor& LayerNorm::backward_ws(const tensor::Tensor& dout,
           out.dbias[j] += b.dbias[j];
         }
         return out;
-      });
+      },
+      tensor::fans_out(dout.size() * tensor::kRowwiseFlopsPerElem));
   for (std::size_t j = 0; j < cols; ++j) {
     if (gain_.trainable) gain_.grad.at(0, j) += sums.dgain[j];
     if (bias_.trainable) bias_.grad.at(0, j) += sums.dbias[j];

@@ -10,13 +10,6 @@
 
 namespace odlp::nn {
 
-namespace {
-// Same fan-out threshold the row-wise tensor kernels use; below it the
-// serial loop runs and the result is byte-identical to the pre-parallel
-// implementation.
-constexpr std::size_t kParallelMinElems = 1u << 14;
-}  // namespace
-
 void cross_entropy_into(const tensor::Tensor& logits,
                         const std::vector<int>& targets,
                         CrossEntropyResult& result, int ignore_index) {
@@ -62,12 +55,13 @@ void cross_entropy_into(const tensor::Tensor& logits,
     }
     return loss;
   };
-  if (logits.size() < kParallelMinElems) {
+  if (logits.size() < tensor::kChunkedReduceMinElems) {
     result.loss = row_loss(0, targets.size());
   } else {
     result.loss = util::ThreadPool::global().reduce_ordered<double>(
         0, targets.size(), /*grain=*/0, 0.0, row_loss,
-        [](const double& a, const double& b) { return a + b; });
+        [](const double& a, const double& b) { return a + b; },
+        tensor::fans_out(logits.size() * tensor::kRowwiseFlopsPerElem));
   }
   result.loss /= static_cast<double>(result.count);
 }

@@ -3,13 +3,10 @@
 #include <cassert>
 #include <cmath>
 
+#include "tensor/ops.h"
 #include "util/thread_pool.h"
 
 namespace odlp::nn {
-
-namespace {
-constexpr std::size_t kParallelMinElems = 1u << 14;
-}  // namespace
 
 RmsNorm::RmsNorm(std::string name, std::size_t dim, float eps)
     : gain_(name + ".gain", 1, dim), eps_(eps) {
@@ -65,14 +62,14 @@ tensor::Tensor& RmsNorm::backward_ws(const tensor::Tensor& dout,
       o[j] = inv_rms * g[j] * d[j] - scale * x[j];
     }
   };
-  if (dout.size() < kParallelMinElems) {
+  if (dout.size() < tensor::kChunkedReduceMinElems) {
     float* dgain = gain_.trainable ? gain_.grad.row(0) : nullptr;
     for (std::size_t i = 0; i < dout.rows(); ++i) row_backward(i, dgain);
     return din;
   }
-  // Parallel path: din rows are disjoint; the shared gain gradient uses
-  // fixed-grain chunk partials combined in chunk order (lane-count
-  // independent).
+  // Chunked path: din rows are disjoint; the shared gain gradient uses
+  // fixed-grain chunk partials combined in chunk order (independent of the
+  // lane count and of whether the chunks fan out).
   const std::vector<float> dgain =
       util::ThreadPool::global().reduce_ordered<std::vector<float>>(
           0, dout.rows(), /*grain=*/0, std::vector<float>(),
@@ -87,7 +84,8 @@ tensor::Tensor& RmsNorm::backward_ws(const tensor::Tensor& dout,
             std::vector<float> out = a;
             for (std::size_t j = 0; j < out.size(); ++j) out[j] += b[j];
             return out;
-          });
+          },
+          tensor::fans_out(dout.size() * tensor::kRowwiseFlopsPerElem));
   if (gain_.trainable) {
     for (std::size_t j = 0; j < n; ++j) gain_.grad.at(0, j) += dgain[j];
   }

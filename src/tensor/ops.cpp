@@ -22,37 +22,17 @@
 
 namespace odlp::tensor {
 
-namespace {
+using detail::kKC;
+using detail::kMR;
+using detail::kNR;
+using detail::Operand;
 
-// Kernels only fan out to the pool when the arithmetic outweighs the
-// dispatch overhead (~µs). Path selection (serial vs parallel, small vs
-// tiled) is keyed on shape only — never on the lane count — so a given
-// shape always accumulates in the same order.
-constexpr std::size_t kMatmulParallelMinFlops = 1u << 17;   // 2·m·k·n
-constexpr std::size_t kRowwiseParallelMinElems = 1u << 14;  // rows·cols
-
-// Micro-tile geometry. kMR×kNR is the register accumulator tile: kMR rows of
-// C, kNR columns, held in kMR·kNR/4 SSE registers across the k loop. kKC is
-// the k-block so the packed A quad (kMR·kKC floats) stays L1-resident.
-constexpr std::size_t kMR = 4;
-constexpr std::size_t kNR = 8;
-constexpr std::size_t kKC = 256;
-
-// A GEMM operand viewed through an optional transpose: logical element
-// [r][c] lives at data[c*ld + r] when trans, data[r*ld + c] otherwise. One
-// micro-kernel plus trans-aware packing serves all three products (nn, nt,
-// tn) — the transpose happens during packing, never as a materialized copy.
-struct Operand {
-  const float* data;
-  std::size_t ld;
-  bool trans;
-};
-
-// Pack logical rows [i0, i0+mr) × logical k range [p0, p1) of A into quads:
-// ap[(p-p0)*kMR + r]. Rows past mr are zero-padded so the micro-kernel is
-// branch-free; padded lanes never reach C.
-void pack_a(const Operand& a, std::size_t i0, std::size_t mr, std::size_t p0,
-            std::size_t p1, float* __restrict__ ap) {
+// One micro-kernel plus trans-aware packing serves all three products (nn,
+// nt, tn) — the transpose happens during packing, never as a materialized
+// copy. Rows past mr are zero-padded so the micro-kernel is branch-free;
+// padded lanes never reach C.
+void detail::pack_a(const Operand& a, std::size_t i0, std::size_t mr,
+                    std::size_t p0, std::size_t p1, float* __restrict__ ap) {
   if (!a.trans) {
     for (std::size_t r = 0; r < mr; ++r) {
       const float* __restrict__ src = a.data + (i0 + r) * a.ld;
@@ -69,6 +49,8 @@ void pack_a(const Operand& a, std::size_t i0, std::size_t mr, std::size_t p0,
     for (std::size_t p = p0; p < p1; ++p) ap[(p - p0) * kMR + r] = 0.0f;
   }
 }
+
+namespace {
 
 // Pack all of logical B (K×N) into kNR-wide panels: panel j0/kNR holds
 // bp[panel*K*kNR + p*kNR + j']. Columns past N are zero-padded.
@@ -127,13 +109,12 @@ inline void micro_kernel(const float* __restrict__ ap,
 // between them (bit-exact equal to one continuous float accumulation), and
 // within a block the micro-kernel walks p upward. Row chunks touch disjoint
 // C rows, so any row partition — hence any lane count — yields bit-identical
-// results. `use_avx2` swaps in the AVX2 build of the micro-kernel
-// (ops_avx2.cpp) — same per-element op sequence, so results do not change;
-// it is resolved once per gemm call from the active dispatch level.
+// results. detail::gemm_tiled_rows_avx2 (ops_avx2.cpp) is the AVX2 build of
+// this loop, with the same per-element op sequence.
 void gemm_tiled_rows(const Operand& a, const float* __restrict__ bp,
                      std::size_t K, std::size_t N, float* __restrict__ c,
-                     std::size_t ldc, bool accumulate, bool use_avx2,
-                     std::size_t i0, std::size_t i1) {
+                     std::size_t ldc, bool accumulate, std::size_t i0,
+                     std::size_t i1) {
   const std::size_t panels = (N + kNR - 1) / kNR;
   float apack[kMR * kKC];
   float acc[kMR * kNR];
@@ -142,30 +123,18 @@ void gemm_tiled_rows(const Operand& a, const float* __restrict__ bp,
     const bool first = (p0 == 0) && !accumulate;
     for (std::size_t i = i0; i < i1; i += kMR) {
       const std::size_t mr = std::min(kMR, i1 - i);
-      pack_a(a, i, mr, p0, p1, apack);
+      detail::pack_a(a, i, mr, p0, p1, apack);
       for (std::size_t panel = 0; panel < panels; ++panel) {
         const std::size_t j0 = panel * kNR;
         const std::size_t nr = std::min(kNR, N - j0);
-        if (first) {
-          std::fill(acc, acc + kMR * kNR, 0.0f);
-        } else {
-          std::fill(acc, acc + kMR * kNR, 0.0f);
+        std::fill(acc, acc + kMR * kNR, 0.0f);
+        if (!first) {
           for (std::size_t r = 0; r < mr; ++r) {
             const float* crow = c + (i + r) * ldc + j0;
             for (std::size_t j = 0; j < nr; ++j) acc[r * kNR + j] = crow[j];
           }
         }
-#ifdef ODLP_SIMD_KERNELS_X86
-        if (use_avx2) {
-          detail::micro_kernel_avx2(apack, bp + panel * K * kNR + p0 * kNR,
-                                    p1 - p0, acc);
-        } else
-#else
-        (void)use_avx2;
-#endif
-        {
-          micro_kernel(apack, bp + panel * K * kNR + p0 * kNR, p1 - p0, acc);
-        }
+        micro_kernel(apack, bp + panel * K * kNR + p0 * kNR, p1 - p0, acc);
         for (std::size_t r = 0; r < mr; ++r) {
           float* crow = c + (i + r) * ldc + j0;
           for (std::size_t j = 0; j < nr; ++j) crow[j] = acc[r * kNR + j];
@@ -259,7 +228,7 @@ std::size_t matmul_row_grain(std::size_t m, std::size_t k, std::size_t n,
 
 // Shared driver for all three products. B is packed once by the calling
 // thread into a thread-local buffer (read-only for the row workers); rows
-// fan out to the pool above the flops threshold.
+// fan out to the pool when fans_out(2·m·k·n).
 void gemm(const Operand& a, const Operand& b, std::size_t M, std::size_t K,
           std::size_t N, Tensor& out, bool accumulate) {
   if (!accumulate) {
@@ -276,7 +245,7 @@ void gemm(const Operand& a, const Operand& b, std::size_t M, std::size_t K,
   }
   // Path choice is a function of shape only (determinism: a given shape
   // always takes the same path, whatever the lane count). The SIMD level is
-  // read once here, on the calling thread, and passed down by value so pool
+  // read once here, on the calling thread, and captured by value so pool
   // workers never touch the dispatch atomic and a concurrent
   // set_simd_level() cannot split one product across kernel variants (they
   // are bit-identical anyway — this just keeps the hot loop load-free).
@@ -291,14 +260,21 @@ void gemm(const Operand& a, const Operand& b, std::size_t M, std::size_t K,
     bp = pack_buffer.data();
   }
   auto run = [&, use_avx2](std::size_t i0, std::size_t i1) {
-    if (tiled) {
-      gemm_tiled_rows(a, bp, K, N, c, ldc, accumulate, use_avx2, i0, i1);
-    } else {
+    if (!tiled) {
       gemm_small_rows(a, b, K, N, c, ldc, accumulate, i0, i1);
+      return;
     }
+#ifdef ODLP_SIMD_KERNELS_X86
+    if (use_avx2) {
+      detail::gemm_tiled_rows_avx2(a, bp, K, N, c, ldc, accumulate, i0, i1);
+      return;
+    }
+#else
+    (void)use_avx2;
+#endif
+    gemm_tiled_rows(a, bp, K, N, c, ldc, accumulate, i0, i1);
   };
-  const std::size_t flops = 2 * M * K * N;
-  if (flops < kMatmulParallelMinFlops) {
+  if (!fans_out(2 * M * K * N)) {
     run(0, M);
     return;
   }
@@ -316,7 +292,8 @@ KernelBuildInfo kernel_build_info() {
                 "update the variant string alongside the tile constants");
   const SimdLevel level = active_simd_level();
   KernelBuildInfo info;
-  info.variant = level >= SimdLevel::kAvx2 ? "tiled-4x8-packed-avx2"
+  // The AVX2 row loop runs two adjacent panels per quad (a 4×16 tile).
+  info.variant = level >= SimdLevel::kAvx2 ? "tiled-4x16-packed-avx2"
                                            : "tiled-4x8-packed";
   info.simd_level = simd_level_name(level);
 #ifdef ODLP_NATIVE_ARCH
@@ -445,10 +422,10 @@ void add_row_broadcast_inplace(Tensor& inout, const Tensor& bias) {
       for (std::size_t j = 0; j < inout.cols(); ++j) row[j] += b[j];
     }
   };
-  if (inout.size() < kRowwiseParallelMinElems) {
-    apply(0, inout.rows());
-  } else {
+  if (fans_out(inout.size() * kRowwiseFlopsPerElem)) {
     util::ThreadPool::global().parallel_for(0, inout.rows(), 0, apply);
+  } else {
+    apply(0, inout.rows());
   }
 }
 
@@ -461,7 +438,7 @@ Tensor add_row_broadcast(const Tensor& in, const Tensor& bias) {
 void add_row_broadcast_backward(const Tensor& dout, Tensor& dbias) {
   assert(dbias.rows() == 1 && dbias.cols() == dout.cols());
   float* db = dbias.row(0);
-  if (dout.size() < kRowwiseParallelMinElems) {
+  if (dout.size() < kChunkedReduceMinElems) {
     for (std::size_t i = 0; i < dout.rows(); ++i) {
       const float* row = dout.row(i);
       for (std::size_t j = 0; j < dout.cols(); ++j) db[j] += row[j];
@@ -469,9 +446,9 @@ void add_row_broadcast_backward(const Tensor& dout, Tensor& dbias) {
     return;
   }
   // Shared accumulator: reduce fixed-grain chunk partials in chunk order so
-  // the result is independent of the lane count.
-  util::ThreadPool& pool = util::ThreadPool::global();
-  const std::vector<float> partial = pool.reduce_ordered<std::vector<float>>(
+  // the result is independent of the lane count and of fans_out().
+  const std::vector<float> partial =
+      util::ThreadPool::global().reduce_ordered<std::vector<float>>(
       0, dout.rows(), /*grain=*/0, std::vector<float>(),
       [&](std::size_t i0, std::size_t i1) {
         std::vector<float> acc(dout.cols(), 0.0f);
@@ -487,7 +464,8 @@ void add_row_broadcast_backward(const Tensor& dout, Tensor& dbias) {
         std::vector<float> out = a;
         for (std::size_t j = 0; j < out.size(); ++j) out[j] += b[j];
         return out;
-      });
+      },
+      fans_out(dout.size() * kRowwiseFlopsPerElem));
   for (std::size_t j = 0; j < dout.cols(); ++j) db[j] += partial[j];
 }
 
@@ -508,10 +486,10 @@ void softmax_rows_into(const Tensor& logits, Tensor& out) {
       for (std::size_t j = 0; j < logits.cols(); ++j) o[j] *= inv;
     }
   };
-  if (logits.size() < kRowwiseParallelMinElems) {
-    apply(0, logits.rows());
-  } else {
+  if (fans_out(logits.size() * kRowwiseFlopsPerElem)) {
     util::ThreadPool::global().parallel_for(0, logits.rows(), 0, apply);
+  } else {
+    apply(0, logits.rows());
   }
 }
 
@@ -632,10 +610,10 @@ void layernorm_rows_into(const Tensor& in, float eps, LayerNormCache* cache,
       }
     }
   };
-  if (in.size() < kRowwiseParallelMinElems) {
-    apply(0, in.rows());
-  } else {
+  if (fans_out(in.size() * kRowwiseFlopsPerElem)) {
     util::ThreadPool::global().parallel_for(0, in.rows(), 0, apply);
+  } else {
+    apply(0, in.rows());
   }
 }
 
@@ -668,10 +646,10 @@ void layernorm_rows_backward_into(const Tensor& dout,
       }
     }
   };
-  if (dout.size() < kRowwiseParallelMinElems) {
-    apply(0, dout.rows());
-  } else {
+  if (fans_out(dout.size() * kRowwiseFlopsPerElem)) {
     util::ThreadPool::global().parallel_for(0, dout.rows(), 0, apply);
+  } else {
+    apply(0, dout.rows());
   }
 }
 

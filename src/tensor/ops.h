@@ -10,8 +10,9 @@
 //    tensor::Workspace slot) so hot paths run allocation-free; the
 //    allocating spellings are thin wrappers over them.
 //  * The GEMM products (matmul / matmul_nt / matmul_tn) share one
-//    register-tiled micro-kernel over packed panels (this file's hot core,
-//    compiled with -O3 -ffp-contract=off; see src/CMakeLists.txt).
+//    register-tiled row loop over packed panels (ops.cpp, with a 4×16 AVX2
+//    build in ops_avx2.cpp; both compiled with -O3 -ffp-contract=off, see
+//    src/CMakeLists.txt).
 //  * `*_reference` kernels are the plain serial implementations, retained as
 //    the numerical baseline. The tiled kernels are *deterministic* — the
 //    per-element accumulation order is a fixed function of the shape, so
@@ -21,9 +22,38 @@
 //    (DESIGN.md §8, tests/test_kernel_shapes.cpp).
 #pragma once
 
+#include <cstddef>
+
 #include "tensor/tensor.h"
 
 namespace odlp::tensor {
+
+// The one dispatch cut-over for kernel regions: gemm, qgemm and the
+// row-wise tensor/nn ops leave the calling thread for the util::ThreadPool
+// only when a call's work reaches this many flops. Below it, waking and
+// joining the workers costs more than the split saves: on a 4-core x86-64
+// host every model-shaped GEMM up to 192³ ran slower at 4 lanes than
+// inline, and 256³ (2²⁵ flops) was the first shape to gain (bench_perf's
+// `fanout_cutover` table, DESIGN.md §8). Keyed on shape only, never on the
+// lane count, and both sides of it write the same bytes.
+inline constexpr std::size_t kFanOutMinFlops = std::size_t{1} << 25;
+
+// Row-wise ops state their work as elements × this weight: roughly what one
+// element costs in GEMM flops at the tiled kernel's rate (on the table's
+// host a softmax element costs ~260, a LayerNorm element ~100).
+inline constexpr std::size_t kRowwiseFlopsPerElem = 128;
+
+inline constexpr bool fans_out(std::size_t work_flops) {
+  return work_flops >= kFanOutMinFlops;
+}
+
+// Row reductions into a shared accumulator (bias/gain gradients, the CE
+// loss) below this many elements run as one straight loop; at or above it
+// as fixed-grain chunk partials combined in chunk order
+// (ThreadPool::reduce_ordered), inline or on the pool per fans_out(). This
+// picks the summation order, so it is part of the determinism contract:
+// changing it changes bytes.
+inline constexpr std::size_t kChunkedReduceMinElems = std::size_t{1} << 14;
 
 // How the GEMM hot cores are built AND dispatched, recorded by bench_perf
 // into results/BENCH_perf.json so perf trajectories name the kernel they
@@ -32,7 +62,8 @@ namespace odlp::tensor {
 // forcing a level via ODLP_SIMD or set_simd_level() changes what this
 // reports (tests/test_simd_dispatch.cpp pins the mapping).
 struct KernelBuildInfo {
-  const char* variant;       // fp32 core: "tiled-4x8-packed[-avx2]"
+  const char* variant;       // fp32 core: "tiled-4x8-packed" or, at the
+                             // AVX2 level, "tiled-4x16-packed-avx2"
   const char* simd_level;    // active dispatch level:
                              // "scalar"|"sse2"|"avx2"|"vnni"
   bool native_arch;          // true when built with ODLP_NATIVE_ARCH (-march=native)
@@ -46,7 +77,7 @@ struct KernelBuildInfo {
 KernelBuildInfo kernel_build_info();
 
 // out[m,n] (+)= A[m,k] * B[k,n]. Register-tiled 4xN micro-kernel over packed
-// B panels; row-parallel on the util::ThreadPool above a flops threshold.
+// B panels; row-parallel on the util::ThreadPool when fans_out(2·m·k·n).
 // When accumulate is false, `out` is reshaped (uninitialized) and every
 // element is written exactly once. `out` must not alias `a` or `b`.
 void matmul_into(const Tensor& a, const Tensor& b, Tensor& out,

@@ -24,6 +24,7 @@
 #include <cstring>
 #include <vector>
 
+#include "tensor/ops.h"
 #include "tensor/simd.h"
 #include "tensor/simd_kernels.h"
 #include "util/thread_pool.h"
@@ -36,10 +37,6 @@
 namespace odlp::tensor {
 
 namespace {
-
-// Same fan-out threshold as the fp32 GEMM (2·m·k·n flops); path selection is
-// keyed on shape only, never on the lane count.
-constexpr std::size_t kQMatmulParallelMinFlops = 1u << 17;
 
 // Register tile: kQMR C rows × kQNR int32 accumulators, held across one
 // 32-deep k-block (64 int32 = 16 SSE registers' worth).
@@ -407,8 +404,8 @@ void qmatmul_into(const Tensor& x, const QuantizedTensor& w, Tensor& out,
   auto run = [&, rows_fn](std::size_t r0, std::size_t r1) {
     rows_fn(qx, sx, K, N, qw, sw, nblocks, c, N, accumulate, r0, r1);
   };
-  const std::size_t flops = 2 * M * K * N;
-  if (flops < kQMatmulParallelMinFlops) {
+  // Same fan-out cut-over as the fp32 GEMM, keyed on shape only.
+  if (!fans_out(2 * M * K * N)) {
     run(0, M);
     return;
   }

@@ -27,8 +27,8 @@ namespace odlp::tensor {
 
 // out[m,n] (+)= X[m,k] · Q(W)[k,n]. W must be quantized kAlongRows with
 // W.rows() == X.cols(). Register-tiled 4×16 path for m ≥ 4, a W-streaming
-// matvec path for m < 4 (the m=1 decode step); row-parallel above a flops
-// threshold. When accumulate is false `out` is reshaped and fully written.
+// matvec path for m < 4 (the m=1 decode step); row-parallel when
+// fans_out(2·m·k·n) (tensor/ops.h). When accumulate is false `out` is reshaped and fully written.
 // `out` must not alias `x`.
 void qmatmul_into(const Tensor& x, const QuantizedTensor& w, Tensor& out,
                   bool accumulate = false);

@@ -22,6 +22,7 @@
 // concurrently with an in-flight parallel region.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <vector>
@@ -81,20 +82,30 @@ class ThreadPool {
   // partial value, then combines the partials sequentially in ascending
   // chunk order on the calling thread. The chunk decomposition depends only
   // on `grain` (0 = kDefaultReduceGrain), never on the lane count, so the
-  // result is bit-identical for any pool size.
+  // result is bit-identical for any pool size. `fan_out == false` maps the
+  // same chunks inline on the calling thread (no region is opened) — the
+  // same bytes, for callers whose work is below the kernels' fan-out
+  // cut-over (tensor::fans_out).
   template <typename T>
   T reduce_ordered(std::size_t begin, std::size_t end, std::size_t grain,
                    T identity,
                    const std::function<T(std::size_t, std::size_t)>& map,
-                   const std::function<T(const T&, const T&)>& combine) {
+                   const std::function<T(const T&, const T&)>& combine,
+                   bool fan_out = true) {
     if (grain == 0) grain = kDefaultReduceGrain;
     if (end <= begin) return identity;
     const std::size_t chunks = (end - begin + grain - 1) / grain;
     std::vector<T> partials(chunks, identity);
-    parallel_for(begin, end, grain,
-                 [&](std::size_t b, std::size_t e) {
-                   partials[(b - begin) / grain] = map(b, e);
-                 });
+    auto map_chunk = [&](std::size_t b, std::size_t e) {
+      partials[(b - begin) / grain] = map(b, e);
+    };
+    if (fan_out) {
+      parallel_for(begin, end, grain, map_chunk);
+    } else {
+      for (std::size_t b = begin; b < end; b += grain) {
+        map_chunk(b, std::min(end, b + grain));
+      }
+    }
     T acc = identity;
     for (std::size_t c = 0; c < chunks; ++c) acc = combine(acc, partials[c]);
     return acc;

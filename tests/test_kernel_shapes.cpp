@@ -10,10 +10,14 @@
 // contract in DESIGN.md §8.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
+#include <vector>
 
+#include "obs/metrics.h"
 #include "tensor/ops.h"
 #include "tensor/simd.h"
 #include "util/rng.h"
@@ -43,6 +47,10 @@ void expect_close(const tensor::Tensor& ref, const tensor::Tensor& got,
     const float g = got.data()[i];
     ASSERT_LE(std::abs(g - r), atol + rtol * std::abs(r)) << "element " << i;
   }
+}
+
+std::uint64_t pool_regions() {
+  return obs::registry().counter("pool.regions.total").value();
 }
 
 template <typename Fn>
@@ -165,8 +173,15 @@ TEST(KernelShapes, DenormalInputsStayFiniteAndMatchReference) {
 TEST(KernelShapes, AllProductsIndependentOfLaneCount) {
   // Bit-exact lane invariance for forward, nt, and tn across edge shapes —
   // the chunk grain is quad-aligned, so row ownership never straddles lanes.
+  // The edge shapes all sit below tensor::kFanOutMinFlops and must stay on
+  // the calling thread; the last shape (2·260·260·257 ≥ 2²⁵ flops, with a
+  // partial final panel and a k-block crossing) must fan out, one pool
+  // region per product, so the 4-lane run really splits.
   util::Rng rng(0xF5);
-  for (const auto& s : kShapes) {
+  std::vector<std::array<std::size_t, 3>> shapes;
+  for (const auto& s : kShapes) shapes.push_back({s[0], s[1], s[2]});
+  shapes.push_back({260, 260, 257});
+  for (const auto& s : shapes) {
     SCOPED_TRACE(testing::Message()
                  << "shape " << s[0] << "x" << s[1] << "x" << s[2]);
     const tensor::Tensor a = random_tensor(s[0], s[2], rng);
@@ -175,12 +190,15 @@ TEST(KernelShapes, AllProductsIndependentOfLaneCount) {
     const tensor::Tensor at = random_tensor(s[2], s[0], rng);
     struct R {
       tensor::Tensor nn, nt, tn;
+      std::uint64_t regions = 0;
     };
     auto run = [&] {
       R r;
+      const std::uint64_t before = pool_regions();
       tensor::matmul_into(a, bn, r.nn);
       tensor::matmul_nt_into(a, bt, r.nt);
       tensor::matmul_tn_into(at, bn, r.tn);
+      r.regions = pool_regions() - before;
       return r;
     };
     const R one = with_global_lanes(1, run);
@@ -188,15 +206,20 @@ TEST(KernelShapes, AllProductsIndependentOfLaneCount) {
     EXPECT_TRUE(bit_identical(one.nn, four.nn));
     EXPECT_TRUE(bit_identical(one.nt, four.nt));
     EXPECT_TRUE(bit_identical(one.tn, four.tn));
+    const bool fans_out = tensor::fans_out(2 * s[0] * s[1] * s[2]);
+    EXPECT_EQ(one.regions, 0u);
+    EXPECT_EQ(four.regions, fans_out ? 3u : 0u);
   }
+  EXPECT_TRUE(tensor::fans_out(2 * 260 * 260 * 257));
 }
 
 TEST(KernelShapes, BuildInfoReportsTileGeometry) {
-  // The variant string tracks the runtime dispatch level (tensor/simd.h);
-  // either spelling names the same 4x8 packed tile geometry.
+  // The variant string tracks the runtime dispatch level (tensor/simd.h)
+  // and names the register tile that runs: the AVX2 row loop holds two
+  // adjacent 8-wide panels (4x16), the portable micro-kernel one (4x8).
   const tensor::KernelBuildInfo info = tensor::kernel_build_info();
   if (tensor::active_simd_level() >= tensor::SimdLevel::kAvx2) {
-    EXPECT_STREQ(info.variant, "tiled-4x8-packed-avx2");
+    EXPECT_STREQ(info.variant, "tiled-4x16-packed-avx2");
   } else {
     EXPECT_STREQ(info.variant, "tiled-4x8-packed");
   }

@@ -49,9 +49,9 @@ Tensor random_tensor(std::size_t r, std::size_t c, util::Rng& rng) {
   return t;
 }
 
-// Shapes chosen to cross every kernel path boundary: m=1 GEMV, partial and
-// full row quads, column-tile remainders, and k not a multiple of the quant
-// block or the k-quad step.
+// int8 shapes chosen to cross every kernel path boundary: m=1 GEMV, partial
+// and full row quads, column-tile remainders, and k not a multiple of the
+// quant block or the k-quad step.
 struct Shape {
   std::size_t m, k, n;
 };
@@ -60,23 +60,54 @@ const Shape kShapes[] = {
     {5, 70, 33}, {8, 96, 48}, {3, 31, 64},
 };
 
+// All three fp32 products, plain and accumulating onto a seeded output,
+// over a grid that crosses the AVX2 row loop's edges: k across the 256-deep
+// k-block; n as one pair of full 8-wide panels (16), an odd full panel (8,
+// 24), a partial one (12), and mixes (33 = two pairs + partial, 430 = 26
+// pairs + odd + partial); m through full and partial (5, 22) row quads.
 TEST(SimdDispatch, Fp32BitIdenticalAcrossLevels) {
   ScopedLevel guard;
   util::Rng rng(404);
-  for (const Shape& s : kShapes) {
-    const Tensor a = random_tensor(s.m, s.k, rng);
-    const Tensor b = random_tensor(s.k, s.n, rng);
-    ASSERT_EQ(set_simd_level(SimdLevel::kScalar), SimdLevel::kScalar);
-    const Tensor base = matmul(a, b);
-    for (SimdLevel level : host_levels()) {
-      set_simd_level(level);
-      const Tensor got = matmul(a, b);
-      ASSERT_EQ(got.rows(), base.rows());
-      ASSERT_EQ(got.cols(), base.cols());
-      EXPECT_EQ(std::memcmp(got.data(), base.data(),
-                            got.size() * sizeof(float)),
-                0)
-          << simd_level_name(level) << " " << s.m << "x" << s.k << "x" << s.n;
+  const std::size_t ms[] = {4, 5, 22, 64};
+  const std::size_t ks[] = {1, 12, 255, 256, 257, 513};
+  const std::size_t ns[] = {8, 12, 16, 24, 33, 430};
+  enum Product { kNn, kNt, kTn };
+  for (std::size_t m : ms) {
+    for (std::size_t k : ks) {
+      for (std::size_t n : ns) {
+        const Tensor a = random_tensor(m, k, rng);
+        const Tensor at = random_tensor(k, m, rng);
+        const Tensor b = random_tensor(k, n, rng);
+        const Tensor bt = random_tensor(n, k, rng);
+        const Tensor seed = random_tensor(m, n, rng);
+        auto product = [&](Product p, bool accumulate) {
+          Tensor out = accumulate ? seed : Tensor();
+          switch (p) {
+            case kNn: matmul_into(a, b, out, accumulate); break;
+            case kNt: matmul_nt_into(a, bt, out, accumulate); break;
+            case kTn: matmul_tn_into(at, b, out, accumulate); break;
+          }
+          return out;
+        };
+        for (Product p : {kNn, kNt, kTn}) {
+          for (bool accumulate : {false, true}) {
+            ASSERT_EQ(set_simd_level(SimdLevel::kScalar), SimdLevel::kScalar);
+            const Tensor base = product(p, accumulate);
+            for (SimdLevel level : host_levels()) {
+              set_simd_level(level);
+              const Tensor got = product(p, accumulate);
+              ASSERT_EQ(got.rows(), base.rows());
+              ASSERT_EQ(got.cols(), base.cols());
+              EXPECT_EQ(std::memcmp(got.data(), base.data(),
+                                    got.size() * sizeof(float)),
+                        0)
+                  << simd_level_name(level) << " product " << p
+                  << (accumulate ? " accumulate " : " ") << m << "x" << k
+                  << "x" << n;
+            }
+          }
+        }
+      }
     }
   }
 }
@@ -110,7 +141,7 @@ TEST(SimdDispatch, BuildInfoReportsForcedLevel) {
     const KernelBuildInfo info = kernel_build_info();
     EXPECT_STREQ(info.simd_level, simd_level_name(level));
     if (level >= SimdLevel::kAvx2) {
-      EXPECT_STREQ(info.variant, "tiled-4x8-packed-avx2");
+      EXPECT_STREQ(info.variant, "tiled-4x16-packed-avx2");
     } else {
       EXPECT_STREQ(info.variant, "tiled-4x8-packed");
     }

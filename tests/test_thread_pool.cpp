@@ -3,6 +3,7 @@
 // suite the TSan build (ODLP_SANITIZE=thread) exercises.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
@@ -52,28 +53,38 @@ TEST(ThreadPool, SingleLanePoolRunsInline) {
 
 TEST(ThreadPool, ReduceOrderedIsIdenticalAcrossLaneCounts) {
   // The reduction decomposes by grain only, so 1-lane and 4-lane pools must
-  // agree bit-for-bit even for float accumulation.
+  // agree bit-for-bit even for float accumulation — and so must the inline
+  // (fan_out = false) mapping of the same chunks. All equal the explicit
+  // fixed-grain chunk sum combined in chunk order.
   std::vector<float> values(10007);
   for (std::size_t i = 0; i < values.size(); ++i) {
     values[i] = 1.0f / static_cast<float>(i + 1);
   }
-  auto run = [&](util::ThreadPool& pool) {
-    return pool.reduce_ordered<double>(
-        0, values.size(), 0, 0.0,
-        [&](std::size_t b, std::size_t e) {
-          double acc = 0.0;
-          for (std::size_t i = b; i < e; ++i) acc += values[i];
-          return acc;
-        },
-        [](const double& a, const double& b) { return a + b; });
+  auto chunk_sum = [&](std::size_t b, std::size_t e) {
+    float acc = 0.0f;
+    for (std::size_t i = b; i < e; ++i) acc += values[i];
+    return acc;
   };
+  auto run = [&](util::ThreadPool& pool, bool fan_out = true) {
+    return pool.reduce_ordered<float>(
+        0, values.size(), 0, 0.0f, chunk_sum,
+        [](const float& a, const float& b) { return a + b; }, fan_out);
+  };
+  float expected = 0.0f;
+  const std::size_t grain = util::ThreadPool::kDefaultReduceGrain;
+  for (std::size_t b = 0; b < values.size(); b += grain) {
+    expected += chunk_sum(b, std::min(values.size(), b + grain));
+  }
   util::ThreadPool serial(1);
   util::ThreadPool wide(4);
-  const double s = run(serial);
-  const double w1 = run(wide);
-  const double w2 = run(wide);
-  EXPECT_EQ(s, w1);
-  EXPECT_EQ(w1, w2);  // run-to-run
+  const float s = run(serial);
+  const float w1 = run(wide);
+  const float w2 = run(wide);
+  EXPECT_EQ(s, expected);
+  EXPECT_EQ(w1, expected);
+  EXPECT_EQ(w2, expected);  // run-to-run
+  EXPECT_EQ(run(wide, /*fan_out=*/false), expected);
+  EXPECT_NE(chunk_sum(0, values.size()), expected);  // the order is visible
 }
 
 TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
