@@ -9,7 +9,7 @@
 //     materialization MB/s, bytes at rest. The JSONL baseline is honest —
 //     escape-correct writer and a real parser whose output is verified
 //     equal to the input — not a strawman.
-//   * Buffer checkpoint size: OBSF v3 vs the legacy v2 binary format.
+//   * Buffer checkpoint size: bytes at rest of a 1024-bin OBSF v3 buffer.
 //   * Record-once/replay-many: the SAME fleet workload run twice through
 //     exp::run_fleet with a traffic_dir — first run generates and records,
 //     second run replays — verifying the replayed run's per-user results
@@ -501,7 +501,7 @@ int main(int argc, char** argv) {
                         static_cast<double>(ostats.stored_bytes)
                   : 1.0);
 
-  // --- buffer checkpoint: OBSF v3 vs legacy v2 ---------------------------
+  // --- buffer checkpoint size --------------------------------------------
   core::DataBuffer buffer(1024);
   for (std::size_t i = 0; i < 1024 && i < traffic.stream.size(); ++i) {
     core::BufferEntry e;
@@ -514,16 +514,10 @@ int main(int argc, char** argv) {
     buffer.add(std::move(e));
   }
   const std::string v3_path = scratch + "/buffer_v3.bin";
-  const std::string v2_path = scratch + "/buffer_v2.bin";
   core::save_buffer(buffer, v3_path);
-  core::save_buffer_legacy(buffer, v2_path);
   const std::size_t v3_bytes = util::read_file(v3_path).size();
-  const std::size_t v2_bytes = util::read_file(v2_path).size();
-  const double ckpt_ratio =
-      static_cast<double>(v3_bytes) / static_cast<double>(v2_bytes);
-  std::printf("buffer checkpoint (%zu bins): v3 %zu bytes vs v2 %zu bytes "
-              "(%.2fx)\n\n",
-              buffer.size(), v3_bytes, v2_bytes, ckpt_ratio);
+  std::printf("buffer checkpoint (%zu bins): v3 %zu bytes\n\n",
+              buffer.size(), v3_bytes);
 
   // --- record-once / replay-many fleet -----------------------------------
   exp::FleetConfig fleet;
@@ -609,9 +603,7 @@ int main(int argc, char** argv) {
                 {"bytes_ratio", bytes_ratio},
                 {"blocks", static_cast<double>(ostats.blocks)}}));
   json.raw("buffer_checkpoint",
-           bench::json_object({{"v3_bytes", static_cast<double>(v3_bytes)},
-                               {"v2_bytes", static_cast<double>(v2_bytes)},
-                               {"ratio", ckpt_ratio}}));
+           bench::json_object({{"v3_bytes", static_cast<double>(v3_bytes)}}));
   json.raw("fleet_replay",
            bench::json_object(
                {{"users", static_cast<double>(fleet.num_devices)},

@@ -83,11 +83,12 @@ int main(int argc, char** argv) {
     // Power loss mid-save: the 4th write of the next generation's model file
     // dies. CheckpointManager writes the manifest last, so the torn
     // generation never becomes a restore target.
-    util::fault::FaultPlan plan;
-    plan.path_substring = "model.bin";
-    plan.fail_on_write = 3;
+    util::fault::FaultSchedule power_loss;
+    power_loss.events.push_back({util::fault::FaultKind::kWriteFail,
+                                 "model.bin", /*at=*/3, /*param=*/0,
+                                 /*once=*/true});
     try {
-      util::fault::ScopedFault fault(plan);
+      util::fault::ScopedSchedule fault(power_loss);
       ckpt.save(*model, engine.buffer(), tokenizer.vocab(), engine.stats());
       std::printf("session 1: UNEXPECTED — save survived the injected fault\n");
     } catch (const util::fault::InjectedFault& e) {

@@ -11,63 +11,10 @@ namespace odlp::core {
 
 namespace {
 
-constexpr std::uint32_t kMagic = 0x4642444full;  // "ODBF"
-constexpr std::uint32_t kVersionLegacy = 1;      // unchecksummed, read-only
-constexpr std::uint32_t kVersion = 2;            // CRC footer, atomic write
-
-// Hard per-field ceilings, enforced *in addition* to the remaining-bytes
-// check, so a corrupt length prefix can never trigger a huge allocation.
-constexpr std::uint64_t kMaxStringBytes = 1u << 26;   // 64 MiB
+// Hard ceilings on header fields, so a corrupt metadata string can never
+// trigger a huge allocation.
 constexpr std::uint64_t kMaxEmbeddingCols = 1u << 20;
 constexpr std::uint64_t kMaxCapacity = 1u << 24;
-
-void write_string(util::AtomicFileWriter& out, const std::string& s) {
-  out.write_pod<std::uint32_t>(static_cast<std::uint32_t>(s.size()));
-  out.write(s.data(), s.size());
-}
-
-std::string read_string(util::ByteReader& in) {
-  const auto len = in.pod<std::uint32_t>();
-  if (len > kMaxStringBytes) {
-    throw util::CorruptionError("buffer_io: string length " +
-                                std::to_string(len) + " exceeds cap");
-  }
-  return in.str(len);  // ByteReader bounds-checks against remaining bytes
-}
-
-// Entry payload shared by v1 and v2 (the versions differ only in framing).
-void read_entries(util::ByteReader& in, DataBuffer& buffer,
-                  std::uint64_t count) {
-  for (std::uint64_t i = 0; i < count; ++i) {
-    BufferEntry e;
-    e.set.question = read_string(in);
-    e.set.answer = read_string(in);
-    e.set.reference = read_string(in);
-    e.set.true_domain = in.pod<std::int32_t>();
-    e.set.true_subtopic = in.pod<std::int32_t>();
-    e.set.is_noise = in.pod<std::uint8_t>() != 0;
-    e.set.stream_position = in.pod<std::uint64_t>();
-    e.inserted_at = in.pod<std::uint64_t>();
-    e.annotated = in.pod<std::uint8_t>() != 0;
-    const auto domain = in.pod<std::int64_t>();
-    if (domain >= 0) e.dominant_domain = static_cast<std::size_t>(domain);
-    e.scores.eoe = in.pod<double>();
-    e.scores.dss = in.pod<double>();
-    e.scores.idd = in.pod<double>();
-    const auto cols = in.pod<std::uint64_t>();
-    if (cols > kMaxEmbeddingCols ||
-        cols * sizeof(float) > in.remaining()) {
-      throw util::CorruptionError(
-          "buffer_io: embedding width " + std::to_string(cols) +
-          " inconsistent with remaining file size");
-    }
-    e.embedding = tensor::Tensor(1, cols);
-    in.read(e.embedding.data(), cols * sizeof(float));
-    buffer.add(std::move(e));
-  }
-}
-
-// --- v3 (OBSF columnar) ---
 
 // Header metadata: "odlp.buffer.v3;capacity=<N>;count=<M>". Capacity sizes
 // the reconstructed buffer; count lets both strict and recover loads know
@@ -163,47 +110,6 @@ DataBuffer make_buffer_for_meta(const std::string& meta,
   return DataBuffer(capacity);
 }
 
-DataBuffer load_buffer_v3(const std::string& path) {
-  io::ObsfReader r(path);
-  std::uint64_t capacity = 0, count = 0;
-  DataBuffer buffer = make_buffer_for_meta(r.schema().meta, capacity, count);
-  while (r.next_block()) add_block_entries(r, buffer);
-  if (buffer.size() != count) {
-    throw util::CorruptionError("buffer_io: row count mismatch: header " +
-                                std::to_string(count) + ", decoded " +
-                                std::to_string(buffer.size()));
-  }
-  return buffer;
-}
-
-DataBuffer load_buffer_legacy(const std::string& path,
-                              const std::vector<unsigned char>& bytes,
-                              std::uint32_t version) {
-  std::size_t body_end = bytes.size();
-  if (version == kVersion) {
-    // v2: verify the CRC footer over header+body before parsing anything.
-    body_end = util::check_footer(bytes, "buffer_io");
-  } else if (version != kVersionLegacy) {
-    throw util::CorruptionError("buffer_io: unsupported version " +
-                                std::to_string(version));
-  }
-
-  util::ByteReader in(bytes.data(), body_end, "buffer_io " + path);
-  in.pod<std::uint32_t>();  // magic, already validated
-  in.pod<std::uint32_t>();  // version
-  const auto capacity = in.pod<std::uint64_t>();
-  const auto count = in.pod<std::uint64_t>();
-  if (capacity == 0 || capacity > kMaxCapacity || count > capacity) {
-    throw util::CorruptionError("buffer_io: inconsistent capacity/count");
-  }
-  DataBuffer buffer(capacity);
-  read_entries(in, buffer, count);
-  if (version == kVersion && in.remaining() != 0) {
-    throw util::CorruptionError("buffer_io: trailing bytes after entries");
-  }
-  return buffer;
-}
-
 }  // namespace
 
 void save_buffer(const DataBuffer& buffer, const std::string& path) {
@@ -238,64 +144,20 @@ void save_buffer(const DataBuffer& buffer, const std::string& path) {
   w.finish();
 }
 
-void save_buffer_legacy(const DataBuffer& buffer, const std::string& path) {
-  util::AtomicFileWriter out(path);
-  out.write_pod(kMagic);
-  out.write_pod(kVersion);
-  out.write_pod<std::uint64_t>(buffer.capacity());
-  out.write_pod<std::uint64_t>(buffer.size());
-  for (const auto& e : buffer.entries()) {
-    write_string(out, e.set.question);
-    write_string(out, e.set.answer);
-    write_string(out, e.set.reference);
-    out.write_pod<std::int32_t>(e.set.true_domain);
-    out.write_pod<std::int32_t>(e.set.true_subtopic);
-    out.write_pod<std::uint8_t>(e.set.is_noise ? 1 : 0);
-    out.write_pod<std::uint64_t>(e.set.stream_position);
-    out.write_pod<std::uint64_t>(e.inserted_at);
-    out.write_pod<std::uint8_t>(e.annotated ? 1 : 0);
-    out.write_pod<std::int64_t>(
-        e.dominant_domain ? static_cast<std::int64_t>(*e.dominant_domain) : -1);
-    out.write_pod<double>(e.scores.eoe);
-    out.write_pod<double>(e.scores.dss);
-    out.write_pod<double>(e.scores.idd);
-    out.write_pod<std::uint64_t>(e.embedding.cols());
-    out.write(e.embedding.data(), e.embedding.size() * sizeof(float));
-  }
-  out.write_footer();
-  out.commit();
-}
-
 DataBuffer load_buffer(const std::string& path) {
-  const std::vector<unsigned char> bytes = util::read_file(path);
-  if (bytes.size() < 2 * sizeof(std::uint32_t)) {
-    throw util::CorruptionError("buffer_io: file too small for header");
+  io::ObsfReader r(path);
+  std::uint64_t capacity = 0, count = 0;
+  DataBuffer buffer = make_buffer_for_meta(r.schema().meta, capacity, count);
+  while (r.next_block()) add_block_entries(r, buffer);
+  if (buffer.size() != count) {
+    throw util::CorruptionError("buffer_io: row count mismatch: header " +
+                                std::to_string(count) + ", decoded " +
+                                std::to_string(buffer.size()));
   }
-  std::uint32_t magic = 0, version = 0;
-  std::memcpy(&magic, bytes.data(), sizeof(magic));
-  std::memcpy(&version, bytes.data() + sizeof(magic), sizeof(version));
-  if (magic == io::kObsfMagic) return load_buffer_v3(path);
-  if (magic != kMagic) throw util::CorruptionError("buffer_io: bad magic");
-  return load_buffer_legacy(path, bytes, version);
+  return buffer;
 }
 
 BufferRecovery recover_buffer(const std::string& path) {
-  {
-    const std::vector<unsigned char> bytes = util::read_file(path);
-    std::uint32_t magic = 0;
-    if (bytes.size() >= sizeof(magic)) {
-      std::memcpy(&magic, bytes.data(), sizeof(magic));
-    }
-    if (magic != io::kObsfMagic) {
-      // Legacy formats carry one whole-file checksum: nothing to walk back
-      // to, so recovery degenerates to an ordinary (all-or-nothing) load.
-      BufferRecovery rec{load_buffer(path), 0, 0, false};
-      rec.rows_recovered = rec.buffer.size();
-      rec.rows_expected = rec.buffer.size();
-      return rec;
-    }
-  }
-
   io::ObsfReader::Options opts;
   opts.recover = true;
   io::ObsfReader r(path, opts);  // header damage still throws: no schema

@@ -3,22 +3,13 @@
 // LoRA adapter weights, so together with MiniLlm::save/load this gives a
 // complete on-device checkpoint.
 //
-// Formats:
-//   v3 (current, written by save_buffer): OBSF columnar container (see
-//     io/obsf.h and DESIGN.md §14) — LZ4-compressed blocks of column-coded
-//     entries, per-block CRC-32, header metadata carrying capacity/count.
-//     Independently checksummed blocks make *partial* recovery possible:
-//     recover_buffer() walks back to the last intact block instead of
-//     discarding the whole file.
-//   v2 (legacy, still written by save_buffer_legacy for comparison and
-//     still loaded): magic "ODBF", u32 version, u64 capacity, u64 count,
-//     then per entry: strings (u32 length + bytes) question/answer/
-//     reference, i32 true_domain, i32 true_subtopic, u8 is_noise,
-//     u64 stream_position, u64 inserted_at, u8 annotated,
-//     i64 dominant_domain (-1 = none), f64 eoe/dss/idd, u64 embedding_cols
-//     + floats, closed by the standard CRC-32 footer (util/atomic_file.h).
-//   v1 (pre-checksum v2 without footer) still loads read-only.
-// load_buffer dispatches on the leading magic. See DESIGN.md §7 and §14.
+// Format (v3, the only one read or written): OBSF columnar container (see
+// io/obsf.h and DESIGN.md §14) — LZ4-compressed blocks of column-coded
+// entries, per-block CRC-32, header metadata carrying capacity/count.
+// Independently checksummed blocks make *partial* recovery possible:
+// recover_buffer() walks back to the last intact block instead of
+// discarding the whole file. The retired v1/v2 "ODBF" files are rejected
+// as corrupt. See DESIGN.md §7 and §14.
 #pragma once
 
 #include <cstddef>
@@ -32,22 +23,15 @@ namespace odlp::core {
 // Throws std::runtime_error on I/O failure.
 void save_buffer(const DataBuffer& buffer, const std::string& path);
 
-// Writes the legacy v2 monolithic format (whole-file CRC footer). Kept for
-// the format-migration tests and the bytes-at-rest comparison in bench_io.
-void save_buffer_legacy(const DataBuffer& buffer, const std::string& path);
-
-// Reads a buffer previously written by either save path (v3 blocks verified
-// per-block, v2 against its CRC footer; legacy v1 accepted without one).
-// Throws util::CorruptionError on corrupt/malformed content,
-// std::runtime_error on I/O failure. Every length field is validated
-// against the bytes actually present, so corrupt files fail cleanly instead
-// of over-allocating.
+// Reads a buffer written by save_buffer, verifying every block's CRC.
+// Throws util::CorruptionError on corrupt/malformed content or any other
+// format, std::runtime_error on I/O failure. Header fields are validated
+// against hard caps and every length against the bytes actually present,
+// so corrupt files fail cleanly instead of over-allocating.
 DataBuffer load_buffer(const std::string& path);
 
-// Best-effort load of a damaged v3 file: keeps every entry up to the last
-// intact block and reports what was lost. (v2/v1 files are all-or-nothing —
-// a single whole-file checksum cannot localize damage — so recovery of a
-// legacy file either yields the full buffer or rethrows.)
+// Best-effort load of a damaged file: keeps every entry up to the last
+// intact block and reports what was lost. Header damage still throws.
 struct BufferRecovery {
   DataBuffer buffer;
   std::size_t rows_recovered = 0;

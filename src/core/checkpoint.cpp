@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 
 #include "core/buffer_io.h"
@@ -25,17 +24,14 @@ namespace {
 constexpr std::uint32_t kManifestMagic = 0x464d444fu;  // "ODMF"
 constexpr std::uint32_t kManifestVersion = 1;
 constexpr std::uint32_t kStatsMagic = 0x5453444fu;  // "ODST"
-// v2 appends finetune_skipped (the governor's kSkipFinetune counter); v1
-// files remain loadable with the field defaulting to 0.
+// v2 appended finetune_skipped (the governor's kSkipFinetune counter); v1
+// files are rejected.
 constexpr std::uint32_t kStatsVersion = 2;
 
 // Component files covered by the manifest, in write order.
 const char* const kComponents[] = {"model.bin", "buffer.bin", "vocab.txt",
                                    "stats.bin", "metrics.bin"};
 constexpr std::size_t kNumComponents = 5;
-// Pre-metrics generations (PR ≤ 4) have one fewer component; they remain
-// restorable, just without the metrics snapshot.
-constexpr std::size_t kLegacyNumComponents = 4;
 
 std::string gen_dir_name(std::uint64_t generation) {
   char buf[32];
@@ -78,7 +74,7 @@ void save_engine_stats(const EngineStats& stats, const std::string& path) {
   out.write_pod<std::uint64_t>(stats.synthesis.accepted);
   out.write_pod<std::uint64_t>(stats.synthesized_used);
   out.write_pod<double>(stats.last_train_loss);
-  out.write_pod<std::uint64_t>(stats.finetune_skipped);  // v2
+  out.write_pod<std::uint64_t>(stats.finetune_skipped);
   out.write_footer();
   out.commit();
 }
@@ -90,8 +86,7 @@ EngineStats load_engine_stats(const std::string& path) {
   if (in.pod<std::uint32_t>() != kStatsMagic) {
     throw util::CorruptionError("engine_stats: bad magic");
   }
-  const std::uint32_t version = in.pod<std::uint32_t>();
-  if (version != 1 && version != kStatsVersion) {
+  if (in.pod<std::uint32_t>() != kStatsVersion) {
     throw util::CorruptionError("engine_stats: unsupported version");
   }
   EngineStats stats;
@@ -107,7 +102,7 @@ EngineStats load_engine_stats(const std::string& path) {
   stats.synthesis.accepted = in.pod<std::uint64_t>();
   stats.synthesized_used = in.pod<std::uint64_t>();
   stats.last_train_loss = in.pod<double>();
-  if (version >= 2) stats.finetune_skipped = in.pod<std::uint64_t>();
+  stats.finetune_skipped = in.pod<std::uint64_t>();
   return stats;
 }
 
@@ -190,13 +185,14 @@ bool CheckpointManager::verify_generation(const CheckpointContents& c) const {
       throw util::CorruptionError("manifest: generation number mismatch");
     }
     const auto nfiles = in.pod<std::uint32_t>();
-    if (nfiles != kNumComponents && nfiles != kLegacyNumComponents) {
+    if (nfiles != kNumComponents) {
       throw util::CorruptionError("manifest: unexpected file count");
     }
-    for (std::uint32_t i = 0; i < nfiles; ++i) {
+    for (const std::string name : kComponents) {
       const auto name_len = in.pod<std::uint32_t>();
-      if (name_len > 256) throw util::CorruptionError("manifest: name too long");
-      const std::string name = in.str(name_len);
+      if (name_len > 256 || in.str(name_len) != name) {
+        throw util::CorruptionError("manifest: unexpected component name");
+      }
       const auto expect_size = in.pod<std::uint64_t>();
       const auto expect_crc = in.pod<std::uint32_t>();
       const std::vector<unsigned char> file =
@@ -285,11 +281,8 @@ std::optional<CheckpointManager::Restored> CheckpointManager::restore(
         r.vocab = text::load_vocab(c.vocab_path);
         r.stats = load_engine_stats(c.stats_path);
         // Re-import the persisted registry snapshot so cumulative counters
-        // and timings continue across the reboot. Legacy (4-component)
-        // generations simply have no snapshot to import.
-        if (fs::exists(c.metrics_path)) {
-          obs::registry().restore(obs::load_metrics(c.metrics_path));
-        }
+        // and timings continue across the reboot.
+        obs::registry().restore(obs::load_metrics(c.metrics_path));
         return r;
       };
       // Under a retry policy, transient read faults re-run this generation's

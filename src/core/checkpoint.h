@@ -10,9 +10,11 @@
 //   <dir>/gen-000007/{model.bin, buffer.bin, vocab.txt, stats.bin,
 //                     metrics.bin, MANIFEST}
 //
-// Every component file carries its own CRC footer (util/atomic_file.h); the
-// MANIFEST additionally records each file's size and CRC and is written
-// *last*, atomically — a generation without a valid manifest never existed.
+// Every component file carries its own checksum (a CRC footer, trailer, or
+// per-block CRCs); the MANIFEST additionally records each of the five
+// files' size and CRC and is written *last*, atomically — a generation
+// without a valid five-entry manifest never existed (older four-entry
+// manifests from before metrics.bin are skipped like corrupt ones).
 // restore() walks generations newest-first and returns the first one whose
 // manifest and files all verify; torn, truncated, or bit-flipped
 // generations are skipped with a log_warn, never a crash. save() prunes to
@@ -97,9 +99,8 @@ class CheckpointManager {
   };
 
   // Restores the newest fully-valid generation: loads weights into `model`,
-  // re-imports the persisted metrics snapshot into the global obs registry
-  // (legacy generations without metrics.bin restore everything else), and
-  // returns the rest. If the newest valid generation fails to parse
+  // re-imports the persisted metrics snapshot into the global obs registry,
+  // and returns the rest. If the newest valid generation fails to parse
   // (e.g. a model-shape mismatch), falls back to older ones. Returns
   // nullopt when no generation is restorable.
   std::optional<Restored> restore(llm::MiniLlm& model) const;

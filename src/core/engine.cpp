@@ -174,7 +174,6 @@ bool PersonalizationEngine::process(const data::DialogueSet& set) {
     decision = policy_->offer(cand, buffer_, rng_);
   }
   h_offer.record(offer_sw.elapsed_seconds() * 1e6);
-  if (selection_hook_) selection_hook_(cand, decision);
 
   bool admitted = false;
   if (decision.admit) {
@@ -195,8 +194,8 @@ bool PersonalizationEngine::process(const data::DialogueSet& set) {
       entry.annotated = false;
       ++stats_.annotations_skipped;
     }
-    // The candidate is dead after this branch (the selection hook already
-    // ran), so its embedding moves instead of copying [1, D] floats.
+    // The candidate is dead after this branch, so its embedding moves
+    // instead of copying [1, D] floats.
     entry.embedding = std::move(cand.embedding);
     entry.dominant_domain = cand.dominant_domain;
     entry.scores = cand.scores;

@@ -135,13 +135,6 @@ class PersonalizationEngine {
   using FinetuneHook = std::function<void(std::size_t seen_sets)>;
   void set_finetune_hook(FinetuneHook hook) { finetune_hook_ = std::move(hook); }
 
-  // Invoked for every selection decision with the scored candidate and the
-  // policy's verdict (audit logging / live monitoring; see analysis/).
-  using SelectionHook = std::function<void(const Candidate&, const Decision&)>;
-  void set_selection_hook(SelectionHook hook) {
-    selection_hook_ = std::move(hook);
-  }
-
   // Consume an entire stream.
   void run_stream(const data::DialogueStream& stream);
 
@@ -239,7 +232,6 @@ class PersonalizationEngine {
   bool finetune_enabled_ = true;
   std::size_t last_decode_occupancy_ = 1;
   FinetuneHook finetune_hook_;
-  SelectionHook selection_hook_;
 };
 
 }  // namespace odlp::core

@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cstdio>
-#include <cstring>
 #include <stdexcept>
 
 #include "util/atomic_file.h"
@@ -252,8 +251,7 @@ std::size_t MiniLlm::num_trainable_parameters() {
 }
 
 namespace {
-constexpr std::uint32_t kMagicLegacy = 0x4f444c50;  // "ODLP": unchecksummed v1
-constexpr std::uint32_t kMagic = 0x324d444f;        // "ODM2": CRC footer v2
+constexpr std::uint32_t kMagic = 0x324d444f;  // "ODM2"
 }
 
 void MiniLlm::save(const std::string& path) {
@@ -272,20 +270,11 @@ void MiniLlm::save(const std::string& path) {
 
 void MiniLlm::load(const std::string& path) {
   const std::vector<unsigned char> bytes = util::read_file(path);
-  if (bytes.size() < sizeof(std::uint32_t)) {
-    throw util::CorruptionError("MiniLlm::load: file too small");
-  }
-  std::uint32_t magic = 0;
-  std::memcpy(&magic, bytes.data(), sizeof(magic));
-  std::size_t body_end = bytes.size();
-  if (magic == kMagic) {
-    body_end = util::check_footer(bytes, "MiniLlm::load");
-  } else if (magic != kMagicLegacy) {
+  const std::size_t body_end = util::check_footer(bytes, "MiniLlm::load");
+  util::ByteReader in(bytes.data(), body_end, "MiniLlm::load");
+  if (in.pod<std::uint32_t>() != kMagic) {
     throw util::CorruptionError("MiniLlm::load: bad magic");
   }
-
-  util::ByteReader in(bytes.data(), body_end, "MiniLlm::load");
-  in.pod<std::uint32_t>();  // magic, already validated
   nn::ParameterList params = parameters();
   const auto count = in.pod<std::uint64_t>();
   if (count != params.size()) {
@@ -307,7 +296,7 @@ void MiniLlm::load(const std::string& path) {
     in.read(t.data(), t.size() * sizeof(float));
     staged.push_back(std::move(t));
   }
-  if (magic == kMagic && in.remaining() != 0) {
+  if (in.remaining() != 0) {
     throw util::CorruptionError("MiniLlm::load: trailing bytes");
   }
   for (std::size_t i = 0; i < params.size(); ++i) {

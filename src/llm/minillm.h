@@ -153,10 +153,9 @@ class MiniLlm {
   util::Rng& rng() { return rng_; }
 
   // Binary checkpoint of all parameter values (not optimizer state).
-  // save() writes atomically with a CRC-32 footer; load() verifies it
-  // (legacy pre-checksum files are accepted) and throws
-  // util::CorruptionError on a damaged or mismatched file, leaving the
-  // in-memory parameters untouched.
+  // save() writes atomically with a CRC-32 footer; load() verifies it and
+  // throws util::CorruptionError on a damaged or mismatched file, leaving
+  // the in-memory parameters untouched.
   void save(const std::string& path);
   void load(const std::string& path);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -517,13 +516,9 @@ void write_metrics_json(const std::string& path) {
 }
 
 namespace {
-constexpr std::uint32_t kMetricsMagic = 0x584d444fu;  // "ODMX"
-constexpr std::uint32_t kMetricsVersion = 1;
+
 constexpr std::uint32_t kMaxMetricNameLen = 256;
 constexpr std::uint32_t kMaxHistogramBuckets = 4096;
-}  // namespace
-
-namespace {
 
 constexpr const char* kMetricsObsfMeta = "odlp.metrics.v1";
 
@@ -568,34 +563,6 @@ void unpack_histogram(const std::string& blob, MetricSample& s) {
   }
 }
 
-MetricsSnapshot load_metrics_obsf(const std::string& path) {
-  io::ObsfReader r(path);
-  if (r.schema().meta != kMetricsObsfMeta ||
-      r.schema().columns.size() != 5) {
-    throw util::CorruptionError("metrics: not a metrics container: " + path);
-  }
-  MetricsSnapshot snap;
-  while (r.next_block()) {
-    for (std::size_t k = 0; k < r.rows(); ++k) {
-      MetricSample s;
-      const std::uint8_t kind = r.col_u8(1)[k];
-      if (kind > 2) throw util::CorruptionError("metrics: bad sample kind");
-      s.kind = static_cast<MetricSample::Kind>(kind);
-      s.name = r.col_bytes(0)[k];
-      if (s.name.empty() || s.name.size() > kMaxMetricNameLen) {
-        throw util::CorruptionError("metrics: bad name length");
-      }
-      s.counter = r.col_u64(2)[k];
-      s.gauge = r.col_f64(3)[k];
-      if (s.kind == MetricSample::Kind::kHistogram) {
-        unpack_histogram(r.col_bytes(4)[k], s);
-      }
-      snap.samples.push_back(std::move(s));
-    }
-  }
-  return snap;
-}
-
 }  // namespace
 
 void save_metrics(const MetricsSnapshot& snap, const std::string& path) {
@@ -630,97 +597,30 @@ void save_metrics(const MetricsSnapshot& snap, const std::string& path) {
   w.finish();
 }
 
-void save_metrics_legacy(const MetricsSnapshot& snap,
-                         const std::string& path) {
-  util::AtomicFileWriter out(path);
-  out.write_pod(kMetricsMagic);
-  out.write_pod(kMetricsVersion);
-  std::uint32_t unscoped = 0;
-  for (const auto& s : snap.samples) unscoped += s.scope.empty() ? 1 : 0;
-  out.write_pod<std::uint32_t>(unscoped);
-  for (const auto& s : snap.samples) {
-    if (!s.scope.empty()) continue;
-    out.write_pod<std::uint8_t>(static_cast<std::uint8_t>(s.kind));
-    out.write_pod<std::uint32_t>(static_cast<std::uint32_t>(s.name.size()));
-    out.write(s.name.data(), s.name.size());
-    switch (s.kind) {
-      case MetricSample::Kind::kCounter:
-        out.write_pod<std::uint64_t>(s.counter);
-        break;
-      case MetricSample::Kind::kGauge:
-        out.write_pod<double>(s.gauge);
-        break;
-      case MetricSample::Kind::kHistogram:
-        out.write_pod<std::uint32_t>(
-            static_cast<std::uint32_t>(s.bounds.size()));
-        for (double b : s.bounds) out.write_pod<double>(b);
-        for (std::uint64_t c : s.buckets) out.write_pod<std::uint64_t>(c);
-        out.write_pod<std::uint64_t>(s.hist.count);
-        out.write_pod<double>(s.hist.sum);
-        out.write_pod<double>(s.hist.min);
-        out.write_pod<double>(s.hist.max);
-        break;
-    }
-  }
-  out.write_footer();
-  out.commit();
-}
-
 MetricsSnapshot load_metrics(const std::string& path) {
-  const std::vector<unsigned char> bytes = util::read_file(path);
-  std::uint32_t magic = 0;
-  if (bytes.size() >= sizeof(magic)) {
-    std::memcpy(&magic, bytes.data(), sizeof(magic));
+  io::ObsfReader r(path);
+  if (r.schema().meta != kMetricsObsfMeta ||
+      r.schema().columns.size() != 5) {
+    throw util::CorruptionError("metrics: not a metrics container: " + path);
   }
-  if (magic == io::kObsfMagic) return load_metrics_obsf(path);
-  const std::size_t body_end = util::check_footer(bytes, "metrics");
-  util::ByteReader in(bytes.data(), body_end, "metrics");
-  if (in.pod<std::uint32_t>() != kMetricsMagic) {
-    throw util::CorruptionError("metrics: bad magic");
-  }
-  if (in.pod<std::uint32_t>() != kMetricsVersion) {
-    throw util::CorruptionError("metrics: unsupported version");
-  }
-  const auto n = in.pod<std::uint32_t>();
   MetricsSnapshot snap;
-  snap.samples.reserve(std::min<std::uint32_t>(n, 4096));
-  for (std::uint32_t i = 0; i < n; ++i) {
-    MetricSample s;
-    const auto kind = in.pod<std::uint8_t>();
-    if (kind > 2) throw util::CorruptionError("metrics: bad sample kind");
-    s.kind = static_cast<MetricSample::Kind>(kind);
-    const auto name_len = in.pod<std::uint32_t>();
-    if (name_len == 0 || name_len > kMaxMetricNameLen) {
-      throw util::CorruptionError("metrics: bad name length");
-    }
-    s.name = in.str(name_len);
-    switch (s.kind) {
-      case MetricSample::Kind::kCounter:
-        s.counter = in.pod<std::uint64_t>();
-        break;
-      case MetricSample::Kind::kGauge:
-        s.gauge = in.pod<double>();
-        break;
-      case MetricSample::Kind::kHistogram: {
-        const auto nbounds = in.pod<std::uint32_t>();
-        if (nbounds == 0 || nbounds > kMaxHistogramBuckets) {
-          throw util::CorruptionError("metrics: bad bucket count");
-        }
-        s.bounds.resize(nbounds);
-        for (auto& b : s.bounds) b = in.pod<double>();
-        s.buckets.resize(nbounds + 1);
-        for (auto& c : s.buckets) c = in.pod<std::uint64_t>();
-        s.hist.count = in.pod<std::uint64_t>();
-        s.hist.sum = in.pod<double>();
-        s.hist.min = in.pod<double>();
-        s.hist.max = in.pod<double>();
-        if (s.hist.count > 0) {
-          s.hist.mean = s.hist.sum / double(s.hist.count);
-        }
-        break;
+  while (r.next_block()) {
+    for (std::size_t k = 0; k < r.rows(); ++k) {
+      MetricSample s;
+      const std::uint8_t kind = r.col_u8(1)[k];
+      if (kind > 2) throw util::CorruptionError("metrics: bad sample kind");
+      s.kind = static_cast<MetricSample::Kind>(kind);
+      s.name = r.col_bytes(0)[k];
+      if (s.name.empty() || s.name.size() > kMaxMetricNameLen) {
+        throw util::CorruptionError("metrics: bad name length");
       }
+      s.counter = r.col_u64(2)[k];
+      s.gauge = r.col_f64(3)[k];
+      if (s.kind == MetricSample::Kind::kHistogram) {
+        unpack_histogram(r.col_bytes(4)[k], s);
+      }
+      snap.samples.push_back(std::move(s));
     }
-    snap.samples.push_back(std::move(s));
   }
   return snap;
 }

@@ -185,12 +185,9 @@ void write_metrics_json(const std::string& path);
 
 // Binary snapshot persistence (checksummed, crash-safe — util/atomic_file).
 // save_metrics writes the OBSF columnar container (io/obsf.h, one row per
-// metric, LZ4 blocks); load_metrics reads both that and the legacy "ODMX"
-// monolithic format, dispatching on the leading magic, and throws
-// util::CorruptionError on a damaged file. save_metrics_legacy keeps the
-// ODMX writer alive for migration tests and size comparisons.
+// metric, LZ4 blocks); load_metrics reads it back and throws
+// util::CorruptionError on a damaged file or any other format.
 void save_metrics(const MetricsSnapshot& snap, const std::string& path);
-void save_metrics_legacy(const MetricsSnapshot& snap, const std::string& path);
 MetricsSnapshot load_metrics(const std::string& path);
 
 }  // namespace odlp::obs

@@ -13,9 +13,9 @@ namespace {
 
 // Trailer line appended by save_vocab: "#odlp-vocab-crc32 <8 hex digits>".
 // The CRC covers every byte before the trailer line. '#' cannot start a
-// real vocabulary word (the tokenizer strips punctuation), and legacy files
-// simply lack the trailer, so presence of the prefix is unambiguous.
+// real vocabulary word (the tokenizer strips punctuation).
 constexpr const char* kTrailerPrefix = "#odlp-vocab-crc32 ";
+constexpr std::size_t kTrailerBytes = 18 + 8 + 1;  // prefix, digits, '\n'
 
 std::string trailer_line(std::uint32_t crc) {
   char buf[64];
@@ -43,23 +43,21 @@ Vocab load_vocab(const std::string& path) {
   const std::vector<unsigned char> raw = util::read_file(path);
   std::string content(raw.begin(), raw.end());
 
-  // Split the checksummed trailer off, if present (legacy files lack it).
-  const std::size_t trailer_pos = content.rfind(kTrailerPrefix);
-  if (trailer_pos != std::string::npos) {
-    // The trailer must start at the beginning of a line.
-    if (trailer_pos != 0 && content[trailer_pos - 1] != '\n') {
-      throw util::CorruptionError("vocab_io: malformed checksum trailer");
-    }
-    const std::size_t value_pos = trailer_pos + std::string(kTrailerPrefix).size();
-    const std::uint32_t stored =
-        static_cast<std::uint32_t>(std::strtoul(content.c_str() + value_pos,
-                                                nullptr, 16));
-    const std::uint32_t actual = util::crc32(content.data(), trailer_pos);
-    if (stored != actual) {
-      throw util::CorruptionError("vocab_io: CRC mismatch (corrupt file)");
-    }
-    content.erase(trailer_pos);
+  // The last line must be the checksum trailer, byte for byte as
+  // save_vocab writes it for the preceding content.
+  if (content.size() < kTrailerBytes) {
+    throw util::CorruptionError("vocab_io: missing checksum trailer");
   }
+  const std::size_t trailer_pos = content.size() - kTrailerBytes;
+  if (trailer_pos != 0 && content[trailer_pos - 1] != '\n') {
+    throw util::CorruptionError("vocab_io: missing checksum trailer");
+  }
+  if (content.compare(trailer_pos, std::string::npos,
+                      trailer_line(util::crc32(content.data(), trailer_pos)) +
+                          "\n") != 0) {
+    throw util::CorruptionError("vocab_io: CRC mismatch (corrupt file)");
+  }
+  content.erase(trailer_pos);
 
   Vocab vocab;  // constructs the specials at ids 0..4
   std::size_t index = 0;

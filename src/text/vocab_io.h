@@ -2,7 +2,7 @@
 // its model checkpoint; these helpers write/read it as a plain text file
 // (one word per line, in id order) so checkpoints stay inspectable. The
 // file ends with a "#odlp-vocab-crc32 <hex>" trailer covering all preceding
-// bytes; legacy files without the trailer still load (DESIGN.md §7).
+// bytes (DESIGN.md §7).
 #pragma once
 
 #include <string>
@@ -16,9 +16,10 @@ namespace odlp::text {
 // failure.
 void save_vocab(const Vocab& vocab, const std::string& path);
 
-// Reads a vocabulary written by save_vocab; the result is frozen. Verifies
-// the CRC trailer when present (legacy files without one are accepted).
-// Throws util::CorruptionError on a CRC mismatch or if the reserved special
+// Reads a vocabulary written by save_vocab; the result is frozen. The last
+// line must be the CRC trailer, exactly "#odlp-vocab-crc32 " + 8 lowercase
+// hex digits + '\n'. Throws util::CorruptionError if the trailer is
+// missing or malformed, on a CRC mismatch, or if the reserved special
 // tokens are missing / out of order; std::runtime_error on I/O failure.
 Vocab load_vocab(const std::string& path);
 

@@ -15,18 +15,12 @@ namespace odlp::util::fault {
 
 namespace {
 
-// Fast-path flags: hooks bail on two relaxed loads when nothing is armed.
+// Fast-path flag: hooks bail on one relaxed load when nothing is armed.
 std::atomic<bool> g_armed{false};
-std::atomic<bool> g_sched_armed{false};
 
-// Hit counter for the legacy plan; relaxed atomic so writes_observed() never
-// races a concurrent hook.
-std::atomic<std::uint64_t> g_writes{0};
-
-// Everything below is guarded by g_mu while the corresponding layer is
-// armed. The hooks take the lock only after the fast-path flag check.
+// Everything below is guarded by g_mu while armed. The hooks take the lock
+// only after the fast-path flag check.
 std::mutex g_mu;
-FaultPlan g_plan;
 
 struct ArmedSchedule {
   std::vector<FaultEvent> events;
@@ -36,11 +30,6 @@ struct ArmedSchedule {
   ScheduleStats stats;
 };
 ArmedSchedule g_sched;
-
-bool plan_matches(const std::string& path) {
-  return g_plan.path_substring.empty() ||
-         path.find(g_plan.path_substring) != std::string::npos;
-}
 
 bool event_matches(const FaultEvent& e, const std::string& subject) {
   return e.match.empty() || subject.find(e.match) != std::string::npos;
@@ -98,26 +87,6 @@ void corrupt_file(const std::string& path, long long truncate_at,
 }
 
 }  // namespace
-
-void arm(const FaultPlan& plan) {
-  std::lock_guard<std::mutex> lock(g_mu);
-  g_plan = plan;
-  g_writes.store(0, std::memory_order_relaxed);
-  g_armed.store(true, std::memory_order_relaxed);
-}
-
-void disarm() {
-  std::lock_guard<std::mutex> lock(g_mu);
-  g_armed.store(false, std::memory_order_relaxed);
-  g_writes.store(0, std::memory_order_relaxed);
-  g_plan = FaultPlan{};
-}
-
-bool armed() { return g_armed.load(std::memory_order_relaxed); }
-
-std::uint64_t writes_observed() {
-  return g_writes.load(std::memory_order_relaxed);
-}
 
 const char* to_string(FaultKind kind) {
   switch (kind) {
@@ -197,20 +166,18 @@ void arm_schedule(const FaultSchedule& schedule) {
   g_sched.fired.assign(schedule.events.size(), false);
   g_sched.stall_scale = std::max(0.0, schedule.stall_scale);
   g_sched.stats = ScheduleStats{};
-  g_sched_armed.store(true, std::memory_order_relaxed);
+  g_armed.store(true, std::memory_order_relaxed);
 }
 
 void disarm_schedule() {
   std::lock_guard<std::mutex> lock(g_mu);
-  g_sched_armed.store(false, std::memory_order_relaxed);
+  g_armed.store(false, std::memory_order_relaxed);
   g_sched.events.clear();
   g_sched.hits.clear();
   g_sched.fired.clear();
 }
 
-bool schedule_armed() {
-  return g_sched_armed.load(std::memory_order_relaxed);
-}
+bool schedule_armed() { return g_armed.load(std::memory_order_relaxed); }
 
 ScheduleStats schedule_stats() {
   std::lock_guard<std::mutex> lock(g_mu);
@@ -218,9 +185,7 @@ ScheduleStats schedule_stats() {
 }
 
 void on_write(const std::string& path) {
-  const bool plan = g_armed.load(std::memory_order_relaxed);
-  const bool sched = g_sched_armed.load(std::memory_order_relaxed);
-  if (!plan && !sched) return;
+  if (!g_armed.load(std::memory_order_relaxed)) return;
 
   std::uint64_t stall_us = 0;
   double stall_scale = 1.0;
@@ -229,27 +194,16 @@ void on_write(const std::string& path) {
   {
     std::lock_guard<std::mutex> lock(g_mu);
     stall_scale = g_sched.stall_scale;
-    if (plan && plan_matches(path)) {
-      const std::uint64_t index =
-          g_writes.fetch_add(1, std::memory_order_relaxed);
-      if (g_plan.fail_on_write >= 0 &&
-          index == static_cast<std::uint64_t>(g_plan.fail_on_write)) {
+    ++g_sched.stats.writes_seen;
+    for (const FiredAction& a : observe_locked(path, FaultKind::kWriteFail,
+                                               FaultKind::kSlowIo)) {
+      if (a.kind == FaultKind::kSlowIo) {
+        ++g_sched.stats.stalls;
+        stall_us += a.param;
+      } else {
+        ++g_sched.stats.write_fails;
         fail = true;
-        fail_index = index;
-      }
-    }
-    if (sched) {
-      ++g_sched.stats.writes_seen;
-      for (const FiredAction& a : observe_locked(path, FaultKind::kWriteFail,
-                                                 FaultKind::kSlowIo)) {
-        if (a.kind == FaultKind::kSlowIo) {
-          ++g_sched.stats.stalls;
-          stall_us += a.param;
-        } else {
-          ++g_sched.stats.write_fails;
-          fail = true;
-          fail_index = g_sched.stats.writes_seen - 1;
-        }
+        fail_index = g_sched.stats.writes_seen - 1;
       }
     }
   }
@@ -270,29 +224,21 @@ void on_write(const std::string& path) {
 }
 
 void on_commit(const std::string& path) {
-  const bool plan = g_armed.load(std::memory_order_relaxed);
-  const bool sched = g_sched_armed.load(std::memory_order_relaxed);
-  if (!plan && !sched) return;
+  if (!g_armed.load(std::memory_order_relaxed)) return;
 
   long long truncate_at = -1;
   long long flip_bit = -1;
   {
     std::lock_guard<std::mutex> lock(g_mu);
-    if (plan && plan_matches(path)) {
-      truncate_at = g_plan.truncate_at;
-      flip_bit = g_plan.flip_bit;
-    }
-    if (sched) {
-      ++g_sched.stats.commits_seen;
-      for (const FiredAction& a : observe_locked(path, FaultKind::kTruncate,
-                                                 FaultKind::kBitFlip)) {
-        if (a.kind == FaultKind::kTruncate) {
-          ++g_sched.stats.truncations;
-          truncate_at = static_cast<long long>(a.param);
-        } else {
-          ++g_sched.stats.bit_flips;
-          flip_bit = static_cast<long long>(a.param);
-        }
+    ++g_sched.stats.commits_seen;
+    for (const FiredAction& a : observe_locked(path, FaultKind::kTruncate,
+                                               FaultKind::kBitFlip)) {
+      if (a.kind == FaultKind::kTruncate) {
+        ++g_sched.stats.truncations;
+        truncate_at = static_cast<long long>(a.param);
+      } else {
+        ++g_sched.stats.bit_flips;
+        flip_bit = static_cast<long long>(a.param);
       }
     }
   }
@@ -302,7 +248,7 @@ void on_commit(const std::string& path) {
 }
 
 void on_alloc(const std::string& site, std::size_t bytes) {
-  if (!g_sched_armed.load(std::memory_order_relaxed)) return;
+  if (!g_armed.load(std::memory_order_relaxed)) return;
   bool fail = false;
   {
     std::lock_guard<std::mutex> lock(g_mu);
@@ -321,7 +267,7 @@ void on_alloc(const std::string& site, std::size_t bytes) {
 }
 
 void on_task(const std::string& task) {
-  if (!g_sched_armed.load(std::memory_order_relaxed)) return;
+  if (!g_armed.load(std::memory_order_relaxed)) return;
   bool fail = false;
   {
     std::lock_guard<std::mutex> lock(g_mu);

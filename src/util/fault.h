@@ -2,24 +2,23 @@
 //
 // Edge deployments lose power mid-write, suffer flash bit rot, run out of
 // memory, and stall on slow media; tests, the chaos suite, and
-// bench_robustness need to script those failures reproducibly. Two layers:
+// bench_robustness need to script those failures reproducibly.
 //
-//   * FaultPlan (legacy, file-I/O only): a single armed plan consulted by
-//     util::AtomicFileWriter on every write and commit, so a test can say
-//     "the 3rd write of the model file fails" or "the committed buffer file
-//     loses its last 10 bytes" and assert that recovery does the right
-//     thing.
-//   * FaultSchedule (chaos harness): a seeded list of FaultEvents spanning
-//     write failures, post-commit corruption, slow-I/O stalls, allocation
-//     failures, and task-level faults. Hooks at allocation-heavy and
-//     round-level call sites (DataBuffer admission, engine rounds,
-//     checkpoint saves) consult the armed schedule; events fire on the
-//     N-th matching observation, once (transient) or persistently.
+// A FaultSchedule is a list of FaultEvents spanning write failures,
+// post-commit corruption, slow-I/O stalls, allocation failures, and
+// task-level faults. util::AtomicFileWriter consults the armed schedule on
+// every write and commit, and hooks at allocation-heavy and round-level
+// call sites (DataBuffer admission, engine rounds, checkpoint saves) on
+// every call; an event fires on the N-th matching observation, once
+// (transient) or persistently. A test scripts one failure with a one-event
+// schedule — "the 3rd write of the model file fails" is
+// {kWriteFail, "model.bin", at=2, once=true}; "every committed stats file
+// loses all but 10 bytes" is {kTruncate, "stats.bin", at=0, param=10,
+// once=false} — and the chaos harness draws seeded random schedules.
 //
-// Thread safety: the armed/disarmed flags and hit counters are relaxed
-// atomics, and plan/schedule state is mutex-guarded while armed, so chaos
-// scenarios run TSan-clean alongside the ThreadPool. The fast path when
-// nothing is armed is two relaxed loads.
+// Thread safety: the armed flag is a relaxed atomic and schedule state is
+// mutex-guarded while armed, so chaos scenarios run TSan-clean alongside
+// the ThreadPool. The fast path when nothing is armed is one relaxed load.
 #pragma once
 
 #include <cstdint>
@@ -29,9 +28,8 @@
 
 namespace odlp::util::fault {
 
-// Thrown by on_write() when the armed plan/schedule says this write call
-// dies — simulates power loss mid-write (the destination file is never
-// replaced).
+// Thrown by on_write() when the armed schedule says this write call dies —
+// simulates power loss mid-write (the destination file is never replaced).
 class InjectedFault : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -51,41 +49,6 @@ class InjectedTaskFault : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
-
-struct FaultPlan {
-  // Only paths containing this substring are faulted ("" = every path).
-  std::string path_substring;
-  // 0-based index (among matching write calls since arm()) of the write
-  // that throws InjectedFault; -1 = never.
-  long long fail_on_write = -1;
-  // After a matching commit(): truncate the committed file to this many
-  // bytes; -1 = off. Simulates a torn sector persisted across power loss.
-  long long truncate_at = -1;
-  // After a matching commit(): flip bit (flip_bit % 8) of byte
-  // (flip_bit / 8) in the committed file; -1 = off. Simulates bit rot.
-  long long flip_bit = -1;
-};
-
-void arm(const FaultPlan& plan);
-void disarm();
-bool armed();
-
-// Matching write calls observed since the last arm() (diagnostics: lets a
-// test first count writes, then target each one in turn).
-std::uint64_t writes_observed();
-
-// RAII arm/disarm for test scopes.
-class ScopedFault {
- public:
-  explicit ScopedFault(const FaultPlan& plan) { arm(plan); }
-  ~ScopedFault() { disarm(); }
-  ScopedFault(const ScopedFault&) = delete;
-  ScopedFault& operator=(const ScopedFault&) = delete;
-};
-
-// ---------------------------------------------------------------------------
-// Seeded chaos schedule
-// ---------------------------------------------------------------------------
 
 enum class FaultKind {
   kWriteFail,  // on_write throws InjectedFault (power loss mid-write)
@@ -167,11 +130,11 @@ class ScopedSchedule {
 // --- hooks called by the storage / engine / buffer layers ---
 
 // Before each buffered write to `path`; throws InjectedFault when the armed
-// plan or schedule kills this write, after applying any scheduled stall.
+// schedule kills this write, after applying any scheduled stall.
 void on_write(const std::string& path);
 
 // After `path` has been atomically committed; applies truncate/bit-flip
-// corruption from the armed plan or schedule to the final file.
+// corruption from the armed schedule to the final file.
 void on_commit(const std::string& path);
 
 // At allocation-heavy sites (buffer admission, fine-tune batch assembly).

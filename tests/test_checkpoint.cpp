@@ -1,12 +1,12 @@
-// Crash-safe checkpointing: CRC32, atomic replacement, fault injection, v2
-// checksummed formats (+ legacy v1 load), and CheckpointManager recovery.
+// Crash-safe checkpointing: CRC32, atomic replacement, fault injection,
+// checksummed formats, and CheckpointManager recovery.
 //
 // The fault matrix required by the durability story: round-trips,
 // truncation at every byte boundary, single-bit flips across
 // header/payload/footer, a crash between one generation's component files,
-// and legacy pre-checksum files — every scenario must either restore the
-// newest fully-valid state or raise a typed error; none may crash or
-// silently accept corrupt state.
+// and retired file formats — every scenario must either restore the newest
+// fully-valid state or raise a typed error; none may crash or silently
+// accept corrupt state.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -15,7 +15,9 @@
 
 #include "core/buffer_io.h"
 #include "core/checkpoint.h"
+#include "io/obsf.h"
 #include "llm/minillm.h"
+#include "obs/metrics.h"
 #include "text/vocab_io.h"
 #include "util/atomic_file.h"
 #include "util/crc32.h"
@@ -75,7 +77,7 @@ llm::ModelConfig tiny_model_config() {
   return mc;
 }
 
-// Raw little-endian writer for hand-building legacy (v1) files.
+// Raw little-endian writer for hand-building files in retired formats.
 struct RawWriter {
   std::vector<unsigned char> bytes;
   template <typename T>
@@ -87,13 +89,20 @@ struct RawWriter {
     pod<std::uint32_t>(static_cast<std::uint32_t>(s.size()));
     bytes.insert(bytes.end(), s.begin(), s.end());
   }
+  // Appends the whole-file CRC footer (util/atomic_file.h).
+  void footer() {
+    const std::uint32_t crc = util::crc32(bytes.data(), bytes.size());
+    pod(util::kFooterMagic);
+    pod(crc);
+  }
 };
 
-// A legacy v1 buffer file: same body as v2 but version 1 and no footer.
-std::vector<unsigned char> legacy_buffer_file_bytes() {
+// A complete "ODBF" buffer file of the retired v1 (no footer) or v2 (CRC
+// footer) layout, holding one entry.
+std::vector<unsigned char> odbf_buffer_file_bytes(std::uint32_t version) {
   RawWriter w;
   w.pod<std::uint32_t>(0x4642444fu);  // "ODBF"
-  w.pod<std::uint32_t>(1u);           // legacy version
+  w.pod<std::uint32_t>(version);
   w.pod<std::uint64_t>(4u);           // capacity
   w.pod<std::uint64_t>(1u);           // count
   w.str("legacy question");
@@ -111,7 +120,44 @@ std::vector<unsigned char> legacy_buffer_file_bytes() {
   w.pod<double>(0.3);
   w.pod<std::uint64_t>(4u);    // embedding cols
   for (int i = 0; i < 4; ++i) w.pod<float>(1.25f * static_cast<float>(i));
+  if (version == 2) w.footer();
   return w.bytes;
+}
+
+// Writes a v3 (OBSF) buffer file with the real column schema but
+// hand-chosen header metadata, holding `rows` entries whose embedding cell
+// is `embedding` raw bytes — inputs save_buffer itself can never produce.
+void write_buffer_v3(const std::string& path, const std::string& meta,
+                     std::size_t rows, const std::string& embedding) {
+  core::save_buffer(sample_buffer(1), path);
+  io::Schema schema = io::ObsfReader(path).schema();
+  schema.meta = meta;
+  io::ObsfWriter w(path, schema);
+  for (std::size_t i = 0; i < rows; ++i) {
+    w.append_bytes("question");
+    w.append_bytes("answer");
+    w.append_bytes("reference");
+    w.append_i64(0);   // true_domain
+    w.append_i64(0);   // true_subtopic
+    w.append_u8(0);    // is_noise
+    w.append_u64(i);   // position
+    w.append_u64(i);   // inserted_at
+    w.append_u8(1);    // annotated
+    w.append_i64(-1);  // dominant_domain
+    w.append_f64(0.1);
+    w.append_f64(0.2);
+    w.append_f64(0.3);
+    w.append_bytes(embedding);
+    w.end_row();
+  }
+  w.finish();
+}
+
+// A schedule holding one scripted fault.
+util::fault::FaultSchedule one_fault(const util::fault::FaultEvent& event) {
+  util::fault::FaultSchedule schedule;
+  schedule.events.push_back(event);
+  return schedule;
 }
 
 // --- CRC32 ---------------------------------------------------------------
@@ -163,11 +209,10 @@ TEST(AtomicFile, UncommittedWriterLeavesDestinationIntact) {
 TEST(AtomicFile, InjectedWriteFaultLeavesDestinationIntact) {
   const std::string path = temp_path("odlp_atomic_fault.bin");
   spit(path, {'o', 'l', 'd'});
-  util::fault::FaultPlan plan;
-  plan.path_substring = "odlp_atomic_fault";
-  plan.fail_on_write = 1;
   {
-    util::fault::ScopedFault fault(plan);
+    util::fault::ScopedSchedule fault(
+        one_fault({util::fault::FaultKind::kWriteFail, "odlp_atomic_fault",
+                   /*at=*/1, /*param=*/0, /*once=*/true}));
     auto torn_write = [&] {
       util::AtomicFileWriter out(path);
       out.write("first", 5);
@@ -183,11 +228,11 @@ TEST(AtomicFile, InjectedWriteFaultLeavesDestinationIntact) {
 
 TEST(AtomicFile, CommitFaultCorruptionIsDetectedByFooter) {
   const std::string path = temp_path("odlp_atomic_bitrot.bin");
-  util::fault::FaultPlan plan;
-  plan.path_substring = "odlp_atomic_bitrot";
-  plan.flip_bit = 5 * 8 + 2;  // byte 5, bit 2
   {
-    util::fault::ScopedFault fault(plan);
+    util::fault::ScopedSchedule fault(
+        one_fault({util::fault::FaultKind::kBitFlip, "odlp_atomic_bitrot",
+                   /*at=*/0, /*param=*/5 * 8 + 2,  // byte 5, bit 2
+                   /*once=*/false}));
     util::AtomicFileWriter out(path);
     out.write("payload payload payload", 23);
     out.write_footer();
@@ -240,54 +285,47 @@ TEST(BufferIoV2, TrailingGarbageFailsCleanly) {
   std::remove(path.c_str());
 }
 
-TEST(BufferIoLegacy, V1FileStillLoads) {
-  const std::string path = temp_path("odlp_buf_legacy.bin");
-  spit(path, legacy_buffer_file_bytes());
-  const core::DataBuffer buf = core::load_buffer(path);
-  EXPECT_EQ(buf.capacity(), 4u);
-  ASSERT_EQ(buf.size(), 1u);
-  EXPECT_EQ(buf.entry(0).set.question, "legacy question");
-  EXPECT_FALSE(buf.entry(0).dominant_domain.has_value());
-  EXPECT_EQ(buf.entry(0).embedding.cols(), 4u);
-  EXPECT_FLOAT_EQ(buf.entry(0).embedding.data()[1], 1.25f);
-  std::remove(path.c_str());
-}
+// Each case below feeds one inconsistency through a v3 container whose
+// blocks and CRCs are all valid, so only the loader's own checks stand
+// between the input and a bad allocation or a bogus buffer.
 
 TEST(BufferIoLegacy, CountBeyondCapacityRejected) {
   const std::string path = temp_path("odlp_buf_badcount.bin");
-  RawWriter w;
-  w.pod<std::uint32_t>(0x4642444fu);
-  w.pod<std::uint32_t>(1u);
-  w.pod<std::uint64_t>(2u);   // capacity
-  w.pod<std::uint64_t>(50u);  // count > capacity
-  spit(path, w.bytes);
+  const std::string emb(8 * sizeof(float), '\0');
+  // The header claims more rows than the buffer can hold.
+  write_buffer_v3(path, "odlp.buffer.v3;capacity=2;count=50", 0, emb);
   EXPECT_THROW(core::load_buffer(path), util::CorruptionError);
+  EXPECT_THROW(core::recover_buffer(path), util::CorruptionError);
+  // The header is consistent, but the blocks hold more rows than capacity.
+  write_buffer_v3(path, "odlp.buffer.v3;capacity=2;count=2", 3, emb);
+  EXPECT_THROW(core::load_buffer(path), util::CorruptionError);
+  EXPECT_THROW(core::recover_buffer(path), util::CorruptionError);
   std::remove(path.c_str());
 }
 
 TEST(BufferIoLegacy, CorruptLengthPrefixFailsWithoutHugeAllocation) {
   const std::string path = temp_path("odlp_buf_badlen.bin");
-  RawWriter w;
-  w.pod<std::uint32_t>(0x4642444fu);
-  w.pod<std::uint32_t>(1u);
-  w.pod<std::uint64_t>(4u);
-  w.pod<std::uint64_t>(1u);
-  w.pod<std::uint32_t>(0xFFFFFFF0u);  // absurd question length
-  spit(path, w.bytes);
-  // Must be a clean typed error, not bad_alloc from trusting the prefix.
+  // A capacity of 2^40 bins would reserve terabytes if trusted. Must be a
+  // clean typed error, not bad_alloc.
+  write_buffer_v3(path, "odlp.buffer.v3;capacity=1099511627776;count=1", 1,
+                  std::string(8 * sizeof(float), '\0'));
   EXPECT_THROW(core::load_buffer(path), util::CorruptionError);
+  EXPECT_THROW(core::recover_buffer(path), util::CorruptionError);
   std::remove(path.c_str());
 }
 
 TEST(BufferIoLegacy, EmbeddingWiderThanFileRejected) {
   const std::string path = temp_path("odlp_buf_badcols.bin");
-  auto bytes = legacy_buffer_file_bytes();
-  // The embedding-cols u64 sits 20 bytes from the end (4 floats follow).
-  const std::size_t cols_at = bytes.size() - 4 * sizeof(float) - 8;
-  bytes[cols_at] = 0xFF;  // 4 -> huge
-  bytes[cols_at + 1] = 0xFF;
-  spit(path, bytes);
+  const std::string meta = "odlp.buffer.v3;capacity=4;count=1";
+  // A byte length that is not a whole number of floats.
+  write_buffer_v3(path, meta, 1, std::string(4 * sizeof(float) + 3, '\0'));
   EXPECT_THROW(core::load_buffer(path), util::CorruptionError);
+  EXPECT_THROW(core::recover_buffer(path), util::CorruptionError);
+  // One float wider than the embedding-width cap (2^20 columns).
+  write_buffer_v3(path, meta, 1,
+                  std::string(((1u << 20) + 1) * sizeof(float), '\0'));
+  EXPECT_THROW(core::load_buffer(path), util::CorruptionError);
+  EXPECT_THROW(core::recover_buffer(path), util::CorruptionError);
   std::remove(path.c_str());
 }
 
@@ -314,13 +352,38 @@ TEST(VocabIoV2, ChecksumTrailerRoundTripsAndDetectsCorruption) {
   std::remove(path.c_str());
 }
 
-TEST(VocabIoLegacy, FileWithoutTrailerStillLoads) {
-  const std::string path = temp_path("odlp_vocab_legacy.txt");
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  std::fputs("<pad>\n<unk>\n<bos>\n<eos>\n<sep>\nlegacyword\n", f);
-  std::fclose(f);
-  const text::Vocab loaded = text::load_vocab(path);
-  EXPECT_TRUE(loaded.contains("legacyword"));
+TEST(VocabIo, TruncationAtEveryByteIsRejected) {
+  const std::string path = temp_path("odlp_vocab_trunc_matrix.txt");
+  text::Vocab vocab;
+  vocab.add("dose");
+  vocab.add("vial");
+  vocab.add("rash");
+  text::save_vocab(vocab, path);
+  const auto full = slurp(path);
+  for (std::size_t keep = 0; keep < full.size(); ++keep) {
+    spit(path, std::vector<unsigned char>(full.begin(), full.begin() + keep));
+    EXPECT_THROW(text::load_vocab(path), util::CorruptionError)
+        << "truncation to " << keep << " of " << full.size()
+        << " bytes was silently accepted";
+  }
+  std::remove(path.c_str());
+}
+
+TEST(VocabIo, SingleBitFlipAnywhereIsRejected) {
+  const std::string path = temp_path("odlp_vocab_flip_matrix.txt");
+  text::Vocab vocab;
+  vocab.add("dose");
+  vocab.add("vial");
+  vocab.add("rash");
+  text::save_vocab(vocab, path);
+  const auto full = slurp(path);
+  for (std::size_t bit = 0; bit < 8 * full.size(); ++bit) {
+    auto corrupt = full;
+    corrupt[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+    spit(path, corrupt);
+    EXPECT_THROW(text::load_vocab(path), util::CorruptionError)
+        << "flip of bit " << bit << " was silently accepted";
+  }
   std::remove(path.c_str());
 }
 
@@ -365,28 +428,62 @@ TEST(ModelIoV2, RoundTripRestoresParameters) {
   std::remove(path.c_str());
 }
 
-TEST(ModelIoLegacy, PreChecksumFileStillLoads) {
-  const std::string path = temp_path("odlp_model_legacy.bin");
-  llm::MiniLlm model(tiny_model_config(), 42);
-  // Hand-write the v1 layout (old magic, no version, no footer) from the
-  // live parameter list.
-  RawWriter w;
-  w.pod<std::uint32_t>(0x4f444c50u);  // legacy "ODLP"
-  const auto params = model.parameters();
-  w.pod<std::uint64_t>(params.size());
-  for (const auto* p : params) {
-    w.pod<std::uint64_t>(p->value.rows());
-    w.pod<std::uint64_t>(p->value.cols());
-    for (std::size_t j = 0; j < p->value.size(); ++j) {
-      w.pod<float>(p->value.data()[j]);
-    }
-  }
-  spit(path, w.bytes);
+// --- retired formats -----------------------------------------------------
 
-  llm::MiniLlm other(tiny_model_config(), 99);
-  other.load(path);
-  EXPECT_FLOAT_EQ(other.parameters()[0]->value.data()[0],
-                  model.parameters()[0]->value.data()[0]);
+// Every file layout this repo no longer writes is rejected as corrupt, even
+// when it is complete and its own checksum verifies.
+TEST(RetiredFormats, HeadersAreRejected) {
+  const std::string path = temp_path("odlp_retired_format.bin");
+
+  spit(path, odbf_buffer_file_bytes(1));
+  EXPECT_THROW(core::load_buffer(path), util::CorruptionError) << "ODBF v1";
+  EXPECT_THROW(core::recover_buffer(path), util::CorruptionError);
+  spit(path, odbf_buffer_file_bytes(2));
+  EXPECT_THROW(core::load_buffer(path), util::CorruptionError) << "ODBF v2";
+  EXPECT_THROW(core::recover_buffer(path), util::CorruptionError);
+
+  {  // "ODMX" metrics snapshot: one counter.
+    RawWriter w;
+    w.pod<std::uint32_t>(0x584d444fu);  // "ODMX"
+    w.pod<std::uint32_t>(1u);           // version
+    w.pod<std::uint32_t>(1u);           // samples
+    w.pod<std::uint8_t>(0);             // kind: counter
+    w.str("test.counter");
+    w.pod<std::uint64_t>(7u);
+    w.footer();
+    spit(path, w.bytes);
+    EXPECT_THROW(obs::load_metrics(path), util::CorruptionError) << "ODMX";
+  }
+
+  {  // Unchecksummed "ODLP" model weights.
+    llm::MiniLlm model(tiny_model_config(), 42);
+    RawWriter w;
+    w.pod<std::uint32_t>(0x4f444c50u);  // "ODLP"
+    const auto params = model.parameters();
+    w.pod<std::uint64_t>(params.size());
+    for (const auto* p : params) {
+      w.pod<std::uint64_t>(p->value.rows());
+      w.pod<std::uint64_t>(p->value.cols());
+      for (std::size_t j = 0; j < p->value.size(); ++j) {
+        w.pod<float>(p->value.data()[j]);
+      }
+    }
+    spit(path, w.bytes);
+    llm::MiniLlm other(tiny_model_config(), 99);
+    EXPECT_THROW(other.load(path), util::CorruptionError) << "ODLP";
+  }
+
+  {  // Engine stats version 1 (no finetune_skipped field).
+    RawWriter w;
+    w.pod<std::uint32_t>(0x5453444fu);  // "ODST"
+    w.pod<std::uint32_t>(1u);
+    for (int i = 0; i < 11; ++i) w.pod<std::uint64_t>(i);
+    w.pod<double>(1.5);
+    w.footer();
+    spit(path, w.bytes);
+    EXPECT_THROW(core::load_engine_stats(path), util::CorruptionError)
+        << "stats v1";
+  }
   std::remove(path.c_str());
 }
 
@@ -493,11 +590,10 @@ TEST_F(CheckpointFixture, CrashBetweenComponentFilesRollsBack) {
   // Power loss while writing generation 2's buffer file: model.bin was
   // already committed, buffer.bin dies mid-write, the manifest is never
   // written — the generation must not become a restore target.
-  util::fault::FaultPlan plan;
-  plan.path_substring = "buffer.bin";
-  plan.fail_on_write = 2;
   {
-    util::fault::ScopedFault fault(plan);
+    util::fault::ScopedSchedule fault(
+        one_fault({util::fault::FaultKind::kWriteFail, "buffer.bin",
+                   /*at=*/2, /*param=*/0, /*once=*/true}));
     EXPECT_THROW(
         ckpt.save(model, sample_buffer(), vocab, stats_with_seen(20)),
         util::fault::InjectedFault);
@@ -526,12 +622,11 @@ TEST_F(CheckpointFixture, TornCommitViaTruncateFaultIsSkipped) {
   ckpt.save(model, sample_buffer(), vocab, stats_with_seen(10));
   // Generation 2's stats file loses its tail *after* the rename (torn
   // sector persisted across power loss); the manifest CRC check catches it.
-  util::fault::FaultPlan plan;
-  plan.path_substring = "stats.bin";
-  plan.truncate_at = 10;
   std::uint64_t gen2 = 0;
   {
-    util::fault::ScopedFault fault(plan);
+    util::fault::ScopedSchedule fault(
+        one_fault({util::fault::FaultKind::kTruncate, "stats.bin",
+                   /*at=*/0, /*param=*/10, /*once=*/false}));
     // The manifest is built from the already-truncated file contents only
     // if written afterwards — but save() reads files back when building the
     // manifest, so corrupt the file after the full save instead.
@@ -546,6 +641,40 @@ TEST_F(CheckpointFixture, TornCommitViaTruncateFaultIsSkipped) {
   ASSERT_TRUE(restored.has_value());
   EXPECT_EQ(restored->generation, 1u);
   (void)gen2;
+}
+
+TEST_F(CheckpointFixture, FourEntryManifestGenerationIsSkipped) {
+  core::CheckpointManager ckpt(dir, 3);
+  ckpt.save(model, sample_buffer(), vocab, stats_with_seen(10));
+  ckpt.save(model, sample_buffer(), vocab, stats_with_seen(20));
+
+  // Rewrite generation 2 as a pre-metrics generation: a CRC-valid manifest
+  // listing only the first four components, and no metrics.bin.
+  const std::string gen2 = dir + "/gen-000002";
+  RawWriter w;
+  w.pod<std::uint32_t>(0x464d444fu);  // "ODMF"
+  w.pod<std::uint32_t>(1u);           // version
+  w.pod<std::uint64_t>(2u);           // generation
+  w.pod<std::uint32_t>(4u);           // files
+  for (const char* name : {"model.bin", "buffer.bin", "vocab.txt",
+                           "stats.bin"}) {
+    const auto file = slurp(gen2 + "/" + name);
+    w.str(name);
+    w.pod<std::uint64_t>(file.size());
+    w.pod<std::uint32_t>(util::crc32(file.data(), file.size()));
+  }
+  w.footer();
+  spit(gen2 + "/MANIFEST", w.bytes);
+  fs::remove(gen2 + "/metrics.bin");
+
+  const auto newest = ckpt.newest_valid();
+  ASSERT_TRUE(newest.has_value());
+  EXPECT_EQ(newest->generation, 1u);
+  llm::MiniLlm fresh(tiny_model_config(), 7);
+  const auto restored = ckpt.restore(fresh);
+  ASSERT_TRUE(restored.has_value());
+  EXPECT_EQ(restored->generation, 1u);
+  EXPECT_EQ(restored->stats.seen, 10u);
 }
 
 TEST_F(CheckpointFixture, EmptyDirectoryRestoresNothing) {

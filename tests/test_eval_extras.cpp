@@ -1,13 +1,10 @@
-// Significance testing, perplexity, and stream transforms.
+// Significance testing and stream transforms.
 #include <gtest/gtest.h>
 
 #include "data/generator.h"
 #include "data/stream.h"
 #include "data/stream_transforms.h"
-#include "eval/perplexity.h"
 #include "eval/significance.h"
-#include "exp/experiment.h"
-#include "llm/trainer.h"
 
 namespace odlp {
 namespace {
@@ -85,68 +82,6 @@ TEST(SignTest, MatchesKnownBinomial) {
   std::vector<double> a = {1, 1, 1, 1, 1, 1};
   std::vector<double> b = {0, 0, 0, 0, 0, 0};
   EXPECT_NEAR(eval::sign_test_p_value(a, b), 2.0 / 64.0, 1e-9);
-}
-
-// --------------------------- perplexity -----------------------------------
-
-TEST(Perplexity, UntrainedModelNearUniform) {
-  llm::ModelConfig mc;
-  mc.vocab_size = 32;
-  mc.dim = 8;
-  mc.heads = 2;
-  mc.layers = 1;
-  mc.ff_hidden = 16;
-  mc.max_seq_len = 12;
-  llm::MiniLlm model(mc, 9);
-  std::vector<text::Tokenizer::EncodedDialogue> corpus;
-  text::Tokenizer::EncodedDialogue ex;
-  ex.input = {2, 5, 7, 9, 3};
-  ex.targets = {5, 7, 9, 3, -1};
-  corpus.push_back(ex);
-  const auto r = eval::corpus_perplexity(model, corpus);
-  EXPECT_EQ(r.sequences, 1u);
-  EXPECT_EQ(r.tokens, 4u);
-  // A freshly initialized LM sits near uniform over the vocab.
-  EXPECT_GT(r.perplexity, 10.0);
-  EXPECT_LT(r.perplexity, 100.0);
-}
-
-TEST(Perplexity, DropsAfterTraining) {
-  llm::ModelConfig mc;
-  mc.vocab_size = 16;
-  mc.dim = 8;
-  mc.heads = 2;
-  mc.layers = 1;
-  mc.ff_hidden = 16;
-  mc.max_seq_len = 12;
-  llm::MiniLlm model(mc, 10);
-  std::vector<text::Tokenizer::EncodedDialogue> corpus;
-  text::Tokenizer::EncodedDialogue ex;
-  ex.input = {2, 5, 7, 3};
-  ex.targets = {5, 7, 3, -1};
-  corpus.push_back(ex);
-  const double before = eval::corpus_perplexity(model, corpus).perplexity;
-  llm::TrainConfig tc;
-  tc.epochs = 30;
-  tc.batch_size = 1;
-  tc.learning_rate = 1e-2f;
-  llm::Trainer trainer(model, tc, util::Rng(11));
-  trainer.fine_tune(corpus);
-  const double after = eval::corpus_perplexity(model, corpus).perplexity;
-  EXPECT_LT(after, before * 0.5);
-}
-
-TEST(Perplexity, EmptyCorpus) {
-  llm::ModelConfig mc;
-  mc.vocab_size = 16;
-  mc.dim = 8;
-  mc.heads = 2;
-  mc.layers = 1;
-  mc.ff_hidden = 16;
-  llm::MiniLlm model(mc, 12);
-  const auto r = eval::corpus_perplexity(model, {});
-  EXPECT_EQ(r.tokens, 0u);
-  EXPECT_DOUBLE_EQ(r.perplexity, 1.0);
 }
 
 // ------------------------- stream transforms ------------------------------

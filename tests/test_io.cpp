@@ -526,40 +526,31 @@ core::BufferEntry make_entry(std::size_t i) {
   return e;
 }
 
-TEST(BufferV3, SaveWritesObsfAndLegacyStillLoads) {
-  const std::string v3 = temp_path("odlp_buffer_v3.bin");
-  const std::string v2 = temp_path("odlp_buffer_v2.bin");
+TEST(BufferV3, SaveWritesObsfAndRoundTrips) {
+  const std::string path = temp_path("odlp_buffer_v3.bin");
   core::DataBuffer buf(16);
   for (std::size_t i = 0; i < 9; ++i) buf.add(make_entry(i));
 
-  core::save_buffer(buf, v3);
-  core::save_buffer_legacy(buf, v2);
+  core::save_buffer(buf, path);
+  std::uint32_t magic = 0;
+  std::memcpy(&magic, slurp(path).data(), 4);
+  EXPECT_EQ(magic, io::kObsfMagic);
 
-  // v3 leads with the OBSF magic, v2 with the legacy ODBF one.
-  std::uint32_t m3 = 0, m2 = 0;
-  std::memcpy(&m3, slurp(v3).data(), 4);
-  std::memcpy(&m2, slurp(v2).data(), 4);
-  EXPECT_EQ(m3, io::kObsfMagic);
-  EXPECT_NE(m2, io::kObsfMagic);
-
-  for (const std::string& path : {v3, v2}) {
-    core::DataBuffer loaded = core::load_buffer(path);
-    EXPECT_EQ(loaded.capacity(), 16u);
-    ASSERT_EQ(loaded.size(), 9u);
-    for (std::size_t i = 0; i < 9; ++i) {
-      const auto& a = buf.entry(i);
-      const auto& b = loaded.entry(i);
-      EXPECT_EQ(b.set.question, a.set.question);
-      EXPECT_EQ(b.dominant_domain, a.dominant_domain);
-      EXPECT_DOUBLE_EQ(b.scores.dss, a.scores.dss);
-      ASSERT_EQ(b.embedding.cols(), a.embedding.cols());
-      for (std::size_t j = 0; j < a.embedding.size(); ++j) {
-        EXPECT_FLOAT_EQ(b.embedding.data()[j], a.embedding.data()[j]);
-      }
+  core::DataBuffer loaded = core::load_buffer(path);
+  EXPECT_EQ(loaded.capacity(), 16u);
+  ASSERT_EQ(loaded.size(), 9u);
+  for (std::size_t i = 0; i < 9; ++i) {
+    const auto& a = buf.entry(i);
+    const auto& b = loaded.entry(i);
+    EXPECT_EQ(b.set.question, a.set.question);
+    EXPECT_EQ(b.dominant_domain, a.dominant_domain);
+    EXPECT_DOUBLE_EQ(b.scores.dss, a.scores.dss);
+    ASSERT_EQ(b.embedding.cols(), a.embedding.cols());
+    for (std::size_t j = 0; j < a.embedding.size(); ++j) {
+      EXPECT_FLOAT_EQ(b.embedding.data()[j], a.embedding.data()[j]);
     }
   }
-  std::remove(v3.c_str());
-  std::remove(v2.c_str());
+  std::remove(path.c_str());
 }
 
 TEST(BufferV3, RecoverWalksBackToLastIntactBlock) {
@@ -594,7 +585,7 @@ TEST(BufferV3, RecoverWalksBackToLastIntactBlock) {
 
 // --- obs binary sinks ---
 
-TEST(ObsSinks, MetricsObsfRoundTripAndLegacyLoad) {
+TEST(ObsSinks, MetricsObsfRoundTrip) {
   obs::MetricsSnapshot snap;
   {
     obs::MetricSample c;
@@ -619,24 +610,18 @@ TEST(ObsSinks, MetricsObsfRoundTripAndLegacyLoad) {
     h.hist.mean = 25.0;
     snap.samples.push_back(h);
   }
-  for (bool legacy : {false, true}) {
-    const std::string path = temp_path("odlp_metrics_sink.bin");
-    if (legacy) {
-      obs::save_metrics_legacy(snap, path);
-    } else {
-      obs::save_metrics(snap, path);
-    }
-    const obs::MetricsSnapshot back = obs::load_metrics(path);
-    ASSERT_EQ(back.samples.size(), 3u);
-    EXPECT_EQ(back.counter_value("test.counter"), 12345u);
-    EXPECT_DOUBLE_EQ(back.gauge_value("test.gauge"), -2.5);
-    const obs::MetricSample* h = back.find("test.hist");
-    ASSERT_NE(h, nullptr);
-    EXPECT_EQ(h->buckets, (std::vector<std::uint64_t>{4, 3, 2, 1}));
-    EXPECT_DOUBLE_EQ(h->hist.sum, 250.0);
-    EXPECT_DOUBLE_EQ(h->hist.mean, 25.0);
-    std::remove(path.c_str());
-  }
+  const std::string path = temp_path("odlp_metrics_sink.bin");
+  obs::save_metrics(snap, path);
+  const obs::MetricsSnapshot back = obs::load_metrics(path);
+  ASSERT_EQ(back.samples.size(), 3u);
+  EXPECT_EQ(back.counter_value("test.counter"), 12345u);
+  EXPECT_DOUBLE_EQ(back.gauge_value("test.gauge"), -2.5);
+  const obs::MetricSample* h = back.find("test.hist");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->buckets, (std::vector<std::uint64_t>{4, 3, 2, 1}));
+  EXPECT_DOUBLE_EQ(h->hist.sum, 250.0);
+  EXPECT_DOUBLE_EQ(h->hist.mean, 25.0);
+  std::remove(path.c_str());
 }
 
 TEST(ObsSinks, MetricsObsfBitFlipThrows) {

@@ -597,19 +597,6 @@ TEST(FaultSchedule, NothingArmedIsFreeOfEffects) {
   EXPECT_FALSE(fault::schedule_armed());
 }
 
-TEST(FaultSchedule, LegacyPlanStillWorksAlongsideSchedule) {
-  fault::FaultPlan plan;
-  plan.path_substring = "legacy";
-  plan.fail_on_write = 0;
-  fault::ScopedFault armed_plan(plan);
-  fault::FaultSchedule schedule;
-  schedule.events.push_back(
-      {fault::FaultKind::kTaskFail, "t", /*at=*/0, 0, true});
-  fault::ScopedSchedule armed_schedule(schedule);
-  EXPECT_THROW(fault::on_write("/tmp/legacy.bin"), fault::InjectedFault);
-  EXPECT_THROW(fault::on_task("t"), fault::InjectedTaskFault);
-}
-
 // Concurrent hook traffic with an armed schedule: relaxed-atomic fast path
 // plus the mutex-guarded schedule state must be TSan-clean, fire each
 // `once` event exactly once, and keep coherent counts.
