@@ -51,15 +51,12 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/ops.h"
+#include "tensor/qops.h"
+#include "tensor/qtensor.h"
 #include "text/tokenizer.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
-
-#ifdef ODLP_INT8
-#include "tensor/qops.h"
-#include "tensor/qtensor.h"
-#endif
 
 using namespace odlp;
 
@@ -371,7 +368,6 @@ int main(int argc, char** argv) {
                 t_cached / idd_calls * 1e6, t_direct / t_cached, sink);
   }
 
-#ifdef ODLP_INT8
   // ---- int8 GEMM: quantized kernel vs. the fp32 tiled kernel. ----
   //
   // The decode-shaped rows (m=1, m=4) are the ones that matter on-device:
@@ -629,7 +625,6 @@ int main(int argc, char** argv) {
       }
     }
   }
-#endif  // ODLP_INT8
 
   // ---- End-to-end engine: score / fine-tune / evaluate. ----
   {

@@ -39,17 +39,7 @@ double run_on_stream(const bench::BenchOptions& opt, const std::string& method,
   auto model = exp::make_base_model(config, tokenizer);
   llm::LlmEmbeddingExtractor extractor(*model, tokenizer);
 
-  core::EngineConfig ec;
-  ec.buffer_bins = config.buffer_bins;
-  ec.finetune_interval = config.finetune_interval;
-  ec.synth_per_set = config.synth_per_set;
-  ec.max_seq_len = config.max_seq_len;
-  ec.train.epochs = config.epochs;
-  ec.train.batch_size = config.batch_size;
-  ec.train.learning_rate = config.learning_rate;
-  ec.sampler.temperature = config.eval_temperature;
-  ec.sampler.max_new_tokens = 16;
-
+  const core::EngineConfig ec = exp::make_engine_config(config);
   util::Rng rng(config.seed ^ 0x0b0e);
   core::PersonalizationEngine engine(
       *model, tokenizer, extractor, oracle, dict, exp::make_policy(method),
@@ -78,9 +68,8 @@ void report_checkpoint_overhead(const bench::BenchOptions& opt,
   auto model = exp::make_base_model(config, tokenizer);
   llm::LlmEmbeddingExtractor extractor(*model, tokenizer);
 
-  core::EngineConfig ec;
-  ec.buffer_bins = config.buffer_bins;  // the standard 32 bins
-  ec.finetune_interval = 0;             // selection only — fill the buffer
+  core::EngineConfig ec = exp::make_engine_config(config);  // 32 bins
+  ec.finetune_interval = 0;  // selection only — fill the buffer
   util::Rng rng(config.seed ^ 0xC4E);
   core::PersonalizationEngine engine(
       *model, tokenizer, extractor, oracle, dict,
@@ -131,20 +120,21 @@ exp::ChaosFleetConfig chaos_fleet_config(std::uint64_t schedule_seed,
                                          const std::string& work_dir,
                                          const std::string& traffic_dir) {
   exp::ChaosFleetConfig config;
-  config.num_devices = devices;
-  config.rounds = rounds;
-  config.sets_per_round = 3;
-  config.buffer_bins = 4;
-  config.synth_per_set = 1;
-  config.epochs = 1;
-  config.seed_base = 1000 + schedule_seed * 101;
+  config.fleet.num_devices = devices;
+  exp::ExperimentConfig& device = config.fleet.device_template;
+  device.finetune_interval = 3;  // sets per round
+  device.stream_size = rounds * device.finetune_interval;
+  device.buffer_bins = 4;
+  device.synth_per_set = 1;
+  device.epochs = 1;
+  config.fleet.seed_base = 1000 + schedule_seed * 101;
   config.work_dir = work_dir;
   // Record-once/replay-many: device streams are captured to
-  // <traffic_dir>/device-<i>.obsf on first run and replayed after. The
+  // <traffic_dir>/user-<i>.obsf on first run and replayed after. The
   // traffic dir deliberately lives OUTSIDE work_dir (which is wiped per
   // run), so a repeated config replays its recording — the determinism
   // witness below therefore covers the OBSF replay path too.
-  config.traffic_dir = traffic_dir;
+  config.fleet.traffic_dir = traffic_dir;
   config.keep_last = rounds + 3;  // pruning never strands a restore target
   config.retry.sleep = false;
   config.governor.round_deadline_ms = 0.0;
@@ -162,8 +152,8 @@ exp::ChaosFleetConfig chaos_fleet_config(std::uint64_t schedule_seed,
 exp::ChaosFleetResult run_chaos_fleet_in(const exp::ChaosFleetConfig& config) {
   std::filesystem::remove_all(config.work_dir);
   std::filesystem::create_directories(config.work_dir);
-  if (!config.traffic_dir.empty()) {
-    std::filesystem::create_directories(config.traffic_dir);
+  if (!config.fleet.traffic_dir.empty()) {
+    std::filesystem::create_directories(config.fleet.traffic_dir);
   }
   const exp::ChaosFleetResult result = exp::run_chaos_fleet(config);
   std::filesystem::remove_all(config.work_dir);

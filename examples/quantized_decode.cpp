@@ -10,9 +10,6 @@
 //     ratio.
 //
 //   ./example_quantized_decode [seed]
-//
-// Built without the int8 backend (-DODLP_INT8=OFF) the example reports that
-// and exits cleanly.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -77,13 +74,6 @@ std::string mb(std::size_t bytes) {
 }  // namespace
 
 int main(int argc, char** argv) {
-#ifndef ODLP_INT8
-  (void)argc;
-  (void)argv;
-  std::printf("example_quantized_decode: built with -DODLP_INT8=OFF — the\n"
-              "int8 backend is compiled out, nothing to demonstrate.\n");
-  return 0;
-#else
   const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 5;
   const llm::ModelConfig mc = demo_config();
   std::printf("building %zu-layer dim-%zu model (seed %llu)...\n", mc.layers,
@@ -158,5 +148,4 @@ int main(int argc, char** argv) {
   std::printf("model compression: %.3fx of fp32\n",
               led_int8.model_ratio_vs_fp32());
   return 0;
-#endif  // ODLP_INT8
 }

@@ -82,8 +82,8 @@ run_bench bench_micro_selection micro_selection.txt -
 run_bench bench_micro_llm       micro_llm.txt -
 run_bench bench_robustness      robustness.txt -
 # Kernel/runtime perf harness; also writes results/BENCH_perf.json with
-# GFLOP/s rows (fp32 and, when ODLP_INT8 is on, the quantized qmatmul +
-# int8 decode/ledger/quality rows), the steady-state allocation probe, and
+# GFLOP/s rows (fp32 and the quantized qmatmul + int8 decode/ledger/quality
+# rows), the steady-state allocation probe, and
 # the kernel build provenance (kernel_variant, native_arch,
 # int8_kernel_variant, int8_block) so perf trajectories name the exact
 # kernels they measured. --metrics-out dumps the full obs metrics registry;

@@ -49,9 +49,7 @@ PersonalizationEngine::PersonalizationEngine(
       rng_(rng),
       buffer_(config.buffer_bins),
       trainer_(model, config.train, rng_.split()) {
-  if (config_.use_lora && !model_.has_lora()) {
-    model_.attach_lora(config_.lora);
-  }
+  if (!model_.has_lora()) model_.attach_lora(config_.lora);
   if (config_.inference_precision != model_.inference_precision()) {
     model_.set_inference_precision(config_.inference_precision);
   }
@@ -120,6 +118,15 @@ Candidate PersonalizationEngine::score(const data::DialogueSet& set) {
 }
 
 bool PersonalizationEngine::process(const data::DialogueSet& set) {
+  const bool admitted = ingest(set);
+  if (config_.finetune_interval > 0 && stats_.seen % config_.finetune_interval == 0) {
+    finetune_now();
+    if (finetune_hook_) finetune_hook_(stats_.seen);
+  }
+  return admitted;
+}
+
+bool PersonalizationEngine::ingest(const data::DialogueSet& set) {
   // Chaos-harness fault boundary: fires before any stats/buffer mutation so
   // an aborted-and-retried call cannot double-count the set.
   util::fault::on_task("engine.process");
@@ -215,11 +222,6 @@ bool PersonalizationEngine::process(const data::DialogueSet& set) {
     ++stats_.rejected;
     c_reject.inc();
   }
-
-  if (config_.finetune_interval > 0 && stats_.seen % config_.finetune_interval == 0) {
-    finetune_now();
-    if (finetune_hook_) finetune_hook_(stats_.seen);
-  }
   return admitted;
 }
 
@@ -228,48 +230,16 @@ void PersonalizationEngine::restore_buffer(DataBuffer buffer) {
     throw std::invalid_argument(
         "restore_buffer: capacity mismatch with configured buffer_bins");
   }
-  // A governor bin cap outlives the restore: the pressure that imposed it
-  // has not gone away just because the device rebooted.
-  const std::optional<std::size_t> cap = buffer_.bin_cap();
   buffer_ = std::move(buffer);
-  if (cap) buffer_.set_bin_cap(*cap);
 }
 
 void PersonalizationEngine::run_stream(const data::DialogueStream& stream) {
   for (const auto& set : stream) process(set);
 }
 
-void PersonalizationEngine::set_inference_precision(
-    nn::InferencePrecision precision) {
-  if (precision != model_.inference_precision()) {
-    model_.set_inference_precision(precision);
-  }
-  config_.inference_precision = precision;
-}
-
-void PersonalizationEngine::set_max_new_tokens(std::size_t n) {
-  config_.sampler.max_new_tokens = std::max<std::size_t>(1, n);
-}
-
-void PersonalizationEngine::set_synth_per_set(std::size_t n) {
-  config_.synth_per_set = n;
-}
-
-void PersonalizationEngine::shed_buffer_to(std::size_t bins) {
-  static obs::Counter& c_evicted =
-      obs::registry().counter("engine.buffer.shed.evicted");
-  const std::size_t evicted = buffer_.set_bin_cap(bins);
-  if (evicted > 0) {
-    c_evicted.inc(evicted);
-    util::log_info("engine: buffer shed to " +
-                   std::to_string(buffer_.effective_capacity()) +
-                   " bins, evicted " + std::to_string(evicted));
-  }
-}
-
 void PersonalizationEngine::finetune_now() {
   util::fault::on_task("engine.finetune");
-  if (!finetune_enabled_) {
+  if (!config_.finetune_enabled) {
     ++stats_.finetune_skipped;
     return;
   }

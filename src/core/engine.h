@@ -44,7 +44,6 @@ struct EngineConfig {
   // an even stricter sparse-annotation regime than the paper's
   // annotate-on-selection (exercised by the annotation-budget ablation).
   std::size_t annotation_budget = 0;
-  bool use_lora = true;
   nn::LoraConfig lora;                  // r=8, α=16, dropout=0.05 (paper)
   llm::TrainConfig train;
   llm::SamplerConfig sampler;           // τ=0.5 evaluation generation (paper)
@@ -56,6 +55,10 @@ struct EngineConfig {
   // evaluation, embedding extraction). kInt8 quantizes the frozen base
   // weights at engine construction; training math stays fp32 either way.
   nn::InferencePrecision inference_precision = nn::InferencePrecision::kFp32;
+  // Fine-tune rounds run only while this is set; the resource governor
+  // clears it at the kSkipFinetune rung (resil::apply_decision). Skipped
+  // rounds are counted in EngineStats::finetune_skipped.
+  bool finetune_enabled = true;
 };
 
 struct EngineStats {
@@ -127,9 +130,16 @@ class PersonalizationEngine {
   // Score a dialogue set against the current buffer (no side effects).
   Candidate score(const data::DialogueSet& set);
 
-  // One stream step: score → policy → (annotate + store). Returns true if
-  // the set was admitted. Triggers fine-tuning on the configured interval.
+  // One stream step: ingest(set), then fine-tuning on the configured
+  // interval. Returns true if the set was admitted.
   bool process(const data::DialogueSet& set);
+
+  // score → policy → (annotate + store), without the interval fine-tune.
+  // Returns true if the set was admitted. An injected "engine.process" task
+  // fault fires before anything is counted, so a retried call sees the set
+  // once; an injected "buffer" allocation fault fires after the set was
+  // counted as seen, before it is annotated or stored.
+  bool ingest(const data::DialogueSet& set);
 
   // Invoked after every fine-tune round (for learning-curve recording).
   using FinetuneHook = std::function<void(std::size_t seen_sets)>;
@@ -139,31 +149,8 @@ class PersonalizationEngine {
   void run_stream(const data::DialogueStream& stream);
 
   // Synthesize from the buffer and fine-tune immediately. A no-op (counted
-  // in stats().finetune_skipped) while fine-tuning is disabled by the
-  // resource governor.
+  // in stats().finetune_skipped) while config().finetune_enabled is off.
   void finetune_now();
-
-  // --- Resource-governor control surface (see resil::apply_decision) ---
-  // Each knob is idempotent and reversible; the governor applies them as a
-  // bundle per rung, but they are independently usable.
-
-  // Switches inference-time forwards (synthesis, evaluation, embeddings)
-  // between fp32 and the quantized int8 base. Throws std::runtime_error for
-  // kInt8 when the build lacks ODLP_INT8 (matching llm::MiniLlm).
-  void set_inference_precision(nn::InferencePrecision precision);
-  // Decode generation budget for evaluation/synthesis sampling (KV-cache
-  // live footprint scales with it). Clamped to at least 1.
-  void set_max_new_tokens(std::size_t n);
-  // Synthetic sets generated per buffered set at fine-tune time (0 = off).
-  void set_synth_per_set(std::size_t n);
-  // Caps the buffer's live bins (oldest entries evicted); the allocation and
-  // the persisted capacity are untouched. clear_buffer_cap() lifts the cap.
-  void shed_buffer_to(std::size_t bins);
-  void clear_buffer_cap() { buffer_.clear_bin_cap(); }
-  // Gates fine-tune rounds (the kSkipFinetune rung). Disabled rounds are
-  // counted in stats().finetune_skipped.
-  void set_finetune_enabled(bool enabled) { finetune_enabled_ = enabled; }
-  bool finetune_enabled() const { return finetune_enabled_; }
 
   // Mean ROUGE-1 of generated responses against references over `test`.
   // `repeats` averages over that many independent sampler seeds to damp the
@@ -229,7 +216,6 @@ class PersonalizationEngine {
   DataBuffer buffer_;
   llm::Trainer trainer_;
   EngineStats stats_;
-  bool finetune_enabled_ = true;
   std::size_t last_decode_occupancy_ = 1;
   FinetuneHook finetune_hook_;
 };

@@ -84,7 +84,6 @@ core::EngineConfig make_engine_config(const ExperimentConfig& config) {
   ec.synth_per_set = config.use_synthesis ? config.synth_per_set : 0;
   ec.max_seq_len = config.max_seq_len;
   ec.annotation_budget = config.annotation_budget;
-  ec.use_lora = true;
   ec.train.epochs = config.epochs;
   ec.train.batch_size = config.batch_size;
   ec.train.learning_rate = config.learning_rate;

@@ -6,11 +6,8 @@
 #include <stdexcept>
 
 #include "core/checkpoint.h"
-#include "data/generator.h"
-#include "data/profiles.h"
 #include "devicesim/memory_model.h"
-#include "io/stream_capture.h"
-#include "llm/embedding_extractor.h"
+#include "fleet/user_session.h"
 #include "obs/metrics.h"
 #include "obs/scope.h"
 #include "util/atomic_file.h"
@@ -85,22 +82,6 @@ std::uint64_t fnv1a_bytes(const unsigned char* data, std::size_t n,
   return h;
 }
 
-// Everything one chaos device owns: its model, engine, checkpoint store,
-// governor, and retry policies — an isolated failure domain.
-struct ChaosDevice {
-  std::string name;
-  std::unique_ptr<llm::MiniLlm> model;
-  std::unique_ptr<llm::EmbeddingExtractor> extractor;
-  std::unique_ptr<data::UserOracle> oracle;
-  std::unique_ptr<core::PersonalizationEngine> engine;
-  std::unique_ptr<core::CheckpointManager> ckpt;
-  std::unique_ptr<resil::ResourceGovernor> governor;
-  std::unique_ptr<resil::RetryPolicy> ingest_retry;
-  core::EngineConfig nominal;
-  data::DialogueStream stream;
-  std::size_t cursor = 0;  // next stream position to ingest
-};
-
 // State hash over the newest restorable generation's deterministic
 // component files (metrics.bin carries wall-clock timings, so it is
 // excluded). Same config + same schedule => same bytes => same hash.
@@ -123,102 +104,102 @@ std::uint64_t device_state_hash(const core::CheckpointManager& ckpt,
 
 }  // namespace
 
+FleetConfig chaos_fleet_defaults() {
+  FleetConfig fleet;
+  fleet.num_devices = 3;
+  ExperimentConfig& device = fleet.device_template;
+  device.embedding_source = "bow";
+  device.buffer_bins = 8;
+  device.stream_size = 32;
+  device.finetune_interval = 4;
+  device.test_size = 2;
+  device.eval_subset = 0;
+  device.synth_per_set = 1;
+  device.epochs = 1;
+  device.batch_size = 8;
+  device.model_dim = 32;
+  device.model_heads = 2;
+  device.model_layers = 1;
+  device.model_ff = 64;
+  device.max_seq_len = 32;
+  device.pretrain_examples = 0;
+  device.cache_dir = "";
+  device.record_curve = false;
+  return fleet;
+}
+
 ChaosFleetResult run_chaos_fleet(const ChaosFleetConfig& config) {
   if (config.work_dir.empty()) {
     throw std::invalid_argument("run_chaos_fleet: work_dir is required");
   }
+  const ExperimentConfig& tmpl = config.fleet.device_template;
+  if (tmpl.finetune_interval == 0 ||
+      tmpl.stream_size % tmpl.finetune_interval != 0) {
+    throw std::invalid_argument(
+        "run_chaos_fleet: finetune_interval must divide stream_size");
+  }
+  const std::size_t rounds = tmpl.stream_size / tmpl.finetune_interval;
   util::Stopwatch watch;
   ChaosFleetResult result;
-  const auto& dict = lexicon::builtin_dictionary();
   const text::Tokenizer tokenizer = make_device_tokenizer();
+  // Chaos rounds never evaluate: the final per-set job of a finished
+  // stream has nowhere to go.
+  const fleet::EvalSink discard = [](fleet::EvalJob) {};
 
-  llm::ModelConfig mc;
-  mc.vocab_size = tokenizer.vocab().size();
-  mc.dim = config.model_dim;
-  mc.heads = config.model_heads;
-  mc.layers = config.model_layers;
-  mc.ff_hidden = config.model_ff;
-  mc.max_seq_len = config.max_seq_len;
-
-  std::vector<std::unique_ptr<ChaosDevice>> devices;
-  devices.reserve(config.num_devices);
-  for (std::size_t i = 0; i < config.num_devices; ++i) {
-    auto d = std::make_unique<ChaosDevice>();
-    d->name = util::format("device-%03zu", i);
-    const std::uint64_t seed = config.seed_base + i;
-
-    // Raw-initialized tiny model, no base pretraining: the chaos suite
-    // exercises the resilience stack, not personalization quality.
-    d->model = std::make_unique<llm::MiniLlm>(mc, seed * 7919 + 17);
-    d->extractor =
-        std::make_unique<llm::BagOfWordsExtractor>(config.model_dim);
-    d->oracle =
-        std::make_unique<data::UserOracle>(seed * 2654435761ull + 1, dict);
-
+  // One failure domain per device: its session on its own worker, plus the
+  // checkpoint store, governor, and ingest policy that guard it.
+  struct Domain {
+    std::string name;
+    fleet::WorkerContext worker;
+    fleet::AdapterState adapter;
+    std::unique_ptr<fleet::UserSession> session;
+    std::unique_ptr<core::CheckpointManager> ckpt;
+    std::unique_ptr<resil::ResourceGovernor> governor;
+    std::unique_ptr<resil::RetryPolicy> ingest_retry;
+  };
+  std::vector<Domain> devices(config.fleet.num_devices);
+  for (std::size_t i = 0; i < devices.size(); ++i) {
+    Domain& d = devices[i];
+    d.name = util::format("device-%03zu", i);
     // Streams are settled here, before the fault schedule arms below, so
     // recording or replaying traffic cannot shift the fault firing
     // sequence — record-run and replay-run stay bit-identical.
-    const std::string traffic_path =
-        config.traffic_dir.empty()
-            ? std::string()
-            : config.traffic_dir + "/" + d->name + ".obsf";
-    if (!traffic_path.empty() && std::filesystem::exists(traffic_path)) {
-      d->stream = io::replay_dataset(traffic_path).stream;
-    } else {
-      data::Generator generator(data::profile_by_name(config.dataset),
-                                *d->oracle, util::Rng(seed));
-      data::GeneratedDataset dataset = generator.generate(
-          config.rounds * config.sets_per_round, /*test_size=*/2);
-      if (!traffic_path.empty()) io::record_dataset(dataset, traffic_path);
-      d->stream = std::move(dataset.stream);
-    }
+    const ExperimentConfig device = device_config(config.fleet, tmpl, "Ours", i);
+    const std::unique_ptr<llm::MiniLlm> base =
+        make_base_model(device, tokenizer);
+    d.worker = fleet::make_worker(make_model_config(device, tokenizer),
+                                  experiment_base_seed(device), *base,
+                                  make_engine_config(device).lora);
+    d.adapter = fleet::initial_adapter_state(*d.worker.model);
+    d.session = fleet::make_user_session(i, device, d.worker, discard);
 
-    core::EngineConfig ec;
-    ec.buffer_bins = config.buffer_bins;
-    ec.finetune_interval = 0;  // rounds fine-tune explicitly
-    ec.synth_per_set = config.synth_per_set;
-    ec.max_seq_len = config.max_seq_len;
-    ec.use_lora = true;
-    ec.train.epochs = config.epochs;
-    ec.train.batch_size = config.batch_size;
-    ec.train.learning_rate = config.learning_rate;
-    ec.sampler.max_new_tokens = 8;
-    d->nominal = ec;
-
-    util::Rng engine_rng(seed ^ 0xc4a05u);
-    d->engine = std::make_unique<core::PersonalizationEngine>(
-        *d->model, tokenizer, *d->extractor, *d->oracle, dict,
-        make_policy("Ours"),
-        std::make_unique<core::ParaphraseSynthesizer>(dict, engine_rng.split()),
-        ec, engine_rng.split());
-
-    d->ckpt = std::make_unique<core::CheckpointManager>(
-        config.work_dir + "/" + d->name, config.keep_last);
+    d.ckpt = std::make_unique<core::CheckpointManager>(
+        config.work_dir + "/" + d.name, config.keep_last);
     resil::RetryConfig ckpt_retry = config.retry;
     ckpt_retry.seed = config.retry.seed ^ (0x9E37u + i * 7919u);
-    d->ckpt->set_retry(ckpt_retry);
+    d.ckpt->set_retry(ckpt_retry);
     resil::RetryConfig ingest_retry = config.retry;
     ingest_retry.seed = config.retry.seed ^ (0x51DEu + i * 6271u);
-    d->ingest_retry = std::make_unique<resil::RetryPolicy>(ingest_retry);
+    d.ingest_retry = std::make_unique<resil::RetryPolicy>(ingest_retry);
+    d.session->ingest_retry = d.ingest_retry.get();
 
     resil::GovernorConfig gc = config.governor;
-    if (config.engage_governor && gc.memory_budget_bytes == 0) {
+    if (gc.memory_budget_bytes == 0) {
       // 95% of the nominal fp32 ledger: the first observation escalates,
       // the int8 rung relieves the pressure, and the ladder gets exercised.
       const devicesim::MemoryLedger nominal_ledger =
-          devicesim::model_memory_ledger(*d->model, config.buffer_bins);
+          devicesim::model_memory_ledger(*d.worker.model, device.buffer_bins);
       gc.memory_budget_bytes = static_cast<std::size_t>(
           static_cast<double>(nominal_ledger.total_bytes()) * 0.95);
     }
-    d->governor = std::make_unique<resil::ResourceGovernor>(gc);
-    devices.push_back(std::move(d));
+    d.governor = std::make_unique<resil::ResourceGovernor>(gc);
   }
 
   // Generation 1 lands before the schedule arms: every device starts with
   // an intact restore target no matter what the chaos does afterwards.
-  for (auto& d : devices) {
-    d->ckpt->save(*d->model, d->engine->buffer(), tokenizer.vocab(),
-                  d->engine->stats());
+  for (Domain& d : devices) {
+    d.ckpt->save(*d.worker.model, d.session->buffer, tokenizer.vocab(),
+                 d.session->stats);
   }
 
   resil::Supervisor supervisor(config.supervisor);
@@ -231,43 +212,45 @@ ChaosFleetResult run_chaos_fleet(const ChaosFleetConfig& config) {
       obs::registry().histogram("chaos.round.us", obs::default_us_bounds());
   {
     util::fault::ScopedSchedule armed(config.schedule);
-    for (std::size_t round = 0; round < config.rounds; ++round) {
-      for (auto& d : devices) {
+    for (std::size_t round = 0; round < rounds; ++round) {
+      for (Domain& d : devices) {
+        fleet::UserSession& s = *d.session;
         const auto round_fn = [&] {
           util::Stopwatch round_sw;
-          apply_decision(d->governor->decision(), *d->engine, d->nominal);
-          for (std::size_t s = 0; s < config.sets_per_round; ++s) {
-            const data::DialogueSet& set =
-                d->stream[d->cursor % d->stream.size()];
-            // A transient injected fault (task poison, OOM at admission)
-            // heals here; persistent ones exhaust and reach the supervisor.
-            d->ingest_retry->run(
-                "ingest", [&] { d->engine->process(set); });
-            ++d->cursor;
-          }
-          d->engine->finetune_now();
-          d->ckpt->save(*d->model, d->engine->buffer(), tokenizer.vocab(),
-                        d->engine->stats());
+          resil::apply_decision(d.governor->decision(),
+                                make_engine_config(s.config), s.ec, s.buffer);
+          // A transient injected fault (task poison, OOM at admission)
+          // heals inside the chunk's ingest retry; persistent ones exhaust
+          // and reach the supervisor, with the session swapped out whole.
+          fleet::run_user_chunk(s, d.worker, tokenizer, d.adapter, discard);
+          d.ckpt->save(*d.worker.model, s.buffer, tokenizer.vocab(), s.stats);
           // Pressure under the *current* decision: the governor sees the
-          // effect of its own last rung before walking again.
+          // effect of its own last rung before walking again. Chaos rounds
+          // never evaluate, so one KV decode session is live at most.
           const devicesim::MemoryLedger ledger =
               devicesim::governed_memory_ledger(
-                  *d->model, d->engine->buffer().effective_capacity(),
-                  d->governor->decision().kv_fraction,
-                  d->engine->decode_kv_sessions());
+                  *d.worker.model, s.buffer.effective_capacity(),
+                  d.governor->decision().kv_fraction);
           h_chaos_round.record(round_sw.elapsed_seconds() * 1e6);
-          d->governor->observe({ledger.total_bytes(),
-                                round_sw.elapsed_seconds() * 1e3,
-                                slo_pressure});
+          d.governor->observe({ledger.total_bytes(),
+                               round_sw.elapsed_seconds() * 1e3,
+                               slo_pressure});
         };
         const auto recover_fn = [&]() -> bool {
-          const auto restored = d->ckpt->restore(*d->model);
+          const auto restored = d.ckpt->restore(*d.worker.model);
           if (!restored) return false;
-          d->engine->restore_buffer(std::move(restored->buffer));
-          d->model->refresh_quantized_weights();
+          s.buffer = std::move(restored->buffer);
+          // The restore wrote the adapter values into the worker's LoRA
+          // sites; the next chunk installs d.adapter, so take them from
+          // there. The optimizer moments carry on.
+          for (std::size_t k = 0; k < d.worker.sites.size(); ++k) {
+            d.adapter.sites[k].a = d.worker.sites[k]->mutable_lora_a().value;
+            d.adapter.sites[k].b = d.worker.sites[k]->mutable_lora_b().value;
+          }
+          d.worker.model->refresh_quantized_weights();
           return true;
         };
-        supervisor.run_round(d->name, round_fn, recover_fn);
+        supervisor.run_round(d.name, round_fn, recover_fn);
       }
       if (!config.slos.empty()) {
         slo_eval.observe(
@@ -280,17 +263,16 @@ ChaosFleetResult run_chaos_fleet(const ChaosFleetConfig& config) {
   }
 
   std::uint64_t fleet_hash = 1469598103934665603ull;
-  for (auto& d : devices) {
+  for (Domain& d : devices) {
     ChaosDeviceReport report;
-    report.name = d->name;
-    report.health = supervisor.health(d->name);
-    report.governor = d->governor->stats();
-    report.final_rung = d->governor->rung();
-    report.ckpt_retry = d->ckpt->retry()->stats();
-    report.ingest_retry = d->ingest_retry->stats();
-    report.engine_stats = d->engine->stats();
-    report.state_hash =
-        device_state_hash(*d->ckpt, &report.final_generation);
+    report.name = d.name;
+    report.health = supervisor.health(d.name);
+    report.governor = d.governor->stats();
+    report.final_rung = d.governor->rung();
+    report.ckpt_retry = d.ckpt->retry()->stats();
+    report.ingest_retry = d.ingest_retry->stats();
+    report.engine_stats = d.session->stats;
+    report.state_hash = device_state_hash(*d.ckpt, &report.final_generation);
     fleet_hash = fnv1a_bytes(
         reinterpret_cast<const unsigned char*>(&report.state_hash),
         sizeof(report.state_hash), fleet_hash);

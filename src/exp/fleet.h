@@ -75,50 +75,41 @@ std::vector<FleetResult> compare_methods_over_fleet(
 // Chaos fleet (DESIGN.md §11): the resilience stack under a fault schedule
 // ---------------------------------------------------------------------------
 //
-// Each device runs a full personalization loop — ingest, fine-tune,
-// checkpoint — inside its own failure domain: a resil::Supervisor round
-// boundary, a per-device ResourceGovernor walking the degradation ladder
-// against the device's memory ledger, and RetryPolicies healing transient
-// faults on stream ingest and checkpoint I/O. A util::fault::FaultSchedule
-// is armed for the duration of the rounds, so injected power loss, bit rot,
-// OOM, stalls, and poisoned tasks hit mid-run; recovery restores the device
-// from its last intact checkpoint generation while the rest of the fleet
-// proceeds. Everything is seeded: the same (config, schedule) pair produces
-// bit-identical device state hashes.
+// Each device is a fleet::UserSession on its own WorkerContext, inside its
+// own failure domain: one supervised round is one fleet::run_user_chunk
+// (the loop every runner shares), then a checkpoint save. Around it sit a
+// resil::Supervisor round boundary, a per-device ResourceGovernor that
+// writes its rung into the session's EngineConfig and buffer before each
+// round, and RetryPolicies healing transient faults on stream ingest and
+// checkpoint I/O. A util::fault::FaultSchedule is armed for the duration of
+// the rounds, so injected power loss, bit rot, OOM, stalls, and poisoned
+// tasks hit mid-run; a faulted chunk leaves its session whole, and recovery
+// restores the device's model and buffer from its last intact checkpoint
+// generation while the rest of the fleet proceeds. Everything is seeded:
+// the same (config, schedule) pair produces bit-identical device state
+// hashes.
+
+// The chaos fleet's default devices: 3 of them, each a deliberately tiny
+// "Ours" session — bag-of-words embeddings, a raw-initialized 1-layer
+// model (no base pretraining, no cache), 32 sets in rounds of 4 on an
+// 8-bin buffer, no evaluation. The chaos suite measures resilience, not
+// ROUGE.
+FleetConfig chaos_fleet_defaults();
 
 struct ChaosFleetConfig {
-  std::size_t num_devices = 3;
-  std::size_t rounds = 8;
-  std::size_t sets_per_round = 4;
-
-  // Deliberately tiny engine/model geometry (no base-model pretraining):
-  // the chaos suite measures resilience, not ROUGE.
-  std::string dataset = "MedDialog";
-  std::size_t buffer_bins = 8;
-  std::size_t synth_per_set = 1;
-  std::size_t epochs = 1;
-  std::size_t batch_size = 8;
-  float learning_rate = 1e-2f;
-  std::size_t model_dim = 32;
-  std::size_t model_heads = 2;
-  std::size_t model_layers = 1;
-  std::size_t model_ff = 64;
-  std::size_t max_seq_len = 32;
-
-  std::uint64_t seed_base = 1000;
-  // Record-once/replay-many device streams, as FleetConfig::traffic_dir
-  // (<traffic_dir>/device-<i>.obsf). Streams are recorded/replayed *before*
-  // the fault schedule is armed, so traffic I/O never perturbs the fault
-  // firing sequence — a replayed chaos run stays bit-identical.
-  std::string traffic_dir;
+  // Device i runs device_config(fleet, fleet.device_template, "Ours", i),
+  // traffic record/replay included (<traffic_dir>/user-<i>.obsf; streams
+  // settle before the fault schedule arms, so traffic I/O never shifts the
+  // fault firing sequence). A supervised round is one fine-tune interval,
+  // so the fleet runs stream_size / finetune_interval rounds; the interval
+  // must divide the stream.
+  FleetConfig fleet = chaos_fleet_defaults();
   // Per-device checkpoint directories are created under here (required).
   std::string work_dir;
   std::size_t keep_last = 2;  // checkpoint generations retained per device
 
-  // Resilience stack. With engage_governor and a zero memory budget, the
-  // budget is derived from the device's fp32 ledger (95% of nominal total)
-  // so the degradation ladder actually engages.
-  bool engage_governor = true;
+  // Resilience stack. A zero memory budget is derived from the device's
+  // fp32 ledger (95% of nominal total), so the degradation ladder engages.
   resil::GovernorConfig governor;
   resil::SupervisorConfig supervisor;
   resil::RetryConfig retry;  // checkpoint-I/O and ingest policies

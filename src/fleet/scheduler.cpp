@@ -322,11 +322,14 @@ ConcurrentFleetResult run_concurrent_fleet(const ConcurrentFleetConfig& config) 
                 registry.commit(user, session.rounds_done, session.work_done);
               } catch (const std::exception&) {
                 // An injected fault (or spill-I/O corruption) aborted the
-                // chunk mid-flight: the engine is gone, the user's moved-out
-                // state is unrecoverable — drop the pin and retire the user
-                // so the rest of the fleet proceeds.
+                // chunk: run_user_chunk swapped the session out whole, with
+                // every set processed before the fault. Drop the pin and
+                // retire the user with that progress, so the rest of the
+                // fleet proceeds; a pending evaluation finalizes it at the
+                // next flush, else it is finalized here.
                 if (pinned) cache.abandon(user);
                 session.work_done = true;
+                if (session.pending_evals == 0) finalize_result(session);
                 faults.fetch_add(1, std::memory_order_relaxed);
                 registry.commit(user, session.rounds_done, /*done=*/true);
               }

@@ -207,59 +207,70 @@ void run_user_chunk(UserSession& session, WorkerContext& worker,
   }
   engine.restore_buffer(std::move(session.buffer));
   engine.set_stats(session.stats);
-  if (config.record_curve) {
-    engine.set_finetune_hook([&](std::size_t seen) {
-      emit_eval(session, worker, /*final_per_set=*/false, seen, eval_sink);
-    });
-  }
 
-  // --- One chunk: the next fine-tune interval's worth of stream (the whole
-  // stream when fine-tuning only happens at the end).
-  const std::size_t chunk = std::max<std::size_t>(
-      1, config.finetune_interval > 0 ? config.finetune_interval
-                                      : config.stream_size);
-  const std::size_t end = std::min(config.stream_size, session.cursor + chunk);
-  for (; session.cursor < end; ++session.cursor) {
-    engine.process(session.dataset.stream[session.cursor]);
-  }
-
-  if (session.cursor >= config.stream_size) {
-    // The stream is done: fine-tune once more if it did not end on an
-    // interval (interval 0 = fine-tune only here), then the final per-set
-    // evaluation.
-    if (config.finetune_interval == 0 ||
-        config.stream_size % config.finetune_interval != 0) {
-      engine.finetune_now();
-      if (config.record_curve) {
-        emit_eval(session, worker, /*final_per_set=*/false,
-                  config.stream_size, eval_sink);
-      }
+  // --- Swap the user out, on the normal path and on a throw alike: a fault
+  // mid-chunk costs the rest of the chunk, never the session's policy,
+  // synthesizer, buffer or adapter.
+  const auto swap_out = [&] {
+    adapter = extract_adapter_state(*worker.model, engine.trainer());
+    session.stats = engine.stats();
+    const std::size_t accepted_after =
+        session.stats.admitted_free + session.stats.admitted_replacing;
+    if (accepted_after > accepted_before) {
+      sc_accept.inc(session.scope, accepted_after - accepted_before);
     }
-    emit_eval(session, worker, /*final_per_set=*/true, 0, eval_sink);
-    session.work_done = true;
-  }
+    if (session.stats.rejected > rejected_before) {
+      sc_reject.inc(session.scope, session.stats.rejected - rejected_before);
+    }
+    session.buffer = engine.take_buffer();
+    session.policy = engine.take_policy();
+    session.synthesizer = engine.take_synthesizer();
+    session.engine_rng = engine.rng();
+    session.trainer_rng = engine.trainer().rng();
+    for (std::size_t i = 0; i < worker.sites.size(); ++i) {
+      session.dropout_rngs[i] = worker.sites[i]->fallback_dropout_rng();
+    }
+    session.work_seconds += chunk_sw.elapsed_seconds();
+  };
 
-  // --- Swap the user out.
-  adapter = extract_adapter_state(*worker.model, engine.trainer());
-  session.stats = engine.stats();
-  const std::size_t accepted_after =
-      session.stats.admitted_free + session.stats.admitted_replacing;
-  if (accepted_after > accepted_before) {
-    sc_accept.inc(session.scope, accepted_after - accepted_before);
+  try {
+    // --- One chunk: the next fine-tune interval's worth of stream (the
+    // whole stream when fine-tuning only happens at the end), then its
+    // fine-tune round. A chunk ends after a full interval's worth of sets
+    // or at the end of the stream, so every completed chunk fine-tunes
+    // exactly once. The retry wraps the
+    // ingest alone: a set is counted once, and a fine-tune fault reaches
+    // the caller.
+    const std::size_t chunk = std::max<std::size_t>(
+        1, config.finetune_interval > 0 ? config.finetune_interval
+                                        : config.stream_size);
+    const std::size_t end =
+        std::min(config.stream_size, session.cursor + chunk);
+    while (session.cursor < end) {
+      const data::DialogueSet& set = session.dataset.stream[session.cursor];
+      if (session.ingest_retry != nullptr) {
+        session.ingest_retry->run("ingest", [&] { engine.ingest(set); });
+      } else {
+        engine.ingest(set);
+      }
+      ++session.cursor;
+    }
+    engine.finetune_now();
+    if (config.record_curve) {
+      emit_eval(session, worker, /*final_per_set=*/false, session.cursor,
+                eval_sink);
+    }
+
+    if (session.cursor >= config.stream_size) {
+      emit_eval(session, worker, /*final_per_set=*/true, 0, eval_sink);
+      session.work_done = true;
+    }
+  } catch (...) {
+    swap_out();
+    throw;
   }
-  if (session.stats.rejected > rejected_before) {
-    sc_reject.inc(session.scope, session.stats.rejected - rejected_before);
-  }
-  session.buffer = engine.take_buffer();
-  session.policy = engine.take_policy();
-  session.synthesizer = engine.take_synthesizer();
-  session.engine_rng = engine.rng();
-  session.trainer_rng = engine.trainer().rng();
-  for (std::size_t i = 0; i < worker.sites.size(); ++i) {
-    session.dropout_rngs[i] = worker.sites[i]->fallback_dropout_rng();
-  }
+  swap_out();
   ++session.rounds_done;
-  session.work_seconds += chunk_sw.elapsed_seconds();
 }
 
 namespace {
@@ -293,7 +304,9 @@ double mean_of(const std::vector<double>& v) {
   return v.empty() ? 0.0 : mean / static_cast<double>(v.size());
 }
 
-void finalize(UserSession& s) {
+}  // namespace
+
+void finalize_result(UserSession& s) {
   exp::ExperimentResult& r = s.result;
   r.final_rouge = s.config.record_curve ? r.curve.final_rouge()
                                         : mean_of(r.final_per_set);
@@ -302,8 +315,6 @@ void finalize(UserSession& s) {
   r.annotation_requests = s.oracle->annotation_requests();
   r.wall_seconds = s.work_seconds;
 }
-
-}  // namespace
 
 core::EvalDecodeStats flush_evals(
     std::vector<EvalJob> jobs,
@@ -346,7 +357,7 @@ core::EvalDecodeStats flush_evals(
     } else {
       s.result.curve.record(job.seen, mean_of(per_set));
     }
-    if (--s.pending_evals == 0 && s.work_done) finalize(s);
+    if (--s.pending_evals == 0 && s.work_done) finalize_result(s);
   }
   return decode;
 }

@@ -1,7 +1,9 @@
 // The paper's round, for one user (DESIGN.md §13). This is the only
 // implementation of the loop: exp::run_experiment runs one session chunk
-// by chunk, exp::run_fleet runs N of those, and the concurrent scheduler
-// (fleet/scheduler.h) multiplexes N sessions over a few worker engines.
+// by chunk, exp::run_fleet runs N of those, the concurrent scheduler
+// (fleet/scheduler.h) multiplexes N sessions over a few worker engines,
+// and exp::run_chaos_fleet runs one chunk per supervised round of each
+// device under a fault schedule.
 //
 // A UserSession owns everything about one user that is NOT shared worker
 // infrastructure: the oracle, the generated stream and held-out pool, the
@@ -30,6 +32,7 @@
 #include "llm/minillm.h"
 #include "nn/lora_overlay.h"
 #include "obs/scope.h"
+#include "resil/retry.h"
 #include "text/tokenizer.h"
 
 namespace odlp::fleet {
@@ -56,6 +59,10 @@ struct UserSession {
   // the default handle aggregates under `other`, as does a handle gone
   // stale after an LRU demotion.
   obs::ScopeTable::Handle scope;
+  // Borrowed; when set, every engine.ingest of a chunk runs under it, so a
+  // transient fault heals in place (the chaos fleet's ingest policy). The
+  // chunk's fine-tune runs outside it.
+  resil::RetryPolicy* ingest_retry = nullptr;
 
   std::unique_ptr<data::UserOracle> oracle;
   data::GeneratedDataset dataset;
@@ -105,13 +112,15 @@ std::unique_ptr<UserSession> make_user_session(
     std::size_t id, const exp::ExperimentConfig& config,
     const WorkerContext& fresh, const EvalSink& eval_sink);
 
-// Runs one chunk of `session` on `worker`: swaps the user state in
-// (adapter from `adapter`, buffer/stats/rngs/policy/synthesizer from the
-// session), processes the next fine-tune interval's worth of stream (the
-// engine fine-tunes at its configured interval; curve evaluations are
-// emitted as EvalJobs), handles the tail fine-tune and the final per-set
-// EvalJob on the last chunk, then swaps everything back out. `adapter` is
-// updated in place.
+// Runs one chunk of `session` on `worker`: builds the worker engine from
+// session.ec, swaps the user state in (adapter from `adapter`, buffer/
+// stats/rngs/policy/synthesizer from the session), ingests the next
+// fine-tune interval's worth of stream (the rest of the stream, if shorter),
+// runs one fine-tune round (then a curve EvalJob when record_curve is set),
+// emits the final per-set EvalJob on the last chunk, then swaps everything
+// back out. `adapter` is updated in place. The swap-out also runs when the
+// chunk throws, so the session keeps every set ingested before the fault
+// and stays runnable.
 void run_user_chunk(UserSession& session, WorkerContext& worker,
                     const text::Tokenizer& tokenizer, AdapterState& adapter,
                     const EvalSink& eval_sink);
@@ -129,5 +138,12 @@ core::EvalDecodeStats flush_evals(
     std::vector<std::unique_ptr<UserSession>>& sessions,
     llm::MiniLlm& decode_model, const text::Tokenizer& tokenizer,
     std::size_t decode_batch);
+
+// Fills the run-level fields of session.result (final ROUGE, engine stats,
+// buffer composition, annotation requests, wall time) from the session as
+// it stands. flush_evals calls it once a finished session's last
+// evaluation is scored; the scheduler calls it for a user it retires after
+// a fault with no evaluation pending.
+void finalize_result(UserSession& session);
 
 }  // namespace odlp::fleet

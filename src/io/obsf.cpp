@@ -178,10 +178,10 @@ void BlockWriter::submit(std::uint32_t rows, std::vector<std::uint8_t> payload) 
         std::lock_guard<std::mutex> lk(sync_->mutex);
         sync_->error = std::current_exception();
       }
-      {
-        std::lock_guard<std::mutex> lk(sync_->mutex);
-        sync_->busy = false;
-      }
+      // Notify under the lock: once drain() sees busy == false it may
+      // destroy this writer, so nothing here may touch it after unlocking.
+      std::lock_guard<std::mutex> lk(sync_->mutex);
+      sync_->busy = false;
       sync_->cv.notify_all();
     });
     return;

@@ -7,8 +7,9 @@
 // bit-identically: every string, ground-truth label, and stream position is
 // restored exactly, so a replayed bench or chaos run takes the same code
 // path, byte for byte, as the generated run — without paying generation
-// cost again. bench_fleet and run_chaos_fleet use this to record traffic
-// once and replay it many times.
+// cost again. Every fleet runner (run_fleet, the concurrent scheduler and
+// run_chaos_fleet) reaches it through exp::FleetConfig::traffic_dir to
+// record each user's traffic once and replay it many times.
 //
 // Schema (meta "odlp.traffic.v1"):
 //   position  u64  delta   stream_position

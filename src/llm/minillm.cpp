@@ -152,15 +152,9 @@ std::vector<nn::Linear*> MiniLlm::all_linears() {
 void MiniLlm::set_inference_precision(nn::InferencePrecision precision) {
   if (precision == precision_) return;
   if (precision == nn::InferencePrecision::kInt8) {
-#ifdef ODLP_INT8
     for (nn::Linear* l : all_linears()) l->quantize_frozen();
     tok_emb_.quantize_frozen();
     pos_emb_.quantize_frozen();
-#else
-    throw std::runtime_error(
-        "MiniLlm::set_inference_precision: INT8 backend unavailable "
-        "(built -DODLP_INT8=OFF)");
-#endif
   } else {
     for (nn::Linear* l : all_linears()) l->dequantize_frozen();
     tok_emb_.dequantize_frozen();

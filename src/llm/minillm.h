@@ -111,8 +111,7 @@ class MiniLlm {
   // weight — all Linears including the LM head, plus both embedding tables —
   // into per-block int8 copies that inference-time forwards (training=false)
   // run against; training forwards, backward, LoRA adapters, and norms stay
-  // fp32. Idempotent; throws std::runtime_error when the backend was
-  // compiled out (-DODLP_INT8=OFF).
+  // fp32. Idempotent.
   void set_inference_precision(nn::InferencePrecision precision);
   nn::InferencePrecision inference_precision() const { return precision_; }
 

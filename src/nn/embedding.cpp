@@ -1,7 +1,6 @@
 #include "nn/embedding.h"
 
 #include <cassert>
-#include <stdexcept>
 
 namespace odlp::nn {
 
@@ -18,21 +17,15 @@ void Embedding::forward_into(const std::vector<int>& ids, tensor::Tensor& out,
     out.resize_uninitialized(ids.size(), dim());
   }
   assert(out.rows() == ids.size() && out.cols() == dim());
-#ifdef ODLP_INT8
   const bool use_q = quantized_ && !training;
-#else
-  (void)training;
-#endif
   for (std::size_t t = 0; t < ids.size(); ++t) {
     assert(ids[t] >= 0 && static_cast<std::size_t>(ids[t]) < vocab_size());
     float* dst = out.row(t);
-#ifdef ODLP_INT8
     if (use_q) {
       qtable_.dequantize_row_into(static_cast<std::size_t>(ids[t]), dst,
                                   accumulate);
       continue;
     }
-#endif
     const float* src = table_.value.row(static_cast<std::size_t>(ids[t]));
     if (accumulate) {
       for (std::size_t j = 0; j < dim(); ++j) dst[j] += src[j];
@@ -49,15 +42,9 @@ tensor::Tensor Embedding::forward(const std::vector<int>& ids) {
 }
 
 void Embedding::quantize_frozen() {
-#ifdef ODLP_INT8
   qtable_ = tensor::QuantizedTensor::quantize(table_.value,
                                               tensor::QuantAxis::kAlongCols);
   quantized_ = true;
-#else
-  throw std::runtime_error(
-      "nn::Embedding::quantize_frozen: INT8 backend unavailable "
-      "(built -DODLP_INT8=OFF)");
-#endif
 }
 
 void Embedding::dequantize_frozen() {
@@ -66,12 +53,8 @@ void Embedding::dequantize_frozen() {
 }
 
 tensor::QuantStats Embedding::quantization_stats() const {
-#ifdef ODLP_INT8
   assert(quantized_);
   return qtable_.round_trip_stats(table_.value);
-#else
-  return {};
-#endif
 }
 
 std::size_t Embedding::resident_bytes() const {

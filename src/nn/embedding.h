@@ -33,7 +33,7 @@ class Embedding {
 
   // Frozen-table INT8 mode (kAlongCols: each looked-up row dequantizes from
   // contiguous codes + scales). Same contract as Linear::quantize_frozen —
-  // re-invoke after the table mutates; throws when built -DODLP_INT8=OFF.
+  // re-invoke after the table mutates.
   void quantize_frozen();
   void dequantize_frozen();
   bool quantized() const { return quantized_; }

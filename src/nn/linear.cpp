@@ -1,13 +1,9 @@
 #include "nn/linear.h"
 
 #include <cassert>
-#include <stdexcept>
 
 #include "tensor/ops.h"
-
-#ifdef ODLP_INT8
 #include "tensor/qops.h"
-#endif
 
 namespace odlp::nn {
 
@@ -27,7 +23,6 @@ tensor::Tensor& Linear::forward_ws(const tensor::Tensor& x, bool training,
   cached_x_ = x;
   cached_training_ = training;
   tensor::Tensor& y = ws.acquire(x.rows(), weight_.value.cols());
-#ifdef ODLP_INT8
   if (quantized_ && !training) {
     // Inference-time base product against the int8 snapshot; training
     // forwards fall through to fp32 so backward differentiates the exact
@@ -36,9 +31,6 @@ tensor::Tensor& Linear::forward_ws(const tensor::Tensor& x, bool training,
   } else {
     tensor::matmul_into(x, weight_.value, y);
   }
-#else
-  tensor::matmul_into(x, weight_.value, y);
-#endif
   if (has_bias_) tensor::add_row_broadcast_inplace(y, bias_.value);
   if (lora_) {
     const float keep = 1.0f - lora_->config.dropout;
@@ -155,15 +147,9 @@ tensor::Tensor Linear::backward(const tensor::Tensor& dout) {
 }
 
 void Linear::quantize_frozen() {
-#ifdef ODLP_INT8
   qweight_ = tensor::QuantizedTensor::quantize(weight_.value,
                                                tensor::QuantAxis::kAlongRows);
   quantized_ = true;
-#else
-  throw std::runtime_error(
-      "nn::Linear::quantize_frozen: INT8 backend unavailable "
-      "(built -DODLP_INT8=OFF)");
-#endif
 }
 
 void Linear::dequantize_frozen() {
@@ -172,12 +158,8 @@ void Linear::dequantize_frozen() {
 }
 
 tensor::QuantStats Linear::quantization_stats() const {
-#ifdef ODLP_INT8
   assert(quantized_);
   return qweight_.round_trip_stats(weight_.value);
-#else
-  return {};
-#endif
 }
 
 std::size_t Linear::resident_weight_bytes() const {

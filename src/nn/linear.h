@@ -58,8 +58,7 @@ class Linear {
   // forwards and every backward keep using the fp32 W, and the LoRA delta
   // stays fp32-exact on top: y = Q(W)·x + b + B(A·x)·(α/r). Must be
   // re-invoked after any mutation of W (merge_lora does so itself; the
-  // model-level refresh_quantized_weights covers load/copy). Throws
-  // std::runtime_error when built -DODLP_INT8=OFF.
+  // model-level refresh_quantized_weights covers load/copy).
   void quantize_frozen();
   // Drops the int8 copy; forward returns to the fp32 path.
   void dequantize_frozen();

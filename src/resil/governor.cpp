@@ -146,34 +146,34 @@ void ResourceGovernor::reset() {
 }
 
 void apply_decision(const GovernorDecision& decision,
-                    core::PersonalizationEngine& engine,
-                    const core::EngineConfig& nominal) {
-  nn::InferencePrecision precision = decision.precision;
-#ifndef ODLP_INT8
-  // Backend compiled out: the int8 rung degrades to a no-op and the ladder
-  // effectively starts at KV trim.
-  precision = nn::InferencePrecision::kFp32;
-#endif
-  engine.set_inference_precision(precision);
-
+                    const core::EngineConfig& nominal, core::EngineConfig& ec,
+                    core::DataBuffer& buffer) {
+  static obs::Counter& c_evicted =
+      obs::registry().counter("engine.buffer.shed.evicted");
   const auto scaled = [](std::size_t nominal_value, double fraction,
                          std::size_t floor_value) {
     const double v = std::floor(static_cast<double>(nominal_value) * fraction);
     return std::max(floor_value, static_cast<std::size_t>(v));
   };
+  ec.inference_precision = decision.precision;
   // KV trim: one generated token is the floor — evaluation must still emit
   // something measurable.
-  engine.set_max_new_tokens(
-      scaled(nominal.sampler.max_new_tokens, decision.kv_fraction, 1));
-  engine.set_synth_per_set(
-      scaled(nominal.synth_per_set, decision.synth_fraction, 0));
-  if (decision.buffer_fraction < 1.0) {
-    engine.shed_buffer_to(
-        scaled(nominal.buffer_bins, decision.buffer_fraction, 1));
-  } else {
-    engine.clear_buffer_cap();
+  ec.sampler.max_new_tokens =
+      scaled(nominal.sampler.max_new_tokens, decision.kv_fraction, 1);
+  ec.synth_per_set = scaled(nominal.synth_per_set, decision.synth_fraction, 0);
+  ec.finetune_enabled = !decision.skip_finetune;
+  if (decision.buffer_fraction >= 1.0) {
+    buffer.clear_bin_cap();
+    return;
   }
-  engine.set_finetune_enabled(!decision.skip_finetune);
+  const std::size_t evicted = buffer.set_bin_cap(
+      scaled(nominal.buffer_bins, decision.buffer_fraction, 1));
+  if (evicted > 0) {
+    c_evicted.inc(evicted);
+    util::log_info("governor: buffer shed to " +
+                   std::to_string(buffer.effective_capacity()) +
+                   " bins, evicted " + std::to_string(evicted));
+  }
 }
 
 }  // namespace odlp::resil

@@ -34,7 +34,7 @@
 #include "nn/precision.h"
 
 namespace odlp::core {
-class PersonalizationEngine;
+class DataBuffer;
 struct EngineConfig;
 }  // namespace odlp::core
 
@@ -135,13 +135,13 @@ class ResourceGovernor {
   Stats stats_;
 };
 
-// Applies a decision to a live engine: the precision switch (guarded by the
-// ODLP_INT8 build flag — without the backend the int8 rung is a no-op and
-// the ladder simply starts at KV trim), generation/synthesis caps scaled
-// from the nominal EngineConfig, buffer bin shedding, and fine-tune gating.
-// Idempotent: applying the same decision twice changes nothing.
+// Applies a decision to a session's next round: writes the precision
+// switch, the generation/synthesis caps scaled from `nominal`, and the
+// fine-tune gate into `ec` (the config the round's engine is built from),
+// and caps `buffer`'s live bins (evicting the oldest entries) or lifts the
+// cap. Idempotent: applying the same decision twice changes nothing.
 void apply_decision(const GovernorDecision& decision,
-                    core::PersonalizationEngine& engine,
-                    const core::EngineConfig& nominal);
+                    const core::EngineConfig& nominal, core::EngineConfig& ec,
+                    core::DataBuffer& buffer);
 
 }  // namespace odlp::resil

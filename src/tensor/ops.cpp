@@ -12,13 +12,10 @@
 #include <vector>
 
 #include "obs/trace.h"
+#include "tensor/qtensor.h"  // kQuantBlock, reported in kernel_build_info
 #include "tensor/simd.h"
 #include "tensor/simd_kernels.h"
 #include "util/thread_pool.h"
-
-#ifdef ODLP_INT8
-#include "tensor/qtensor.h"  // kQuantBlock, reported in kernel_build_info
-#endif
 
 namespace odlp::tensor {
 
@@ -301,7 +298,6 @@ KernelBuildInfo kernel_build_info() {
 #else
   info.native_arch = false;
 #endif
-#ifdef ODLP_INT8
   if (level >= SimdLevel::kVnni) {
     info.int8_variant = "q8-4x16-dpbusd-vnni";
   } else if (level >= SimdLevel::kAvx2) {
@@ -315,10 +311,6 @@ KernelBuildInfo kernel_build_info() {
 #endif
   }
   info.int8_block = kQuantBlock;
-#else
-  info.int8_variant = "disabled";
-  info.int8_block = 0;
-#endif
   return info;
 }
 

@@ -69,10 +69,8 @@ struct KernelBuildInfo {
   bool native_arch;          // true when built with ODLP_NATIVE_ARCH (-march=native)
   const char* int8_variant;  // int8 backend (qops.cpp): "q8-4x16-scalar",
                              // "q8-4x16-madd-sse2", "q8-4x16-maddubs-avx2",
-                             // "q8-4x16-dpbusd-vnni", or "disabled" when
-                             // built -DODLP_INT8=OFF
-  std::size_t int8_block;    // quant block along k (tensor::kQuantBlock),
-                             // 0 when disabled
+                             // or "q8-4x16-dpbusd-vnni"
+  std::size_t int8_block;    // quant block along k (tensor::kQuantBlock)
 };
 KernelBuildInfo kernel_build_info();
 

@@ -18,7 +18,7 @@
 // fixup line keeps the whole product bit-exact across dispatch levels.
 #include "tensor/simd_kernels.h"
 
-#if defined(ODLP_SIMD_KERNELS_X86) && defined(ODLP_INT8)
+#ifdef ODLP_SIMD_KERNELS_X86
 
 #include <immintrin.h>
 
@@ -245,4 +245,4 @@ void qgemm_tiled_rows_avx2(const std::int16_t* qx, const float* sx,
 
 }  // namespace odlp::tensor::detail
 
-#endif  // ODLP_SIMD_KERNELS_X86 && ODLP_INT8
+#endif  // ODLP_SIMD_KERNELS_X86

@@ -30,8 +30,7 @@
 // keeps dispatching small shapes to the AVX2 kernel (simd_kernels.h).
 #include "tensor/simd_kernels.h"
 
-#if defined(ODLP_SIMD_KERNELS_X86) && defined(ODLP_INT8) && \
-    defined(ODLP_HAVE_AVXVNNI)
+#if defined(ODLP_SIMD_KERNELS_X86) && defined(ODLP_HAVE_AVXVNNI)
 
 #include <immintrin.h>
 
@@ -194,4 +193,4 @@ void qgemm_tiled_rows_vnni(const std::int16_t* qx, const float* sx,
 
 }  // namespace odlp::tensor::detail
 
-#endif  // ODLP_SIMD_KERNELS_X86 && ODLP_INT8 && ODLP_HAVE_AVXVNNI
+#endif  // ODLP_SIMD_KERNELS_X86 && ODLP_HAVE_AVXVNNI

@@ -53,7 +53,6 @@ void gemm_tiled_rows_avx2(const Operand& a, const float* bp, std::size_t K,
                           std::size_t N, float* c, std::size_t ldc,
                           bool accumulate, std::size_t i0, std::size_t i1);
 
-#ifdef ODLP_INT8
 // AVX2 vpmaddubsw(+vpmaddwd) builds of qops.cpp's int8 row kernels. Same
 // signature contract as the scalar/SSE2 variants: C rows [i0, i1) of
 // out (+)= X[m,K] · Q(W)[K,N], with qx the int16-widened row codes, sx the
@@ -81,7 +80,6 @@ void qgemm_tiled_rows_vnni(const std::int16_t* qx, const float* sx,
                            std::size_t ldc, bool accumulate, std::size_t i0,
                            std::size_t i1);
 #endif  // ODLP_HAVE_AVXVNNI
-#endif  // ODLP_INT8
 
 #endif  // ODLP_SIMD_KERNELS_X86
 

@@ -104,7 +104,6 @@ TEST(BatchDecode, BitIdenticalToSerialAtEveryWidth) {
   }
 }
 
-#ifdef ODLP_INT8
 TEST(BatchDecode, BitIdenticalToSerialInt8) {
   MiniLlm model(tiny_config(), 31);
   model.set_inference_precision(nn::InferencePrecision::kInt8);
@@ -122,7 +121,6 @@ TEST(BatchDecode, BitIdenticalToSerialInt8) {
         << "request " << i;
   }
 }
-#endif
 
 // Attaches LoRA to `model` with non-zero B factors (B starts at zero, which
 // would make every adapter a no-op) and returns the overlay snapshot of

@@ -34,22 +34,24 @@ namespace {
 
 constexpr std::uint64_t kNumSchedules = 32;  // acceptance floor is 30
 constexpr std::size_t kEventsPerSchedule = 10;
+constexpr std::size_t kRounds = 5;
 
 exp::ChaosFleetConfig chaos_config(std::uint64_t seed,
                                    const std::string& work_dir) {
   exp::ChaosFleetConfig config;
-  config.num_devices = 2;
-  config.rounds = 5;
-  config.sets_per_round = 3;
-  config.buffer_bins = 4;
-  config.synth_per_set = 1;
-  config.epochs = 1;
-  config.seed_base = 1000 + seed * 101;
+  config.fleet.num_devices = 2;
+  exp::ExperimentConfig& device = config.fleet.device_template;
+  device.finetune_interval = 3;  // sets per round
+  device.stream_size = kRounds * device.finetune_interval;
+  device.buffer_bins = 4;
+  device.synth_per_set = 1;
+  device.epochs = 1;
+  config.fleet.seed_base = 1000 + seed * 101;
   config.work_dir = work_dir;
   // Invariant 2 depends on this: with keep_last > rounds, pruning never
   // runs, so the generation-1 checkpoint written before the schedule arms
   // survives any amount of later corruption.
-  config.keep_last = config.rounds + 3;
+  config.keep_last = kRounds + 3;
   config.retry.sleep = false;  // account backoff, skip the nap
   // Memory-only pressure (deadlines off): wall-clock never feeds the
   // governor, which is what makes invariant 4 (bit-identical repeats)
@@ -59,7 +61,7 @@ exp::ChaosFleetConfig chaos_config(std::uint64_t seed,
   config.supervisor.max_consecutive_failures = 0;
   config.schedule = util::fault::FaultSchedule::random(
       seed, kEventsPerSchedule,
-      /*horizon=*/config.rounds * config.num_devices * 4);
+      /*horizon=*/kRounds * config.fleet.num_devices * 4);
   return config;
 }
 
@@ -83,11 +85,11 @@ TEST_P(ChaosScheduleTest, InvariantsHoldUnderSchedule) {
   const exp::ChaosFleetResult result = exp::run_chaos_fleet(config);
 
   // Supervisor accounting adds up.
-  ASSERT_EQ(result.devices.size(), config.num_devices);
-  EXPECT_EQ(result.totals.rounds, config.num_devices * config.rounds);
+  ASSERT_EQ(result.devices.size(), config.fleet.num_devices);
+  EXPECT_EQ(result.totals.rounds, config.fleet.num_devices * kRounds);
   std::uint64_t gap_total = 0;
   for (const auto& d : result.devices) {
-    EXPECT_EQ(d.health.rounds, config.rounds) << d.name;
+    EXPECT_EQ(d.health.rounds, kRounds) << d.name;
     EXPECT_EQ(d.health.ok + d.health.failures + d.health.skipped,
               d.health.rounds)
         << d.name;
@@ -201,6 +203,39 @@ TEST(ChaosFleet, GovernorEngagesUnderMemoryPressure) {
                   resil::Rung::kInt8Inference)],
               1u)
         << d.name;
+  }
+  fs::remove_all(dir);
+}
+
+// A persistent fine-tune fault must fail every round at the supervisor.
+// The ingest retry wraps only the stream steps: retrying a call that had
+// already counted its set would offer it twice and heal the round.
+TEST(ChaosFleet, PersistentFinetuneFaultFailsEveryRound) {
+  const std::string dir =
+      "/tmp/odlp_chaos_ft_" + std::to_string(::getpid());
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  exp::ChaosFleetConfig config = chaos_config(0, dir);
+  config.schedule = util::fault::FaultSchedule{};
+  config.schedule.events.push_back({util::fault::FaultKind::kTaskFail,
+                                    "engine.finetune", /*at=*/0, /*param=*/0,
+                                    /*once=*/false});
+  const exp::ChaosFleetResult result = exp::run_chaos_fleet(config);
+
+  const std::size_t stream = config.fleet.device_template.stream_size;
+  EXPECT_EQ(result.totals.failures, config.fleet.num_devices * kRounds);
+  EXPECT_EQ(result.faults.task_fails, config.fleet.num_devices * kRounds);
+  for (const auto& d : result.devices) {
+    EXPECT_EQ(d.health.ok, 0u) << d.name;
+    EXPECT_EQ(d.health.recoveries, kRounds) << d.name;
+    EXPECT_EQ(d.ingest_retry.retries, 0u) << d.name;
+    const auto& s = d.engine_stats;
+    EXPECT_EQ(s.seen, stream) << d.name;
+    EXPECT_EQ(s.admitted_free + s.admitted_replacing + s.rejected +
+                  s.quarantined,
+              stream)
+        << d.name;
+    EXPECT_EQ(s.finetune_rounds, 0u) << d.name;
   }
   fs::remove_all(dir);
 }

@@ -146,7 +146,6 @@ TEST(MemoryLedger, Fp32RatioIsExactlyOne) {
   EXPECT_EQ(ledger.model_bytes(), ledger.fp32_model_bytes);
 }
 
-#ifdef ODLP_INT8
 TEST(MemoryLedger, Int8RatioWithinExpectedBounds) {
   llm::MiniLlm model(tiny_model_config(), 1);
   const MemoryLedger fp32 = model_memory_ledger(model, 8);
@@ -163,7 +162,6 @@ TEST(MemoryLedger, Int8RatioWithinExpectedBounds) {
   EXPECT_EQ(int8.kv_cache_bytes, fp32.kv_cache_bytes);
   EXPECT_EQ(int8.buffer_bytes, fp32.buffer_bytes);
 }
-#endif
 
 TEST(MemoryLedger, GovernedLedgerScalesKvAndClamps) {
   llm::MiniLlm model(tiny_model_config(), 1);
@@ -192,9 +190,7 @@ TEST(MemoryLedger, ConsistentAcrossGovernorRungTransitions) {
   for (std::size_t step = 0; step + 1 < resil::kNumRungs; ++step) {
     const resil::GovernorDecision& d = gov.observe(
         {previous_total, 0.0});
-#ifdef ODLP_INT8
     model.set_inference_precision(d.precision);
-#endif
     // Bin shedding applied the way apply_decision scales it.
     const std::size_t live_bins = std::max<std::size_t>(
         1, static_cast<std::size_t>(static_cast<double>(bins) *
@@ -211,11 +207,9 @@ TEST(MemoryLedger, ConsistentAcrossGovernorRungTransitions) {
     previous_total = ledger.total_bytes();
   }
   EXPECT_EQ(gov.rung(), resil::Rung::kSkipFinetune);
-#ifdef ODLP_INT8
   model.set_inference_precision(nn::InferencePrecision::kFp32);
   EXPECT_EQ(model_memory_ledger(model, bins).model_bytes(),
             model_memory_ledger(model, bins).fp32_model_bytes);
-#endif
 }
 
 }  // namespace

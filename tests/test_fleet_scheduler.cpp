@@ -21,6 +21,7 @@
 #include "fleet/adapter_cache.h"
 #include "fleet/adapter_state.h"
 #include "fleet/scheduler.h"
+#include "fleet/user_session.h"
 #include "lexicon/lexicon.h"
 #include "llm/embedding_extractor.h"
 #include "util/fault.h"
@@ -208,6 +209,68 @@ TEST_F(FleetSchedulerTest, SurvivesInjectedFaultsDuringConcurrentChunks) {
   }
   EXPECT_EQ(completed + result.stats.faults, 4u);
   EXPECT_GE(result.stats.rounds, completed * 2);
+}
+
+// A user the scheduler retires after a fault keeps the progress it made
+// before the fault: run_user_chunk swaps the session out whole, and with no
+// evaluation pending the scheduler finalizes its result on the spot.
+TEST_F(FleetSchedulerTest, RetiredUserReportsProgressAtFault) {
+  auto config = concurrent(1);
+  config.threads = 1;
+  config.fleet.device_template.record_curve = false;
+
+  util::fault::FaultSchedule schedule;
+  // The 8th stream step (index 7, inside the second chunk of 5) fails
+  // before it counts the set.
+  schedule.events.push_back({util::fault::FaultKind::kTaskFail,
+                             "engine.process", /*at=*/7, /*param=*/0,
+                             /*once=*/true});
+  util::fault::ScopedSchedule armed(schedule);
+  const ConcurrentFleetResult result = run_concurrent_fleet(config);
+
+  EXPECT_EQ(result.stats.faults, 1u);
+  ASSERT_EQ(result.users.size(), 1u);
+  EXPECT_EQ(result.users[0].engine_stats.seen, 7u);
+}
+
+// A fault mid-chunk costs the rest of the chunk, not the session: the
+// policy, synthesizer, buffer and progress survive the throw, and the next
+// chunk finishes the stream.
+TEST(RunUserChunk, FaultMidChunkLeavesSessionWhole) {
+  exp::ExperimentConfig config = exp::chaos_fleet_defaults().device_template;
+  config.stream_size = 8;
+  config.finetune_interval = 8;
+  const text::Tokenizer tokenizer = exp::make_device_tokenizer();
+  const std::unique_ptr<llm::MiniLlm> base =
+      exp::make_base_model(config, tokenizer);
+  WorkerContext worker = make_worker(exp::make_model_config(config, tokenizer),
+                                     exp::experiment_base_seed(config), *base,
+                                     exp::make_engine_config(config).lora);
+  AdapterState adapter = initial_adapter_state(*worker.model);
+  const EvalSink discard = [](EvalJob) {};
+  const std::unique_ptr<UserSession> session =
+      make_user_session(0, config, worker, discard);
+
+  {
+    util::fault::FaultSchedule schedule;
+    schedule.events.push_back({util::fault::FaultKind::kTaskFail,
+                               "engine.process", /*at=*/3, /*param=*/0,
+                               /*once=*/true});
+    util::fault::ScopedSchedule armed(schedule);
+    EXPECT_THROW(run_user_chunk(*session, worker, tokenizer, adapter, discard),
+                 util::fault::InjectedTaskFault);
+  }
+  EXPECT_NE(session->policy, nullptr);
+  EXPECT_NE(session->synthesizer, nullptr);
+  EXPECT_EQ(session->cursor, 3u);
+  EXPECT_EQ(session->stats.seen, 3u);
+  EXPECT_EQ(session->buffer.capacity(), config.buffer_bins);
+  EXPECT_FALSE(session->work_done);
+
+  run_user_chunk(*session, worker, tokenizer, adapter, discard);
+  EXPECT_TRUE(session->work_done);
+  EXPECT_EQ(session->stats.seen, 8u);
+  EXPECT_EQ(session->stats.finetune_rounds, 1u);
 }
 
 // Test-local copy of the session's string hash: the oracle below derives

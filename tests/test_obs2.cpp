@@ -704,13 +704,14 @@ TEST(SloChaos, ChaosFleetSloPressureEscalatesGovernor) {
   fs::create_directories(work);
 
   exp::ChaosFleetConfig config;
-  config.num_devices = 1;
-  config.rounds = 5;
-  config.sets_per_round = 2;
-  config.buffer_bins = 4;
-  config.epochs = 1;
+  config.fleet.num_devices = 1;
+  exp::ExperimentConfig& device = config.fleet.device_template;
+  device.finetune_interval = 2;  // sets per round
+  device.stream_size = 5 * device.finetune_interval;  // 5 rounds
+  device.buffer_bins = 4;
+  device.epochs = 1;
   config.work_dir = work;
-  config.keep_last = config.rounds + 2;
+  config.keep_last = 5 + 2;
   config.retry.sleep = false;
   // Memory/latency pressure neutralized: a huge byte budget and no
   // deadline, so only slo_pressure can move the ladder.

@@ -4,7 +4,6 @@
 // every element's reconstruction error is at most half its block's scale —
 // the round-to-nearest bound — and that pathological blocks degrade to
 // exact zeros instead of NaN/Inf codes.
-#ifdef ODLP_INT8
 
 #include <gtest/gtest.h>
 
@@ -186,5 +185,3 @@ TEST(QTensor, ResidentBytesAccountCodesPlusScales) {
 
 }  // namespace
 }  // namespace odlp
-
-#endif  // ODLP_INT8

@@ -9,7 +9,6 @@
 //    fp32-chosen prefix so one early flip cannot cascade.
 //  * Perplexity of a fixed seeded token stream moves by ≤2% when the
 //    weights are quantized.
-#ifdef ODLP_INT8
 
 #include <gtest/gtest.h>
 
@@ -278,5 +277,3 @@ TEST(QuantizedEquivalence, TrainingForwardIgnoresQuantization) {
 
 }  // namespace
 }  // namespace odlp
-
-#endif  // ODLP_INT8

@@ -214,9 +214,7 @@ TEST(ResourceGovernor, DecisionsAreCumulative) {
   for (int i = 0; i < 4; ++i) gov.observe({2000, 0.0});  // -> kBinShed
   const resil::GovernorDecision& d = gov.decision();
   EXPECT_EQ(d.rung, resil::Rung::kBinShed);
-#ifdef ODLP_INT8
   EXPECT_EQ(d.precision, nn::InferencePrecision::kInt8);
-#endif
   EXPECT_DOUBLE_EQ(d.kv_fraction, 0.5);
   EXPECT_DOUBLE_EQ(d.synth_fraction, 0.0);
   EXPECT_DOUBLE_EQ(d.buffer_fraction, 0.5);
@@ -306,14 +304,14 @@ TEST(ResourceGovernor, ResetRestoresNominal) {
   EXPECT_GE(gov.stats().escalations, 2u);
 }
 
-// A tiny live engine to verify apply_decision end-to-end.
+// A tiny live engine to verify apply_decision end-to-end: `ec` is the
+// nominal config, and engine_for() builds an engine from a governed one.
 struct TinyEngine {
   text::Tokenizer tokenizer = exp::make_device_tokenizer();
   llm::MiniLlm model;
   llm::BagOfWordsExtractor extractor{16};
   data::UserOracle oracle;
   core::EngineConfig ec;
-  std::unique_ptr<core::PersonalizationEngine> engine;
 
   TinyEngine()
       : model(
@@ -334,12 +332,16 @@ struct TinyEngine {
     ec.synth_per_set = 2;
     ec.max_seq_len = 32;
     ec.sampler.max_new_tokens = 8;
-    engine = std::make_unique<core::PersonalizationEngine>(
+  }
+
+  std::unique_ptr<core::PersonalizationEngine> engine_for(
+      const core::EngineConfig& config) {
+    return std::make_unique<core::PersonalizationEngine>(
         model, tokenizer, extractor, oracle, lexicon::builtin_dictionary(),
         exp::make_policy("Ours"),
         std::make_unique<core::ParaphraseSynthesizer>(
             lexicon::builtin_dictionary(), util::Rng(3)),
-        ec, util::Rng(5));
+        config, util::Rng(5));
   }
 };
 
@@ -347,21 +349,27 @@ TEST(ResourceGovernor, ApplyDecisionDrivesEngineKnobs) {
   TinyEngine t;
   resil::ResourceGovernor gov(mem_governor(1000));
   for (int i = 0; i < 5; ++i) gov.observe({2000, 0.0});  // -> kSkipFinetune
-  resil::apply_decision(gov.decision(), *t.engine, t.ec);
-  EXPECT_EQ(t.engine->config().sampler.max_new_tokens, 4u);  // 8 * 0.5
-  EXPECT_EQ(t.engine->config().synth_per_set, 0u);
-  EXPECT_EQ(t.engine->buffer().effective_capacity(), 2u);  // 4 * 0.5
-  EXPECT_FALSE(t.engine->finetune_enabled());
-  const std::size_t skipped_before = t.engine->stats().finetune_skipped;
-  t.engine->finetune_now();
-  EXPECT_EQ(t.engine->stats().finetune_skipped, skipped_before + 1);
+  core::EngineConfig ec = t.ec;
+  core::DataBuffer buffer(t.ec.buffer_bins);
+  resil::apply_decision(gov.decision(), t.ec, ec, buffer);
+  EXPECT_EQ(ec.inference_precision, nn::InferencePrecision::kInt8);
+  EXPECT_EQ(ec.sampler.max_new_tokens, 4u);  // 8 * 0.5
+  EXPECT_EQ(ec.synth_per_set, 0u);
+  EXPECT_EQ(buffer.effective_capacity(), 2u);  // 4 * 0.5
+  EXPECT_FALSE(ec.finetune_enabled);
+  // An engine built from the governed config skips its fine-tune rounds.
+  const auto engine = t.engine_for(ec);
+  engine->finetune_now();
+  EXPECT_EQ(engine->stats().finetune_skipped, 1u);
+  EXPECT_EQ(engine->stats().finetune_rounds, 0u);
 
   // Recovery all the way down restores the nominal knobs.
-  resil::apply_decision(resil::GovernorDecision{}, *t.engine, t.ec);
-  EXPECT_EQ(t.engine->config().sampler.max_new_tokens, 8u);
-  EXPECT_EQ(t.engine->config().synth_per_set, 2u);
-  EXPECT_EQ(t.engine->buffer().effective_capacity(), 4u);
-  EXPECT_TRUE(t.engine->finetune_enabled());
+  resil::apply_decision(resil::GovernorDecision{}, t.ec, ec, buffer);
+  EXPECT_EQ(ec.inference_precision, nn::InferencePrecision::kFp32);
+  EXPECT_EQ(ec.sampler.max_new_tokens, 8u);
+  EXPECT_EQ(ec.synth_per_set, 2u);
+  EXPECT_EQ(buffer.effective_capacity(), 4u);
+  EXPECT_TRUE(ec.finetune_enabled);
 }
 
 // --- Supervisor ----------------------------------------------------------

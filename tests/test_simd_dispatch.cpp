@@ -10,13 +10,10 @@
 #include <vector>
 
 #include "tensor/ops.h"
-#include "tensor/simd.h"
-#include "util/rng.h"
-
-#ifdef ODLP_INT8
 #include "tensor/qops.h"
 #include "tensor/qtensor.h"
-#endif
+#include "tensor/simd.h"
+#include "util/rng.h"
 
 namespace odlp::tensor {
 namespace {
@@ -112,7 +109,6 @@ TEST(SimdDispatch, Fp32BitIdenticalAcrossLevels) {
   }
 }
 
-#ifdef ODLP_INT8
 TEST(SimdDispatch, Int8BitIdenticalToReferenceAtEveryLevel) {
   ScopedLevel guard;
   util::Rng rng(405);
@@ -132,7 +128,6 @@ TEST(SimdDispatch, Int8BitIdenticalToReferenceAtEveryLevel) {
     }
   }
 }
-#endif
 
 TEST(SimdDispatch, BuildInfoReportsForcedLevel) {
   ScopedLevel guard;
@@ -145,7 +140,6 @@ TEST(SimdDispatch, BuildInfoReportsForcedLevel) {
     } else {
       EXPECT_STREQ(info.variant, "tiled-4x8-packed");
     }
-#ifdef ODLP_INT8
     switch (level) {
       case SimdLevel::kVnni:
         EXPECT_STREQ(info.int8_variant, "q8-4x16-dpbusd-vnni");
@@ -161,9 +155,6 @@ TEST(SimdDispatch, BuildInfoReportsForcedLevel) {
         break;
     }
     EXPECT_EQ(info.int8_block, kQuantBlock);
-#else
-    EXPECT_STREQ(info.int8_variant, "disabled");
-#endif
   }
 }
 
