@@ -121,7 +121,6 @@ bool PersonalizationEngine::process(const data::DialogueSet& set) {
   const bool admitted = ingest(set);
   if (config_.finetune_interval > 0 && stats_.seen % config_.finetune_interval == 0) {
     finetune_now();
-    if (finetune_hook_) finetune_hook_(stats_.seen);
   }
   return admitted;
 }

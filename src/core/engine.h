@@ -14,7 +14,6 @@
 // references.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -141,10 +140,6 @@ class PersonalizationEngine {
   // counted as seen, before it is annotated or stored.
   bool ingest(const data::DialogueSet& set);
 
-  // Invoked after every fine-tune round (for learning-curve recording).
-  using FinetuneHook = std::function<void(std::size_t seen_sets)>;
-  void set_finetune_hook(FinetuneHook hook) { finetune_hook_ = std::move(hook); }
-
   // Consume an entire stream.
   void run_stream(const data::DialogueStream& stream);
 
@@ -217,7 +212,6 @@ class PersonalizationEngine {
   llm::Trainer trainer_;
   EngineStats stats_;
   std::size_t last_decode_occupancy_ = 1;
-  FinetuneHook finetune_hook_;
 };
 
 }  // namespace odlp::core

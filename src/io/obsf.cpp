@@ -1,8 +1,6 @@
 #include "io/obsf.h"
 
-#include <condition_variable>
 #include <cstring>
-#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -10,7 +8,6 @@
 #include "obs/metrics.h"
 #include "util/crc32.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace odlp::io {
 
@@ -134,82 +131,10 @@ void validate_schema(const Schema& schema) {
 }
 
 // ---------------------------------------------------------------------------
-// BlockWriter
+// ObsfWriter
 
-struct BlockWriter::Sync {
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool busy = false;
-  std::exception_ptr error;
-};
-
-BlockWriter::BlockWriter(util::AtomicFileWriter& out, bool compress,
-                         bool async)
-    : out_(out), compress_(compress), async_(async), sync_(new Sync) {}
-
-BlockWriter::~BlockWriter() {
-  try {
-    drain();
-  } catch (...) {
-    // Destructor path: the error was already deferred past its submit();
-    // the owning ObsfWriter aborts the file, so losing it here is safe.
-  }
-}
-
-void BlockWriter::submit(std::uint32_t rows, std::vector<std::uint8_t> payload) {
-  {
-    std::unique_lock<std::mutex> lk(sync_->mutex);
-    sync_->cv.wait(lk, [&] { return !sync_->busy; });
-    if (sync_->error) {
-      std::exception_ptr e = sync_->error;
-      sync_->error = nullptr;
-      std::rethrow_exception(e);
-    }
-    sync_->busy = true;
-  }
-
-  util::ThreadPool& pool = util::ThreadPool::global();
-  if (async_ && pool.lanes() > 1) {
-    auto block = std::make_shared<std::vector<std::uint8_t>>(std::move(payload));
-    pool.submit([this, rows, block] {
-      try {
-        write_block(rows, *block);
-      } catch (...) {
-        std::lock_guard<std::mutex> lk(sync_->mutex);
-        sync_->error = std::current_exception();
-      }
-      // Notify under the lock: once drain() sees busy == false it may
-      // destroy this writer, so nothing here may touch it after unlocking.
-      std::lock_guard<std::mutex> lk(sync_->mutex);
-      sync_->busy = false;
-      sync_->cv.notify_all();
-    });
-    return;
-  }
-
-  try {
-    write_block(rows, payload);
-  } catch (...) {
-    std::lock_guard<std::mutex> lk(sync_->mutex);
-    sync_->busy = false;
-    throw;
-  }
-  std::lock_guard<std::mutex> lk(sync_->mutex);
-  sync_->busy = false;
-}
-
-void BlockWriter::drain() {
-  std::unique_lock<std::mutex> lk(sync_->mutex);
-  sync_->cv.wait(lk, [&] { return !sync_->busy; });
-  if (sync_->error) {
-    std::exception_ptr e = sync_->error;
-    sync_->error = nullptr;
-    std::rethrow_exception(e);
-  }
-}
-
-void BlockWriter::write_block(std::uint32_t rows,
-                              const std::vector<std::uint8_t>& raw) {
+void ObsfWriter::write_block(std::uint32_t rows,
+                             const std::vector<std::uint8_t>& raw) {
   util::Stopwatch sw;
   const std::uint32_t raw_len = static_cast<std::uint32_t>(raw.size());
 
@@ -222,7 +147,7 @@ void BlockWriter::write_block(std::uint32_t rows,
   const std::uint8_t* payload = raw.data();
   std::uint32_t stored_len = raw_len;
   std::uint8_t codec = 0;
-  if (compress_ && raw_len > 0) {
+  if (raw_len > 0) {
     // Re-frame the plain columnar payload (varint len + bytes per column)
     // into independently compressed per-column runs, so readers can skip
     // decompressing columns a projected scan never touches.
@@ -265,13 +190,13 @@ void BlockWriter::write_block(std::uint32_t rows,
   crc.update(payload, stored_len);
   const std::uint32_t crc_value = crc.value();
 
-  out_.write_pod(kBlockMagic);
-  out_.write_pod(rows);
-  out_.write_pod(raw_len);
-  out_.write_pod(stored_len);
-  out_.write_pod(codec);
-  out_.write(payload, stored_len);
-  out_.write_pod(crc_value);
+  out_->write_pod(kBlockMagic);
+  out_->write_pod(rows);
+  out_->write_pod(raw_len);
+  out_->write_pod(stored_len);
+  out_->write_pod(codec);
+  out_->write(payload, stored_len);
+  out_->write_pod(crc_value);
 
   ++blocks_;
   raw_bytes_ += raw_len;
@@ -283,9 +208,6 @@ void BlockWriter::write_block(std::uint32_t rows,
   m.bytes_compressed.inc(stored_len);
   m.flush_us.record(sw.elapsed_seconds() * 1e6);
 }
-
-// ---------------------------------------------------------------------------
-// ObsfWriter
 
 struct ObsfWriter::ColumnBuffer {
   std::vector<std::string> bytes;
@@ -342,7 +264,7 @@ ObsfWriter::ObsfWriter(std::string path, Schema schema, Options options)
   out_ = std::make_unique<util::AtomicFileWriter>(path_);
   out_->write_pod(kObsfMagic);
   out_->write_pod(kObsfVersion);
-  const std::uint32_t flags = options_.compress ? 1u : 0u;
+  const std::uint32_t flags = 1;  // blocks carry per-column LZ4 frames
   out_->write_pod(flags);
   out_->write_pod(static_cast<std::uint32_t>(schema_.columns.size()));
   out_->write_pod(static_cast<std::uint32_t>(schema_.meta.size()));
@@ -354,17 +276,9 @@ ObsfWriter::ObsfWriter(std::string path, Schema schema, Options options)
     out_->write(c.name.data(), c.name.size());
   }
   out_->write_pod(out_->crc());
-
-  block_writer_ =
-      std::make_unique<BlockWriter>(*out_, options_.compress, options_.async);
 }
 
-ObsfWriter::~ObsfWriter() {
-  // Tear down the block writer (draining any in-flight block) before the
-  // AtomicFileWriter it writes into; an unfinished writer then aborts.
-  block_writer_.reset();
-  out_.reset();
-}
+ObsfWriter::~ObsfWriter() = default;
 
 #define ODLP_OBSF_APPEND(fn, member, ctype, want)                            \
   void ObsfWriter::fn(ctype v) {                                             \
@@ -412,8 +326,7 @@ void ObsfWriter::flush_block() {
   if (payload.size() > kMaxRawBytes) {
     throw std::runtime_error("obsf: block payload exceeds 1 GiB cap");
   }
-  block_writer_->submit(static_cast<std::uint32_t>(rows_in_block_),
-                        std::move(payload));
+  write_block(static_cast<std::uint32_t>(rows_in_block_), payload);
   rows_in_block_ = 0;
 }
 
@@ -423,15 +336,13 @@ ObsfWriter::Stats ObsfWriter::finish() {
   flush_block();
   // Terminal sentinel: rows == 0 marks clean end-of-stream so truncation at
   // a block boundary is detectable.
-  block_writer_->submit(0, {});
-  block_writer_->drain();
+  write_block(0, {});
 
   Stats stats;
   stats.rows = total_rows_;
-  stats.blocks = block_writer_->blocks() - 1;  // exclude the sentinel
-  stats.raw_bytes = block_writer_->raw_bytes();
-  stats.stored_bytes = block_writer_->stored_bytes();
-  block_writer_.reset();
+  stats.blocks = blocks_ - 1;  // exclude the sentinel
+  stats.raw_bytes = raw_bytes_;
+  stats.stored_bytes = stored_bytes_;
   stats.file_bytes = out_->bytes_written();
   out_->commit();
   out_.reset();

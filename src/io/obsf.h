@@ -34,11 +34,9 @@
 // per-block CRCs + sentinel make *reads* of a later-corrupted file fail
 // typed (strict mode) or recover to the last intact block (recover mode).
 //
-// Writes go through BlockWriter, an async double buffer: submit() hands a
-// filled block to a ThreadPool lane which compresses and writes it while
-// the caller encodes block N+1. At most one block is in flight, so the
-// underlying AtomicFileWriter never sees concurrent writes and file order
-// equals submit order — byte-identical output regardless of lane count.
+// Writes are synchronous: each block is encoded, framed and written on the
+// caller's thread as soon as it fills, so file order equals append order by
+// construction and the bytes never depend on the lane count.
 #pragma once
 
 #include <cstddef>
@@ -91,54 +89,12 @@ struct Schema {
 // std::invalid_argument on an illegal spec.
 void validate_schema(const Schema& schema);
 
-// Async double-buffered block sink over an AtomicFileWriter. Not
-// thread-safe for concurrent submit(); designed for one producer.
-class BlockWriter {
- public:
-  // `compress` enables LZ4 (per block, raw fallback when it doesn't help);
-  // `async` offloads compression+write to the global ThreadPool when it has
-  // spare lanes (a 1-lane pool always runs inline).
-  BlockWriter(util::AtomicFileWriter& out, bool compress, bool async);
-  ~BlockWriter();
-
-  BlockWriter(const BlockWriter&) = delete;
-  BlockWriter& operator=(const BlockWriter&) = delete;
-
-  // Queues one block (ownership of `payload` transfers). Blocks until the
-  // previously submitted block has been written, so at most one block is in
-  // flight; rethrows any error the in-flight write produced.
-  void submit(std::uint32_t rows, std::vector<std::uint8_t> payload);
-
-  // Waits for the in-flight block and rethrows its error if any. Must be
-  // called before footer/commit on the underlying writer.
-  void drain();
-
-  std::uint64_t blocks() const { return blocks_; }
-  std::uint64_t raw_bytes() const { return raw_bytes_; }
-  std::uint64_t stored_bytes() const { return stored_bytes_; }
-
- private:
-  struct Sync;
-
-  void write_block(std::uint32_t rows, const std::vector<std::uint8_t>& raw);
-
-  util::AtomicFileWriter& out_;
-  bool compress_;
-  bool async_;
-  std::unique_ptr<Sync> sync_;
-  std::uint64_t blocks_ = 0;
-  std::uint64_t raw_bytes_ = 0;
-  std::uint64_t stored_bytes_ = 0;
-};
-
 // Columnar writer: append one value per schema column, end_row(), repeat;
 // finish() flushes the tail block, writes the sentinel, and commits.
 class ObsfWriter {
  public:
   struct Options {
     std::size_t block_rows = 4096;  // rows per block before a flush
-    bool compress = true;
-    bool async = true;
   };
 
   struct Stats {
@@ -181,16 +137,21 @@ class ObsfWriter {
 
  private:
   void flush_block();
+  // Frames one encoded block (per-column LZ4 when it has rows), CRC-foots
+  // it and writes it to out_.
+  void write_block(std::uint32_t rows, const std::vector<std::uint8_t>& raw);
 
   std::string path_;
   Schema schema_;
   Options options_;
   std::unique_ptr<util::AtomicFileWriter> out_;
-  std::unique_ptr<BlockWriter> block_writer_;
   std::vector<ColumnBuffer> columns_;
   std::size_t next_col_ = 0;
   std::size_t rows_in_block_ = 0;
   std::uint64_t total_rows_ = 0;
+  std::uint64_t blocks_ = 0;  // sentinel included
+  std::uint64_t raw_bytes_ = 0;
+  std::uint64_t stored_bytes_ = 0;
   bool finished_ = false;
 };
 

@@ -78,18 +78,8 @@ void MiniLlm::backward(const tensor::Tensor& dlogits) {
 
 tensor::Tensor& MiniLlm::forward_incremental(int token, std::size_t position,
                                              std::vector<nn::KvCache>& caches) {
-  assert(caches.size() == blocks_.size());
-  assert(position < config_.max_seq_len);
-  ws_.reset();
-  tensor::Tensor& emb = ws_.acquire(1, config_.dim);
-  tok_emb_.forward_into({token}, emb);
-  pos_emb_.forward_into({static_cast<int>(position)}, emb, /*accumulate=*/true);
-  const tensor::Tensor* x = &emb;
-  for (std::size_t l = 0; l < blocks_.size(); ++l) {
-    x = &blocks_[l]->forward_incremental_ws(*x, caches[l], ws_);
-  }
-  return lm_head_.forward_ws(final_ln_.forward_ws(*x, ws_), /*training=*/false,
-                             ws_);
+  return forward_incremental_batch({token}, {static_cast<int>(position)},
+                                   {&caches});
 }
 
 tensor::Tensor& MiniLlm::forward_incremental_batch(

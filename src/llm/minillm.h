@@ -63,7 +63,8 @@ class MiniLlm {
   // KV-cached incremental decode of one token at `position` (0-based).
   // `caches` must hold one KvCache per block (see DecodeSession, which
   // manages them). Returns the token's logits [1, vocab] as a workspace
-  // reference with the same lifetime rules as forward_shared. Inference only.
+  // reference with the same lifetime rules as forward_shared. Inference only;
+  // the width-1 case of forward_incremental_batch.
   tensor::Tensor& forward_incremental(int token, std::size_t position,
                                       std::vector<nn::KvCache>& caches);
 

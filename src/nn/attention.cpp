@@ -88,12 +88,6 @@ tensor::Tensor MultiHeadSelfAttention::forward(const tensor::Tensor& x,
   return forward_ws(x, training, tensor::Workspace::enter(nullptr));
 }
 
-tensor::Tensor& MultiHeadSelfAttention::forward_incremental_ws(
-    const tensor::Tensor& x_t, KvCache& cache, tensor::Workspace& ws) {
-  KvCache* one[1] = {&cache};
-  return forward_incremental_batch_ws(x_t, one, 1, ws);
-}
-
 tensor::Tensor& MultiHeadSelfAttention::forward_incremental_batch_ws(
     const tensor::Tensor& x, KvCache* const* caches, std::size_t n,
     tensor::Workspace& ws, const LoraOverlaySet* const* overlays,
@@ -175,11 +169,6 @@ tensor::Tensor& MultiHeadSelfAttention::forward_incremental_batch_ws(
     o_proj_.apply_lora_rows_ws(concat, out, overlays, n, site_base + 3, ws);
   }
   return out;
-}
-
-tensor::Tensor MultiHeadSelfAttention::forward_incremental(
-    const tensor::Tensor& x_t, KvCache& cache) {
-  return forward_incremental_ws(x_t, cache, tensor::Workspace::enter(nullptr));
 }
 
 tensor::Tensor& MultiHeadSelfAttention::backward_ws(const tensor::Tensor& dout,

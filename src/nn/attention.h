@@ -34,25 +34,16 @@ class MultiHeadSelfAttention {
   tensor::Tensor forward(const tensor::Tensor& x, bool training);
   tensor::Tensor backward(const tensor::Tensor& dout);
 
-  // Incremental decode step: processes one new token's hidden state x_t
-  // [1, dim] against the cached keys/values, appends this position to the
-  // cache, and returns the attention output [1, dim] in a `ws` slot.
-  // Inference only (no backward); numerically equivalent to the matching
-  // row of forward(). Precondition: !cache.full(). Implemented as the n=1
-  // case of the batched step below.
-  tensor::Tensor& forward_incremental_ws(const tensor::Tensor& x_t,
-                                         KvCache& cache, tensor::Workspace& ws);
-  tensor::Tensor forward_incremental(const tensor::Tensor& x_t, KvCache& cache);
-
   // Batched incremental decode over `n` independent sessions: row b of x
   // [n, dim] holds the new token's hidden state for the session whose cache
   // is caches[b]; each row's keys/values are appended at that session's own
   // cache position (ragged lengths are fine — sessions advance
   // independently). Returns the attention outputs [n, dim] in a `ws` slot.
-  // The q/k/v/o projections run as shared GEMMs at m=n; the per-session
-  // attention mix is the same scalar loop as the single-session path, so row
-  // b is bit-identical to a lone forward_incremental_ws on session b at any
-  // batch size (DESIGN.md §12). Preconditions: n > 0, x.rows() == n,
+  // Inference only (no backward); numerically equivalent to the matching
+  // rows of forward(). The q/k/v/o projections run as shared GEMMs at m=n;
+  // the attention mix is a per-session scalar loop, so row b is
+  // bit-identical to a width-1 call on session b alone at any batch size
+  // (DESIGN.md §12). Preconditions: n > 0, x.rows() == n,
   // !caches[b]->full() for every b.
   //
   // `overlays` (optional, length n) carries per-row LoRA snapshots for

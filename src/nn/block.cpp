@@ -28,12 +28,6 @@ tensor::Tensor TransformerBlock::forward(const tensor::Tensor& x, bool training)
   return forward_ws(x, training, tensor::Workspace::enter(nullptr));
 }
 
-tensor::Tensor& TransformerBlock::forward_incremental_ws(
-    const tensor::Tensor& x_t, KvCache& cache, tensor::Workspace& ws) {
-  KvCache* one[1] = {&cache};
-  return forward_incremental_batch_ws(x_t, one, 1, ws);
-}
-
 tensor::Tensor& TransformerBlock::forward_incremental_batch_ws(
     const tensor::Tensor& x, KvCache* const* caches, std::size_t n,
     tensor::Workspace& ws, const LoraOverlaySet* const* overlays,
@@ -47,11 +41,6 @@ tensor::Tensor& TransformerBlock::forward_incremental_batch_ws(
   tensor::Tensor& out = ws.acquire(x.rows(), x.cols());
   tensor::add_into(h, f, out);
   return out;
-}
-
-tensor::Tensor TransformerBlock::forward_incremental(const tensor::Tensor& x_t,
-                                                     KvCache& cache) {
-  return forward_incremental_ws(x_t, cache, tensor::Workspace::enter(nullptr));
 }
 
 tensor::Tensor& TransformerBlock::backward_ws(const tensor::Tensor& dout,

@@ -28,17 +28,11 @@ class TransformerBlock {
   tensor::Tensor forward(const tensor::Tensor& x, bool training);
   tensor::Tensor backward(const tensor::Tensor& dout);
 
-  // Incremental decode step for one token's hidden state [1, dim] using the
-  // layer's KV cache. Inference only; see MultiHeadSelfAttention.
-  // Implemented as the n=1 case of the batched step below.
-  tensor::Tensor& forward_incremental_ws(const tensor::Tensor& x_t,
-                                         KvCache& cache, tensor::Workspace& ws);
-  tensor::Tensor forward_incremental(const tensor::Tensor& x_t, KvCache& cache);
-
   // Batched incremental decode: row b of x [n, dim] advances the session
-  // whose layer cache is caches[b]. Norms/FFN are row-wise and attention is
-  // per-session, so row b is bit-identical to a lone forward_incremental_ws
-  // on session b (see MultiHeadSelfAttention::forward_incremental_batch_ws).
+  // whose layer cache is caches[b]. Inference only. Norms/FFN are row-wise
+  // and attention is per-session, so row b is bit-identical to a width-1
+  // call on session b alone (see
+  // MultiHeadSelfAttention::forward_incremental_batch_ws).
   // `overlays`/`site_base` forward per-row LoRA snapshots to the attention
   // projections — this block's sites are site_base + {0..3} (q/k/v/o); the
   // FFN has no LoRA sites.

@@ -6,13 +6,10 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
-#include <deque>
 #include <exception>
 #include <mutex>
 #include <string>
 #include <thread>
-
-#include "util/log.h"
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -80,25 +77,6 @@ struct ThreadPool::Impl {
   std::size_t workers_in_job = 0;
   bool stop = false;
   std::vector<std::thread> workers;
-  // Detached one-shot tasks (submit()). Workers drain this queue whenever
-  // they are not claiming region chunks; resize()/~ThreadPool drain any
-  // leftovers inline after joining, so every task runs exactly once.
-  std::deque<std::function<void()>> tasks;
-
-  // Runs one detached task with nested parallel regions inlined and
-  // exceptions contained (submit()'s contract is fire-and-forget).
-  static void run_task(std::function<void()>& task) {
-    const bool was_inside = tl_inside_region;
-    tl_inside_region = true;
-    try {
-      task();
-    } catch (const std::exception& e) {
-      log_warn(std::string("thread_pool: async task threw: ") + e.what());
-    } catch (...) {
-      log_warn("thread_pool: async task threw a non-std exception");
-    }
-    tl_inside_region = was_inside;
-  }
 
   // Claims and runs chunks of `job` until exhausted. `lane` identifies the
   // executing lane for slotted bodies.
@@ -135,17 +113,8 @@ struct ThreadPool::Impl {
     std::uint64_t seen = 0;
     std::unique_lock<std::mutex> lk(mutex);
     while (true) {
-      wake.wait(lk,
-                [&] { return stop || job_seq != seen || !tasks.empty(); });
-      if (stop) return;  // leftover tasks drain inline in resize()/dtor
-      if (!tasks.empty()) {
-        std::function<void()> task = std::move(tasks.front());
-        tasks.pop_front();
-        lk.unlock();
-        run_task(task);
-        lk.lock();
-        continue;
-      }
+      wake.wait(lk, [&] { return stop || job_seq != seen; });
+      if (stop) return;
       seen = job_seq;
       Job* j = job;
       if (!j) continue;  // region already retired before this lane woke
@@ -158,9 +127,6 @@ struct ThreadPool::Impl {
     }
   }
 
-  // Joins every worker, then runs any still-queued detached tasks on the
-  // calling thread so submitters waiting on task-side completion signals
-  // are never stranded.
   void shutdown_workers() {
     {
       std::lock_guard<std::mutex> lk(mutex);
@@ -169,12 +135,6 @@ struct ThreadPool::Impl {
     wake.notify_all();
     for (auto& t : workers) t.join();
     workers.clear();
-    std::deque<std::function<void()>> leftovers;
-    {
-      std::lock_guard<std::mutex> lk(mutex);
-      leftovers.swap(tasks);
-    }
-    for (auto& task : leftovers) run_task(task);
   }
 };
 
@@ -290,19 +250,6 @@ void ThreadPool::parallel_for_slotted(
     std::size_t begin, std::size_t end, std::size_t grain,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& chunk) {
   run_region(begin, end, grain, chunk);
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  if (lanes_ == 1) {
-    // No workers: a 1-lane pool is exactly the serial code path.
-    Impl::run_task(task);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lk(impl_->mutex);
-    impl_->tasks.push_back(std::move(task));
-  }
-  impl_->wake.notify_one();
 }
 
 }  // namespace odlp::util

@@ -11,6 +11,8 @@
 //      parallel_for is one mutex round-trip + atomic chunk claiming, cheap
 //      enough for per-sequence kernels. The calling thread always
 //      participates, so a 1-lane pool is exactly the serial code path.
+//      The pool runs regions only (parallel_for, parallel_for_slotted,
+//      reduce_ordered): no work outlives the call that opened it.
 //   3. Graceful degradation. Nested parallel_for calls (a parallel region
 //      invoked from inside a worker) execute inline on the calling lane,
 //      never deadlock. Exceptions thrown by chunk bodies are captured and
@@ -65,18 +67,6 @@ class ThreadPool {
   void parallel_for_slotted(
       std::size_t begin, std::size_t end, std::size_t grain,
       const std::function<void(std::size_t, std::size_t, std::size_t)>& chunk);
-
-  // Fire-and-forget asynchronous task on an idle worker lane — the io
-  // BlockWriter uses this to compress and flush block N while the caller
-  // fills block N+1. The task must not throw (exceptions are caught and
-  // logged; completion signalling is the submitter's job — e.g. a cv the
-  // task notifies). Tasks run with nested parallel regions inlined, so a
-  // task may itself call parallel_for without deadlocking. On a 1-lane pool
-  // submit() executes the task inline before returning, preserving the
-  // "1-lane pool == serial code path" contract. resize() and the destructor
-  // drain queued tasks on the calling thread before the pool goes down, so
-  // a submitted task always runs exactly once.
-  void submit(std::function<void()> task);
 
   // Deterministic ordered reduction: maps each chunk of [begin, end) to a
   // partial value, then combines the partials sequentially in ascending

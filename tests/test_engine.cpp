@@ -129,16 +129,18 @@ TEST(Engine, FinetuneIntervalTriggersRounds) {
   EXPECT_EQ(fx.engine->stats().finetune_rounds, 2u);  // at 3 and 6
 }
 
-TEST(Engine, FinetuneHookReportsSeenCount) {
+TEST(Engine, FinetuneRoundsFollowSeenCount) {
   EngineConfig ec = fast_config();
   ec.finetune_interval = 2;
   EngineFixture fx(ec);
-  std::vector<std::size_t> seen_at;
-  fx.engine->set_finetune_hook([&](std::size_t seen) { seen_at.push_back(seen); });
+  std::vector<std::size_t> rounds_after;
   util::Rng rng(7);
   data::Generator gen(data::meddialog_profile(), fx.oracle, rng.split());
-  for (int i = 0; i < 5; ++i) fx.engine->process(gen.make_informative(0, i % 2));
-  EXPECT_EQ(seen_at, (std::vector<std::size_t>{2, 4}));
+  for (int i = 0; i < 5; ++i) {
+    fx.engine->process(gen.make_informative(0, i % 2));
+    rounds_after.push_back(fx.engine->stats().finetune_rounds);
+  }
+  EXPECT_EQ(rounds_after, (std::vector<std::size_t>{0, 1, 1, 2, 2}));
 }
 
 TEST(Engine, SynthesisAugmentsFinetuning) {

@@ -2,7 +2,6 @@
 // (DESIGN.md §14). Own binary with the "io" ctest label.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -193,36 +192,6 @@ TEST(Crc32, SeedChainingStillComposes) {
   EXPECT_EQ(acc.value(), whole);
 }
 
-// --- ThreadPool::submit ---
-
-TEST(ThreadPoolSubmit, TasksRunExactlyOnceAcrossLaneCounts) {
-  for (std::size_t lanes : {1u, 2u, 4u}) {
-    util::ThreadPool pool(lanes);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 64; ++i) {
-      pool.submit([&ran] { ran.fetch_add(1); });
-    }
-    // Destructor / resize drains anything still queued.
-    pool.resize(lanes);
-    EXPECT_EQ(ran.load(), 64) << "lanes=" << lanes;
-  }
-}
-
-TEST(ThreadPoolSubmit, TaskMayUseParallelForWithoutDeadlock) {
-  util::ThreadPool pool(4);
-  std::atomic<std::size_t> sum{0};
-  std::atomic<bool> done{false};
-  pool.submit([&] {
-    pool.parallel_for(0, 100, 10, [&](std::size_t b, std::size_t e) {
-      sum.fetch_add(e - b);
-    });
-    done.store(true);
-  });
-  pool.resize(4);  // drains the task
-  EXPECT_TRUE(done.load());
-  EXPECT_EQ(sum.load(), 100u);
-}
-
 // --- OBSF container ---
 
 io::Schema all_types_schema() {
@@ -245,10 +214,9 @@ io::Schema all_types_schema() {
 }
 
 void write_all_types(const std::string& path, std::size_t rows,
-                     std::size_t block_rows, bool async) {
+                     std::size_t block_rows) {
   io::ObsfWriter::Options opts;
   opts.block_rows = block_rows;
-  opts.async = async;
   io::ObsfWriter w(path, all_types_schema(), opts);
   for (std::size_t i = 0; i < rows; ++i) {
     w.append_bytes("value-" + std::to_string(i * 7));
@@ -294,19 +262,23 @@ void expect_all_types(const std::string& path, std::size_t rows) {
 
 TEST(Obsf, AllTypesAndCodecsRoundTrip) {
   const std::string path = temp_path("odlp_obsf_all.obsf");
-  write_all_types(path, 503, /*block_rows=*/64, /*async=*/true);
+  write_all_types(path, 503, /*block_rows=*/64);
   expect_all_types(path, 503);
   std::remove(path.c_str());
 }
 
-TEST(Obsf, SyncAndAsyncWritersProduceIdenticalBytes) {
-  const std::string pa = temp_path("odlp_obsf_async.obsf");
-  const std::string ps = temp_path("odlp_obsf_sync.obsf");
-  write_all_types(pa, 257, 32, /*async=*/true);
-  write_all_types(ps, 257, 32, /*async=*/false);
-  EXPECT_EQ(slurp(pa), slurp(ps));
-  std::remove(pa.c_str());
-  std::remove(ps.c_str());
+// Pins the on-disk bytes: header, per-column LZ4 framing, block CRCs and
+// sentinel. Any change to what the writer emits moves this digest.
+TEST(Obsf, WriterBytesMatchGoldenDigest) {
+  constexpr std::uint32_t kGoldenCrc = 0xb1a490d9u;
+  constexpr std::size_t kGoldenBytes = 6707;
+  const std::string path = temp_path("odlp_obsf_golden.obsf");
+  write_all_types(path, 257, /*block_rows=*/32);
+  const std::vector<unsigned char> bytes = slurp(path);
+  EXPECT_EQ(bytes.size(), kGoldenBytes);
+  EXPECT_EQ(util::crc32(bytes.data(), bytes.size()), kGoldenCrc)
+      << std::hex << "actual 0x" << util::crc32(bytes.data(), bytes.size());
+  std::remove(path.c_str());
 }
 
 TEST(Obsf, EmptyFileRoundTrips) {
@@ -366,7 +338,7 @@ TEST(Obsf, AppendOutOfSchemaOrderThrows) {
 // CorruptionError — never crash, never return wrong data.
 TEST(ObsfFaultMatrix, TruncationAtEveryByteThrows) {
   const std::string path = temp_path("odlp_obsf_trunc.obsf");
-  write_all_types(path, 90, /*block_rows=*/16, /*async=*/false);
+  write_all_types(path, 90, /*block_rows=*/16);
   const std::vector<unsigned char> bytes = slurp(path);
   const std::string cut = temp_path("odlp_obsf_trunc_cut.obsf");
   for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
@@ -386,7 +358,7 @@ TEST(ObsfFaultMatrix, TruncationAtEveryByteThrows) {
 
 TEST(ObsfFaultMatrix, BitFlipAnywhereThrows) {
   const std::string path = temp_path("odlp_obsf_flip.obsf");
-  write_all_types(path, 60, /*block_rows=*/16, /*async=*/false);
+  write_all_types(path, 60, /*block_rows=*/16);
   const std::vector<unsigned char> bytes = slurp(path);
   const std::string flip = temp_path("odlp_obsf_flip_mut.obsf");
   std::mt19937 rng(4242);
@@ -412,7 +384,7 @@ TEST(ObsfFaultMatrix, BitFlipAnywhereThrows) {
 
 TEST(ObsfFaultMatrix, TrailingGarbageAfterSentinelThrows) {
   const std::string path = temp_path("odlp_obsf_tail.obsf");
-  write_all_types(path, 20, 16, false);
+  write_all_types(path, 20, /*block_rows=*/16);
   std::vector<unsigned char> bytes = slurp(path);
   bytes.push_back(0xAB);
   spit(path, bytes);
@@ -428,7 +400,7 @@ TEST(ObsfFaultMatrix, TrailingGarbageAfterSentinelThrows) {
 
 TEST(ObsfFaultMatrix, RecoverModeKeepsIntactPrefix) {
   const std::string path = temp_path("odlp_obsf_recover.obsf");
-  write_all_types(path, 100, /*block_rows=*/20, /*async=*/false);
+  write_all_types(path, 100, /*block_rows=*/20);
   const std::vector<unsigned char> bytes = slurp(path);
 
   // Torn final data block: cut into the middle of the file body.
@@ -581,6 +553,33 @@ TEST(BufferV3, RecoverWalksBackToLastIntactBlock) {
     EXPECT_EQ(rec.buffer.entry(i).set.question, "q" + std::to_string(i));
   }
   std::remove(path.c_str());
+}
+
+// Every lane of a pool region checkpoints at once (the fleet's per-user
+// chunks do this). Writes run on the caller's thread, so no save waits on
+// a lane that is itself busy inside the region.
+TEST(BufferV3, SaveFromEveryLaneOfARegionCompletes) {
+  util::ThreadPool& pool = util::ThreadPool::global();
+  const std::size_t saved_lanes = pool.lanes();
+  pool.resize(4);
+  constexpr std::size_t kChunks = 4;
+  std::vector<std::string> paths;
+  for (std::size_t c = 0; c < kChunks; ++c) {
+    paths.push_back(temp_path("odlp_buffer_lane" + std::to_string(c) + ".bin"));
+  }
+  pool.parallel_for_slotted(
+      0, kChunks, 1, [&](std::size_t b, std::size_t, std::size_t) {
+        core::DataBuffer buf(8);
+        for (std::size_t i = 0; i < b; ++i) buf.add(make_entry(i));
+        core::save_buffer(buf, paths[b]);
+      });
+  pool.resize(saved_lanes);
+  for (std::size_t c = 0; c < kChunks; ++c) {
+    const core::DataBuffer loaded = core::load_buffer(paths[c]);
+    EXPECT_EQ(loaded.capacity(), 8u);
+    EXPECT_EQ(loaded.size(), c);
+    std::remove(paths[c].c_str());
+  }
 }
 
 // --- obs binary sinks ---

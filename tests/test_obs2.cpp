@@ -261,13 +261,12 @@ TEST(JournalRoundTrip, ZeroTimeDeltaYieldsZeroRate) {
 
 // --- journal: truncation / bit-flip fault matrix ---
 
-// Six snapshots, five samples each, tiny sync blocks so truncation cuts
-// inside snapshots and inside blocks.
+// Six snapshots, five samples each, tiny blocks so truncation cuts inside
+// snapshots and inside blocks.
 std::string write_fault_journal(const std::string& name) {
   const std::string path = temp_path(name);
   io::ObsfWriter::Options wo;
   wo.block_rows = 4;
-  wo.async = false;
   obs::MetricsSnapshot s = synthetic_snapshot();
   obs::MetricSample extra;
   extra.kind = obs::MetricSample::Kind::kCounter;
