@@ -126,9 +126,12 @@ bool PersonalizationEngine::process(const data::DialogueSet& set) {
 }
 
 bool PersonalizationEngine::ingest(const data::DialogueSet& set) {
-  // Chaos-harness fault boundary: fires before any stats/buffer mutation so
-  // an aborted-and-retried call cannot double-count the set.
+  // Chaos-harness fault boundary: both injected faults fire before any
+  // stats/policy/buffer mutation, so an aborted-and-retried call counts and
+  // offers the set once. The "buffer" allocation stands for the bin a set
+  // may need in the buffer.
   util::fault::on_task("engine.process");
+  util::fault::on_alloc("buffer", devicesim::paper_bin_spec().bytes());
   ODLP_TRACE_SCOPE("engine.process");
   static obs::Counter& c_seen = obs::registry().counter("engine.seen.sets");
   static obs::Counter& c_quarantine =
@@ -183,9 +186,6 @@ bool PersonalizationEngine::ingest(const data::DialogueSet& set) {
 
   bool admitted = false;
   if (decision.admit) {
-    // Injected allocation failures target the buffer insert; firing before
-    // annotation keeps the oracle's state untouched on an aborted call.
-    util::fault::on_alloc("buffer", devicesim::paper_bin_spec().bytes());
     BufferEntry entry;
     entry.set = set;
     // Ask the user for the preferred response and replace the LLM-generated

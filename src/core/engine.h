@@ -135,9 +135,8 @@ class PersonalizationEngine {
 
   // score → policy → (annotate + store), without the interval fine-tune.
   // Returns true if the set was admitted. An injected "engine.process" task
-  // fault fires before anything is counted, so a retried call sees the set
-  // once; an injected "buffer" allocation fault fires after the set was
-  // counted as seen, before it is annotated or stored.
+  // fault and an injected "buffer" allocation fault both fire before
+  // anything is counted or offered, so a retried call sees the set once.
   bool ingest(const data::DialogueSet& set);
 
   // Consume an entire stream.

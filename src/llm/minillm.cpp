@@ -1,5 +1,6 @@
 #include "llm/minillm.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <stdexcept>
@@ -40,24 +41,52 @@ MiniLlm::MiniLlm(const ModelConfig& config, std::uint64_t seed)
   }
 }
 
+HeadSpan supervised_head_span(const std::vector<int>& targets,
+                              int ignore_index) {
+  const std::size_t T = targets.size();
+  HeadSpan span{T, 0};
+  for (std::size_t t = 0; t < T; ++t) {
+    if (targets[t] == ignore_index) continue;
+    span.begin = std::min(span.begin, t);
+    span.end = t + 1;
+  }
+  if (span.end == 0) return HeadSpan{0, 0};
+  // tensor::gemm runs the tiled kernel from 4 rows (kMR) up.
+  constexpr std::size_t kMinRows = 4;
+  if (T <= kMinRows) return HeadSpan{0, T};
+  span.end = std::max(span.end, std::min(T, span.begin + kMinRows));
+  span.begin = std::min(span.begin, span.end - kMinRows);
+  return span;
+}
+
 tensor::Tensor& MiniLlm::forward_shared(const std::vector<int>& ids,
-                                        bool training) {
+                                        bool training, HeadSpan head) {
   assert(!ids.empty());
   ws_.reset();
   std::vector<int> clipped = ids;
   if (clipped.size() > config_.max_seq_len) clipped.resize(config_.max_seq_len);
   cached_ids_ = clipped;
+  const std::size_t T = clipped.size();
+  head_span_ = HeadSpan{std::min(head.begin, T), std::min(head.end, T)};
+  assert(head_span_.begin <= head_span_.end);
 
-  std::vector<int> positions(clipped.size());
-  for (std::size_t t = 0; t < clipped.size(); ++t) positions[t] = static_cast<int>(t);
+  std::vector<int> positions(T);
+  for (std::size_t t = 0; t < T; ++t) positions[t] = static_cast<int>(t);
 
-  tensor::Tensor& emb = ws_.acquire(clipped.size(), config_.dim);
+  tensor::Tensor& emb = ws_.acquire(T, config_.dim);
   tok_emb_.forward_into(clipped, emb, /*accumulate=*/false, training);
   pos_emb_.forward_into(positions, emb, /*accumulate=*/true, training);
   const tensor::Tensor* x = &emb;
   for (auto& block : blocks_) x = &block->forward_ws(*x, training, ws_);
   cached_final_hidden_ = final_ln_.forward_ws(*x, ws_);
-  return lm_head_.forward_ws(cached_final_hidden_, training, ws_);
+
+  const std::size_t rows = head_span_.end - head_span_.begin;
+  if (rows == T) return lm_head_.forward_ws(cached_final_hidden_, training, ws_);
+  if (rows == 0) return ws_.acquire(0, config_.vocab_size);
+  tensor::Tensor& head_in = ws_.acquire(rows, config_.dim);
+  std::copy(cached_final_hidden_.row(head_span_.begin),
+            cached_final_hidden_.row(head_span_.end), head_in.data());
+  return lm_head_.forward_ws(head_in, training, ws_);
 }
 
 tensor::Tensor MiniLlm::forward(const std::vector<int>& ids, bool training) {
@@ -65,10 +94,23 @@ tensor::Tensor MiniLlm::forward(const std::vector<int>& ids, bool training) {
 }
 
 void MiniLlm::backward(const tensor::Tensor& dlogits) {
-  assert(dlogits.rows() == cached_ids_.size());
+  const std::size_t T = cached_ids_.size();
+  const std::size_t rows = head_span_.end - head_span_.begin;
+  assert(dlogits.rows() == rows);
   ws_.reset();
-  tensor::Tensor& dhidden = lm_head_.backward_ws(dlogits, ws_);
-  const tensor::Tensor* dx = &final_ln_.backward_ws(dhidden, ws_);
+  tensor::Tensor* dhidden;
+  if (rows == T) {
+    dhidden = &lm_head_.backward_ws(dlogits, ws_);
+  } else {
+    dhidden = &ws_.acquire(T, config_.dim);
+    dhidden->zero();
+    if (rows > 0) {
+      const tensor::Tensor& dhead = lm_head_.backward_ws(dlogits, ws_);
+      std::copy(dhead.data(), dhead.data() + dhead.size(),
+                dhidden->row(head_span_.begin));
+    }
+  }
+  const tensor::Tensor* dx = &final_ln_.backward_ws(*dhidden, ws_);
   for (std::size_t l = blocks_.size(); l-- > 0;) {
     dx = &blocks_[l]->backward_ws(*dx, ws_);
   }
@@ -114,7 +156,7 @@ tensor::Tensor& MiniLlm::forward_incremental_batch(
 }
 
 tensor::Tensor MiniLlm::hidden_states(const std::vector<int>& ids) {
-  forward(ids, /*training=*/false);
+  forward_shared(ids, /*training=*/false, HeadSpan{0, 0});
   return cached_final_hidden_;
 }
 

@@ -41,6 +41,23 @@ struct ModelConfig {
   double forward_flops(std::size_t seq_len) const;
 };
 
+// Rows [begin, end) of a sequence that the LM head runs on; `end` is
+// clipped to the sequence length, so the default covers every row.
+struct HeadSpan {
+  std::size_t begin = 0;
+  std::size_t end = static_cast<std::size_t>(-1);
+};
+
+// The head span a training step needs for next-token `targets` (one per
+// row): the rows from the first to the last supervised target (!=
+// ignore_index), widened to at least 4 rows (all rows when there are fewer
+// than 4), or empty when no row is supervised. The widening keeps the head
+// products on the tiled GEMM, whose rows are the same bits as those rows
+// of a full-sequence product; below 4 rows the GEMM sums in another order
+// (DESIGN.md §8).
+HeadSpan supervised_head_span(const std::vector<int>& targets,
+                              int ignore_index = -1);
+
 class MiniLlm {
  public:
   MiniLlm(const ModelConfig& config, std::uint64_t seed);
@@ -52,12 +69,22 @@ class MiniLlm {
   // zero-copy and allocation-free at steady state, but only valid until the
   // next forward/backward/incremental call on this model (each step resets
   // the arena). forward() wraps it and returns an owned copy.
-  tensor::Tensor& forward_shared(const std::vector<int>& ids, bool training);
+  //
+  // `head` limits the LM head to rows [head.begin, head.end): the result is
+  // then those rows' logits [end - begin, vocab], bit-identical to the
+  // same rows of a full forward when the span has >= 4 rows or is all of T
+  // (supervised_head_span picks such a span). Every block still runs on
+  // all T rows, so dropout draws the same stream. An empty span skips the
+  // head and returns [0, vocab].
+  tensor::Tensor& forward_shared(const std::vector<int>& ids, bool training,
+                                 HeadSpan head = {});
   tensor::Tensor forward(const std::vector<int>& ids, bool training);
 
-  // Backprop from dLogits; accumulates gradients in all trainable params.
-  // Resets the model workspace (forward's returned slot dies here); module
-  // activation caches are member-owned, so they survive.
+  // Backprop from dLogits over the previous forward's head span (dlogits
+  // has that span's rows); rows outside it get a +0 gradient, which is what
+  // the full head gives a masked row. Accumulates gradients in all
+  // trainable params. Resets the model workspace (forward's returned slot
+  // dies here); module activation caches are member-owned, so they survive.
   void backward(const tensor::Tensor& dlogits);
 
   // KV-cached incremental decode of one token at `position` (0-based).
@@ -92,7 +119,8 @@ class MiniLlm {
 
   // Hidden states of the last transformer block after the final LayerNorm,
   // [T, dim] — the paper's "last hidden layer" embedding source. Runs a fresh
-  // inference forward pass, so it invalidates any pending backward().
+  // inference forward pass that stops before the LM head, so it invalidates
+  // any pending backward().
   tensor::Tensor hidden_states(const std::vector<int>& ids);
 
   // LoRA lifecycle: attach freezes every base parameter and installs
@@ -178,7 +206,8 @@ class MiniLlm {
   std::vector<nn::Linear*> all_linears();
 
   std::vector<int> cached_ids_;
-  tensor::Tensor cached_final_hidden_;  // input to lm_head
+  tensor::Tensor cached_final_hidden_;  // final-norm output, all T rows
+  HeadSpan head_span_;                  // forward's head rows, clipped to T
 
   // Per-layer cache-pointer scratch for forward_incremental_batch; member
   // so steady-state decode steps stay allocation-free.

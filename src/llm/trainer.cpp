@@ -1,5 +1,6 @@
 #include "llm/trainer.h"
 
+#include <algorithm>
 #include <numeric>
 
 #include "nn/loss.h"
@@ -73,15 +74,18 @@ TrainStats Trainer::fine_tune(
       const auto& ex = examples[idx];
       if (ex.input.size() < 2) continue;
       sw.reset();
+      const std::size_t T = std::min(ex.input.size(), model_.config().max_seq_len);
+      targets = ex.targets;
+      targets.resize(T, -1);  // forward truncates to max_seq_len
+      // The LM head and the loss run only on the rows that carry a target.
+      const HeadSpan head = supervised_head_span(targets);
       tensor::Tensor* logits_ptr;
       {
         ODLP_TRACE_SCOPE("train.step.forward");
-        logits_ptr = &model_.forward_shared(ex.input, /*training=*/true);
+        logits_ptr = &model_.forward_shared(ex.input, /*training=*/true, head);
       }
-      tensor::Tensor& logits = *logits_ptr;
-      targets = ex.targets;
-      targets.resize(logits.rows(), -1);  // forward may have truncated
-      nn::cross_entropy_into(logits, targets, ce);
+      nn::cross_entropy_into(*logits_ptr, targets, ce, /*ignore_index=*/-1,
+                             head.begin);
       h_fwd.record(sw.elapsed_seconds() * 1e6);
       if (ce.count == 0) continue;
       sw.reset();
@@ -93,8 +97,8 @@ TrainStats Trainer::fine_tune(
       epoch_loss += ce.loss;
       ++epoch_count;
       ++stats.sequences_processed;
-      tokens += logits.rows();
-      c_tokens.inc(logits.rows());
+      tokens += T;
+      c_tokens.inc(T);
       if (++in_batch >= config_.batch_size) {
         optimizer_step();
         in_batch = 0;

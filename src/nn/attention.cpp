@@ -68,15 +68,10 @@ tensor::Tensor& MultiHeadSelfAttention::forward_ws(const tensor::Tensor& x,
     slice_cols_into(cached_q_, c0, head_dim_, qh);
     slice_cols_into(cached_k_, c0, head_dim_, kh);
     slice_cols_into(cached_v_, c0, head_dim_, vh);
-    // scores[i, j] = qh_i · kh_j / sqrt(dh), masked to j <= i.
+    // scores[i, j] = qh_i · kh_j; probs = causal softmax of scores / sqrt(dh),
+    // which touches only j <= i and writes +0 above the diagonal.
     tensor::matmul_nt_into(qh, kh, scores);
-    scores *= inv_sqrt_dh;
-    for (std::size_t i = 0; i < T; ++i) {
-      for (std::size_t j = i + 1; j < T; ++j) {
-        scores.at(i, j) = -std::numeric_limits<float>::infinity();
-      }
-    }
-    tensor::softmax_rows_into(scores, cached_probs_[h]);
+    tensor::softmax_causal_rows_into(scores, inv_sqrt_dh, cached_probs_[h]);
     tensor::matmul_into(cached_probs_[h], vh, oh);
     store_cols(concat, oh, c0);
   }

@@ -13,7 +13,7 @@ tensor::Tensor& FeedForward::forward_ws(const tensor::Tensor& x, bool training,
                                         tensor::Workspace& ws) {
   cached_pre_act_ = fc_in_.forward_ws(x, training, ws);
   tensor::Tensor& h = ws.acquire(cached_pre_act_.rows(), cached_pre_act_.cols());
-  tensor::gelu_into(cached_pre_act_, h);
+  tensor::gelu_into(cached_pre_act_, h, cached_tanh_);
   return fc_out_.forward_ws(h, training, ws);
 }
 
@@ -21,7 +21,7 @@ tensor::Tensor& FeedForward::backward_ws(const tensor::Tensor& dout,
                                          tensor::Workspace& ws) {
   tensor::Tensor& dh = fc_out_.backward_ws(dout, ws);
   tensor::Tensor& dpre = ws.acquire(dh.rows(), dh.cols());
-  tensor::gelu_backward_into(cached_pre_act_, dh, dpre);
+  tensor::gelu_backward_into(cached_pre_act_, cached_tanh_, dh, dpre);
   return fc_in_.backward_ws(dpre, ws);
 }
 

@@ -31,6 +31,7 @@ class FeedForward {
   Linear fc_in_;
   Linear fc_out_;
   tensor::Tensor cached_pre_act_;
+  tensor::Tensor cached_tanh_;  // GELU's tanh per pre-activation, for backward
 };
 
 }  // namespace odlp::nn

@@ -12,18 +12,22 @@ namespace odlp::nn {
 
 void cross_entropy_into(const tensor::Tensor& logits,
                         const std::vector<int>& targets,
-                        CrossEntropyResult& result, int ignore_index) {
-  assert(logits.rows() == targets.size());
+                        CrossEntropyResult& result, int ignore_index,
+                        std::size_t row0) {
+  const std::size_t rows = logits.rows();
+  const std::size_t V = logits.cols();
+  assert(row0 + rows <= targets.size());
   result.loss = 0.0;
   result.count = 0;
-  result.dlogits.resize_uninitialized(logits.rows(), logits.cols());
+  result.dlogits.resize_uninitialized(rows, V);
 
   // Softmax into a thread-local scratch slot — no per-call tensor.
   tensor::Workspace& sws = tensor::Workspace::enter(nullptr);
-  tensor::Tensor& probs = sws.acquire(logits.rows(), logits.cols());
+  tensor::Tensor& probs = sws.acquire(rows, V);
   tensor::softmax_rows_into(logits, probs);
   for (std::size_t t = 0; t < targets.size(); ++t) {
     if (targets[t] == ignore_index) continue;
+    assert(t >= row0 && t < row0 + rows);
     ++result.count;
   }
   if (result.count == 0) {
@@ -32,30 +36,31 @@ void cross_entropy_into(const tensor::Tensor& logits,
   }
   const float inv_count = 1.0f / static_cast<float>(result.count);
 
-  // Per-row NLL + gradient. dlogits rows are disjoint across chunks; the
-  // scalar loss is an ordered fixed-grain reduction, so the value does not
-  // depend on the lane count.
+  // Per-row NLL + gradient over absolute positions [t0, t1), clipped to the
+  // logits' rows. dlogits rows are disjoint across chunks; the scalar loss
+  // is an ordered fixed-grain reduction, so the value does not depend on
+  // the lane count, and a chunk with no logits row adds an exact 0.0.
   auto row_loss = [&](std::size_t t0, std::size_t t1) {
     double loss = 0.0;
-    for (std::size_t t = t0; t < t1; ++t) {
+    for (std::size_t t = std::max(t0, row0); t < std::min(t1, row0 + rows); ++t) {
       const int y = targets[t];
-      float* drow = result.dlogits.row(t);
+      const float* prow = probs.row(t - row0);
+      float* drow = result.dlogits.row(t - row0);
       if (y == ignore_index) {
         // dlogits is uninitialized storage: masked rows must be written too.
-        std::fill(drow, drow + logits.cols(), 0.0f);
+        std::fill(drow, drow + V, 0.0f);
         continue;
       }
-      assert(y >= 0 && static_cast<std::size_t>(y) < logits.cols());
-      const float p = probs.at(t, static_cast<std::size_t>(y));
+      assert(y >= 0 && static_cast<std::size_t>(y) < V);
+      const float p = prow[static_cast<std::size_t>(y)];
       loss += -std::log(std::max(p, 1e-12f));
       // dL/dlogits = (softmax - onehot) / count
-      const float* prow = probs.row(t);
-      for (std::size_t j = 0; j < logits.cols(); ++j) drow[j] = prow[j] * inv_count;
+      for (std::size_t j = 0; j < V; ++j) drow[j] = prow[j] * inv_count;
       drow[static_cast<std::size_t>(y)] -= inv_count;
     }
     return loss;
   };
-  if (logits.size() < tensor::kChunkedReduceMinElems) {
+  if (targets.size() * V < tensor::kChunkedReduceMinElems) {
     result.loss = row_loss(0, targets.size());
   } else {
     result.loss = util::ThreadPool::global().reduce_ordered<double>(

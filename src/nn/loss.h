@@ -24,9 +24,17 @@ CrossEntropyResult cross_entropy(const tensor::Tensor& logits,
 // calls (reshaped, never reallocated at steady state) and resets
 // loss/count. `logits` may be a workspace slot (e.g. from
 // MiniLlm::forward_shared).
+//
+// `logits` may cover only rows [row0, row0 + logits.rows()) of the
+// sequence (the LM head's span, llm::supervised_head_span); every target
+// outside them must be `ignore_index`, and dlogits has the logits' rows.
+// The loss sums in the same order as a full [targets.size(), V] call: one
+// straight loop below kChunkedReduceMinElems full-sequence elements, else
+// ordered 32-row chunks keyed on absolute position.
 void cross_entropy_into(const tensor::Tensor& logits,
                         const std::vector<int>& targets,
-                        CrossEntropyResult& result, int ignore_index = -1);
+                        CrossEntropyResult& result, int ignore_index = -1,
+                        std::size_t row0 = 0);
 
 // Perplexity from a mean NLL.
 double perplexity(double mean_nll);

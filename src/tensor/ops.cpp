@@ -461,27 +461,55 @@ void add_row_broadcast_backward(const Tensor& dout, Tensor& dbias) {
   for (std::size_t j = 0; j < dout.cols(); ++j) db[j] += partial[j];
 }
 
+namespace {
+
+// Stabilized softmax of the n >= 1 entries at `in` into `o` (may alias).
+void softmax_row(const float* in, float* o, std::size_t n) {
+  float mx = in[0];
+  for (std::size_t j = 1; j < n; ++j) mx = std::max(mx, in[j]);
+  double sum = 0.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    o[j] = std::exp(in[j] - mx);
+    sum += o[j];
+  }
+  const float inv = static_cast<float>(1.0 / sum);
+  for (std::size_t j = 0; j < n; ++j) o[j] *= inv;
+}
+
+}  // namespace
+
 void softmax_rows_into(const Tensor& logits, Tensor& out) {
   out.resize_uninitialized(logits.rows(), logits.cols());
   auto apply = [&](std::size_t i0, std::size_t i1) {
     for (std::size_t i = i0; i < i1; ++i) {
-      const float* in = logits.row(i);
-      float* o = out.row(i);
-      float mx = in[0];
-      for (std::size_t j = 1; j < logits.cols(); ++j) mx = std::max(mx, in[j]);
-      double sum = 0.0;
-      for (std::size_t j = 0; j < logits.cols(); ++j) {
-        o[j] = std::exp(in[j] - mx);
-        sum += o[j];
-      }
-      const float inv = static_cast<float>(1.0 / sum);
-      for (std::size_t j = 0; j < logits.cols(); ++j) o[j] *= inv;
+      softmax_row(logits.row(i), out.row(i), logits.cols());
     }
   };
   if (fans_out(logits.size() * kRowwiseFlopsPerElem)) {
     util::ThreadPool::global().parallel_for(0, logits.rows(), 0, apply);
   } else {
     apply(0, logits.rows());
+  }
+}
+
+void softmax_causal_rows_into(const Tensor& scores, float scale, Tensor& out) {
+  assert(scores.rows() == scores.cols());
+  const std::size_t T = scores.rows();
+  out.resize_uninitialized(T, T);
+  auto apply = [&](std::size_t i0, std::size_t i1) {
+    for (std::size_t i = i0; i < i1; ++i) {
+      const float* in = scores.row(i);
+      float* o = out.row(i);
+      for (std::size_t j = 0; j <= i; ++j) o[j] = in[j] * scale;
+      softmax_row(o, o, i + 1);
+      // +0: the bytes a softmax over a −inf-masked row writes there.
+      std::fill(o + i + 1, o + T, 0.0f);
+    }
+  };
+  if (fans_out(scores.size() * kRowwiseFlopsPerElem)) {
+    util::ThreadPool::global().parallel_for(0, T, 0, apply);
+  } else {
+    apply(0, T);
   }
 }
 
@@ -517,39 +545,36 @@ namespace {
 constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
 }
 
-void gelu_into(const Tensor& in, Tensor& out) {
+void gelu_into(const Tensor& in, Tensor& out, Tensor& tanh_u) {
   out.resize_uninitialized(in.rows(), in.cols());
+  tanh_u.resize_uninitialized(in.rows(), in.cols());
   for (std::size_t i = 0; i < in.size(); ++i) {
     const float x = in.data()[i];
     const float t = std::tanh(kGeluC * (x + 0.044715f * x * x * x));
+    tanh_u.data()[i] = t;
     out.data()[i] = 0.5f * x * (1.0f + t);
   }
 }
 
 Tensor gelu(const Tensor& in) {
   Tensor out;
-  gelu_into(in, out);
+  Tensor tanh_u;
+  gelu_into(in, out, tanh_u);
   return out;
 }
 
-void gelu_backward_into(const Tensor& in, const Tensor& dout, Tensor& din) {
-  assert(in.same_shape(dout));
+void gelu_backward_into(const Tensor& in, const Tensor& tanh_u,
+                        const Tensor& dout, Tensor& din) {
+  assert(in.same_shape(dout) && in.same_shape(tanh_u));
   din.resize_uninitialized(in.rows(), in.cols());
   for (std::size_t i = 0; i < in.size(); ++i) {
     const float x = in.data()[i];
-    const float u = kGeluC * (x + 0.044715f * x * x * x);
-    const float t = std::tanh(u);
+    const float t = tanh_u.data()[i];
     const float sech2 = 1.0f - t * t;
     const float du = kGeluC * (1.0f + 3.0f * 0.044715f * x * x);
     const float grad = 0.5f * (1.0f + t) + 0.5f * x * sech2 * du;
     din.data()[i] = dout.data()[i] * grad;
   }
-}
-
-Tensor gelu_backward(const Tensor& in, const Tensor& dout) {
-  Tensor din;
-  gelu_backward_into(in, dout, din);
-  return din;
 }
 
 Tensor relu(const Tensor& in) {

@@ -121,16 +121,25 @@ void add_row_broadcast_backward(const Tensor& dout, Tensor& dbias);
 Tensor softmax_rows(const Tensor& logits);
 void softmax_rows_into(const Tensor& logits, Tensor& out);
 
+// Causal softmax of a square score matrix: row i of `out` is the softmax of
+// scale·scores[i, 0..i], and +0 above the diagonal. Reads and exponentiates
+// only j <= i, yet writes the bytes softmax_rows_into writes for
+// scale·scores with −inf over the upper triangle (DESIGN.md §8).
+void softmax_causal_rows_into(const Tensor& scores, float scale, Tensor& out);
+
 // Backward through row-wise softmax: dIn = softmax ⊙ (dOut − rowdot(dOut, softmax)).
 Tensor softmax_rows_backward(const Tensor& softmax_out, const Tensor& dout);
 void softmax_rows_backward_into(const Tensor& softmax_out, const Tensor& dout,
                                 Tensor& din);
 
-// GELU (tanh approximation) forward / backward.
+// GELU (tanh approximation) forward / backward. The forward also writes
+// tanh_u = tanh(√(2/π)·(x + 0.044715·x³)) per element, and the backward
+// reads it back instead of calling tanh again: the same float, so the same
+// gradient bytes (DESIGN.md §8).
 Tensor gelu(const Tensor& in);
-void gelu_into(const Tensor& in, Tensor& out);
-Tensor gelu_backward(const Tensor& in, const Tensor& dout);
-void gelu_backward_into(const Tensor& in, const Tensor& dout, Tensor& din);
+void gelu_into(const Tensor& in, Tensor& out, Tensor& tanh_u);
+void gelu_backward_into(const Tensor& in, const Tensor& tanh_u,
+                        const Tensor& dout, Tensor& din);
 
 // ReLU forward / backward (kept for ablation/testing).
 Tensor relu(const Tensor& in);

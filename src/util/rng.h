@@ -18,11 +18,22 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull);
 
-  // Uniform 64-bit value.
-  std::uint64_t next_u64();
+  // Uniform 64-bit value. The three per-element draws (next_u64, uniform,
+  // bernoulli) are defined here so LoRA dropout's draw loop inlines them.
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
-  // Uniform double in [0, 1).
-  double uniform();
+  // Uniform double in [0, 1): the 53 high bits of next_u64().
+  double uniform() { return static_cast<double>(next_u64() >> 11) * 0x1.0p-53; }
 
   // Uniform double in [lo, hi).
   double uniform(double lo, double hi);
@@ -40,7 +51,7 @@ class Rng {
   double normal(double mean, double stddev);
 
   // Bernoulli trial with probability p of returning true.
-  bool bernoulli(double p);
+  bool bernoulli(double p) { return uniform() < p; }
 
   // Sample an index from an unnormalized non-negative weight vector.
   // Requires at least one strictly positive weight.
@@ -62,6 +73,10 @@ class Rng {
   Rng split();
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
   bool has_cached_normal_ = false;
   double cached_normal_ = 0.0;

@@ -7,6 +7,7 @@
 #include "data/phrase_pools.h"
 #include "exp/experiment.h"
 #include "obs/metrics.h"
+#include "util/fault.h"
 #include "util/log.h"
 
 namespace odlp::core {
@@ -300,6 +301,62 @@ TEST(Engine, QuarantinedSetsAreNeverAnnotated) {
   fx.engine->process(empty);
   EXPECT_EQ(fx.engine->stats().annotations_made, 0u);
   util::set_log_level(util::LogLevel::kInfo);
+}
+
+// A transient "buffer" allocation fault aborts ingest before the set is
+// counted or offered, so retrying the aborted call leaves the same stats and
+// the same buffer as a run that never faulted.
+TEST(Engine, RetriedBufferFaultMatchesFaultFreeRun) {
+  util::Rng rng(23);
+  data::UserOracle gen_oracle{123, lexicon::builtin_dictionary()};
+  data::Generator gen(data::meddialog_profile(), gen_oracle, rng.split());
+  std::vector<data::DialogueSet> sets;
+  for (int i = 0; i < 10; ++i) {
+    sets.push_back(i % 3 == 0 ? gen.make_noise() : gen.make_informative(0, i % 2));
+  }
+  EngineConfig ec = fast_config();
+  ec.buffer_bins = 2;  // forces replacements and rejections
+
+  EngineFixture clean(ec);
+  for (const auto& set : sets) clean.engine->ingest(set);
+
+  EngineFixture faulted(ec);
+  std::size_t retries = 0;
+  {
+    util::fault::FaultSchedule schedule;
+    schedule.events.push_back(
+        {util::fault::FaultKind::kAllocFail, "buffer", /*at=*/1, 0, /*once=*/true});
+    util::fault::ScopedSchedule armed(schedule);
+    for (const auto& set : sets) {
+      try {
+        faulted.engine->ingest(set);
+      } catch (const util::fault::InjectedOom&) {
+        ++retries;
+        faulted.engine->ingest(set);
+      }
+    }
+  }
+  EXPECT_EQ(retries, 1u);
+
+  const EngineStats& a = clean.engine->stats();
+  const EngineStats& b = faulted.engine->stats();
+  EXPECT_EQ(b.seen, a.seen);
+  EXPECT_EQ(b.seen, sets.size());
+  EXPECT_EQ(b.admitted_free, a.admitted_free);
+  EXPECT_EQ(b.admitted_replacing, a.admitted_replacing);
+  EXPECT_EQ(b.rejected, a.rejected);
+  EXPECT_EQ(b.annotations_made, a.annotations_made);
+  ASSERT_EQ(faulted.engine->buffer().size(), clean.engine->buffer().size());
+  for (std::size_t i = 0; i < clean.engine->buffer().size(); ++i) {
+    const BufferEntry& x = clean.engine->buffer().entry(i);
+    const BufferEntry& y = faulted.engine->buffer().entry(i);
+    EXPECT_EQ(y.set.question, x.set.question);
+    EXPECT_EQ(y.set.answer, x.set.answer);
+    EXPECT_EQ(y.inserted_at, x.inserted_at);
+    EXPECT_EQ(y.scores.eoe, x.scores.eoe);
+    EXPECT_EQ(y.scores.dss, x.scores.dss);
+    EXPECT_EQ(y.scores.idd, x.scores.idd);
+  }
 }
 
 }  // namespace

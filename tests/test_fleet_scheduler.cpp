@@ -174,11 +174,13 @@ TEST_F(FleetSchedulerTest, StarvationCounterFiresForRiggedSlowUser) {
   config.fleet.device_template.stream_size = 12;
   config.fleet.device_template.finetune_interval = 2;  // 6 rounds per user
   config.fleet.device_template.record_curve = false;
-  // User 0 fine-tunes ~8x longer per chunk: while its chunk occupies one
-  // lane, the other lane keeps advancing the fast users, so the rounds gap
-  // at the wave boundary must reach the threshold.
+  // User 0 runs 24 epochs per fine-tune against the others' 1: while its
+  // chunk occupies one lane, the other lane keeps advancing the fast users,
+  // so the rounds gap at the wave boundary must reach the threshold. The
+  // epochs must dwarf each chunk's fixed cost (scoring, synthesis), or the
+  // gap depends on how fast a training step is.
   exp::ExperimentConfig slow = config.fleet.device_template;
-  slow.epochs = 8;
+  slow.epochs = 24;
   config.user_overrides[0] = slow;
 
   const ConcurrentFleetResult result = run_concurrent_fleet(config);

@@ -71,7 +71,9 @@ TEST(GradCheck, Gelu) {
   util::Rng rng(3);
   Tensor x = random_tensor(2, 8, rng);
   Tensor coeffs = coeffs_for(2, 8, rng);
-  Tensor dx = tensor::gelu_backward(x, coeffs);
+  Tensor y, tanh_u, dx;
+  tensor::gelu_into(x, y, tanh_u);
+  tensor::gelu_backward_into(x, tanh_u, coeffs, dx);
   auto loss_fn = [&] { return weighted_sum(tensor::gelu(x), coeffs); };
   auto r = tensor::check_gradient(x, dx, loss_fn, 4e-3f, 16);
   EXPECT_LT(r.max_rel_error, kTol);

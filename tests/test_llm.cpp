@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <stdexcept>
 
 #include "llm/minillm.h"
 #include "llm/trainer.h"
 #include "nn/loss.h"
+#include "tensor/ops.h"
 #include "text/tokenizer.h"
+#include "util/crc32.h"
+#include "util/rng.h"
 
 namespace odlp::llm {
 namespace {
@@ -198,6 +203,144 @@ TEST(Trainer, LoraOnlyTrainingLeavesBaseWeightsUntouched) {
   for (std::size_t i = 0; i < snapshot.size(); ++i) {
     EXPECT_FLOAT_EQ(frozen->value.data()[i], snapshot.data()[i]);
   }
+}
+
+ModelConfig paper_config() {
+  ModelConfig mc;  // ExperimentConfig's default geometry
+  mc.vocab_size = 600;
+  mc.dim = 48;
+  mc.heads = 4;
+  mc.layers = 2;
+  mc.ff_hidden = 96;
+  mc.max_seq_len = 64;
+  return mc;
+}
+
+std::vector<int> random_ids(std::size_t n, std::size_t vocab, util::Rng& rng) {
+  std::vector<int> ids;
+  for (std::size_t t = 0; t < n; ++t) {
+    ids.push_back(5 + static_cast<int>(rng.uniform_index(vocab - 5)));
+  }
+  return ids;
+}
+
+const tensor::Tensor& lm_head_weight(MiniLlm& model) {
+  for (const nn::Parameter* p : model.parameters()) {
+    if (p->name == "lm_head.weight") return p->value;
+  }
+  throw std::logic_error("no lm_head.weight");
+}
+
+// hidden_states stops at the final norm; the LM head it skips is one GEMM,
+// so forward's logits are hidden_states · W_head bit for bit.
+TEST(MiniLlm, HiddenStatesTimesHeadEqualsForwardLogits) {
+  MiniLlm model(paper_config(), 3);
+  util::Rng rng(4);
+  for (std::size_t T : {1u, 3u, 17u, 64u}) {
+    const std::vector<int> ids = random_ids(T, 600, rng);
+    const tensor::Tensor logits = model.forward(ids, false);
+    const tensor::Tensor h = model.hidden_states(ids);
+    ASSERT_EQ(h.rows(), T);
+    ASSERT_EQ(h.cols(), 48u);
+    tensor::Tensor want;
+    tensor::matmul_into(h, lm_head_weight(model), want);
+    ASSERT_TRUE(want.same_shape(logits));
+    EXPECT_EQ(std::memcmp(want.data(), logits.data(), want.size() * sizeof(float)), 0)
+        << "T=" << T;
+  }
+}
+
+TEST(MiniLlm, SupervisedHeadSpanCoversTargetsWithAtLeastFourRows) {
+  const auto span = [](std::vector<int> targets) {
+    const HeadSpan s = supervised_head_span(targets);
+    return std::make_pair(s.begin, s.end);
+  };
+  using P = std::pair<std::size_t, std::size_t>;
+  EXPECT_EQ(span({-1, -1, -1, -1, -1, -1}), P(0, 0));  // nothing supervised
+  EXPECT_EQ(span({-1, 7, -1}), P(0, 3));               // T < 4: all rows
+  EXPECT_EQ(span({-1, -1, 4, 5, 6, -1, -1, -1, -1, -1, -1, -1}), P(2, 6));
+  EXPECT_EQ(span({-1, -1, -1, -1, -1, -1, -1, 8, 9, -1}), P(6, 10));
+  EXPECT_EQ(span({1, 2, 3, 4, 5, 6, 7, 8, 9, -1}), P(0, 9));
+  EXPECT_EQ(span({-1, -1, -1, 1, 2, 3, 4, 5, 6, -1}), P(3, 9));
+}
+
+// A head span returns exactly those rows of the full forward's logits.
+TEST(MiniLlm, HeadSpanRowsMatchFullForward) {
+  MiniLlm model(paper_config(), 5);
+  util::Rng rng(6);
+  const std::vector<int> ids = random_ids(40, 600, rng);
+  const tensor::Tensor full = model.forward(ids, false);
+  for (const HeadSpan span : {HeadSpan{0, 4}, HeadSpan{13, 40}, HeadSpan{36, 40},
+                              HeadSpan{7, 12}}) {
+    const tensor::Tensor& part = model.forward_shared(ids, false, span);
+    ASSERT_EQ(part.rows(), span.end - span.begin);
+    EXPECT_EQ(std::memcmp(part.data(), full.row(span.begin),
+                          part.size() * sizeof(float)), 0)
+        << "span [" << span.begin << ", " << span.end << ")";
+  }
+  EXPECT_EQ(model.forward_shared(ids, false, HeadSpan{9, 9}).rows(), 0u);
+}
+
+// Pins the bytes of a whole training run at the paper's model geometry
+// (ExperimentConfig defaults: dim 48, 4 heads, 2 layers, ff 96, T <= 64): a
+// full-weight pretraining pass with every position supervised, then a LoRA
+// fine-tune on response-only targets. The corpus mixes lengths 2..80 (so
+// both the straight and the chunked loss reduction run, and two sequences
+// truncate), a sequence shorter than 4 rows, one whose supervised span is
+// 2 rows, and one with no supervised row. Any change to the training step
+// that moves a gradient bit moves the digest.
+TEST(Trainer, FineTuneMatchesGoldenDigest) {
+  constexpr std::uint32_t kGoldenCrc = 0x8467f293u;
+  const ModelConfig mc = paper_config();
+  MiniLlm model(mc, 2024);
+
+  util::Rng rng(77);
+  const auto make_example = [&](std::size_t len, std::size_t sep,
+                                bool supervise_all) {
+    text::Tokenizer::EncodedDialogue ex;
+    for (std::size_t t = 0; t < len; ++t) {
+      ex.input.push_back(5 + static_cast<int>(rng.uniform_index(mc.vocab_size - 5)));
+    }
+    ex.sep_position = sep;
+    ex.targets.assign(len, -1);
+    for (std::size_t t = 0; t + 1 < len; ++t) {
+      if (supervise_all || t >= sep) ex.targets[t] = ex.input[t + 1];
+    }
+    return ex;
+  };
+  std::vector<text::Tokenizer::EncodedDialogue> pretrain;
+  std::vector<text::Tokenizer::EncodedDialogue> personal;
+  const std::size_t lens[] = {2, 3, 9, 17, 24, 31, 33, 40, 47, 58, 64, 80};
+  for (std::size_t len : lens) {
+    pretrain.push_back(make_example(len, len / 3, /*supervise_all=*/true));
+    personal.push_back(make_example(len, len / 3, /*supervise_all=*/false));
+  }
+  personal.push_back(make_example(10, 7, false));   // supervised span [7, 9)
+  personal.push_back(make_example(12, 11, false));  // no supervised row
+
+  TrainConfig pc;
+  pc.epochs = 1;
+  pc.batch_size = 4;
+  pc.learning_rate = 3e-3f;
+  const TrainStats pre = Trainer(model, pc, util::Rng(5)).fine_tune(pretrain);
+
+  nn::LoraConfig lc;  // paper: r = 8, alpha = 16, dropout 0.05
+  model.attach_lora(lc);
+  TrainConfig tc;
+  tc.epochs = 3;
+  tc.batch_size = 4;
+  tc.learning_rate = 1e-2f;
+  const TrainStats ft = Trainer(model, tc, util::Rng(6)).fine_tune(personal);
+  EXPECT_EQ(ft.sequences_processed, 3u * (personal.size() - 1));
+
+  std::uint32_t crc = 0;
+  for (const nn::Parameter* p : model.parameters()) {
+    if (p->name.find("lora_") == std::string::npos) continue;
+    crc = util::crc32(p->value.data(), p->value.size() * sizeof(float), crc);
+  }
+  crc = util::crc32(&pre.final_epoch_loss, sizeof(double), crc);
+  crc = util::crc32(&ft.final_epoch_loss, sizeof(double), crc);
+  EXPECT_EQ(crc, kGoldenCrc) << std::hex << "actual 0x" << crc;
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "nn/loss.h"
+#include "util/rng.h"
 
 namespace odlp::nn {
 namespace {
@@ -82,5 +85,42 @@ TEST(Perplexity, ExponentialOfLoss) {
   EXPECT_NEAR(perplexity(std::log(50.0)), 50.0, 1e-6);
 }
 
+// Logits for only rows [row0, row0 + n) give the loss and dlogits rows of
+// the full call. Each span below is under kChunkedReduceMinElems elements
+// while the full 64×600 sequence is over it, and crosses a 32-row chunk
+// boundary, so the loss must keep the full call's chunked summation order.
+// Per-row losses are floats, so a double sum is exact in any order unless
+// some terms sit ~2^-29 below the total: half the rows are near-certain
+// hits (loss ~2e-7) and half near-certain misses (loss ~26), which makes
+// the order show in the last bit.
+TEST(CrossEntropy, RowSpanMatchesFullSequenceBitForBit) {
+  constexpr std::size_t T = 64, V = 600;
+  util::Rng rng(41);
+  const std::pair<std::size_t, std::size_t> spans[] = {
+      {20, 45}, {27, 53}, {9, 35}, {30, 34}};
+  for (const auto& [b, e] : spans) {
+    Tensor full = Tensor::uninitialized(T, V);
+    std::vector<int> targets(T, -1);
+    for (std::size_t t = 0; t < T; ++t) {
+      const std::size_t y = rng.uniform_index(V);
+      for (std::size_t j = 0; j < V; ++j) {
+        full.at(t, j) = static_cast<float>(rng.normal(0.0, 0.3));
+      }
+      full.at(t, y) += rng.bernoulli(0.5) ? 22.0f : -20.0f;
+      if (t >= b && t < e) targets[t] = static_cast<int>(y);
+    }
+    const CrossEntropyResult want = cross_entropy(full, targets);
+    Tensor part = Tensor::uninitialized(e - b, V);
+    std::memcpy(part.data(), full.row(b), part.size() * sizeof(float));
+    CrossEntropyResult got;
+    cross_entropy_into(part, targets, got, /*ignore_index=*/-1, /*row0=*/b);
+    EXPECT_EQ(got.count, want.count);
+    EXPECT_EQ(std::memcmp(&got.loss, &want.loss, sizeof(double)), 0)
+        << "span [" << b << ", " << e << "): " << got.loss << " vs " << want.loss;
+    ASSERT_EQ(got.dlogits.rows(), e - b);
+    EXPECT_EQ(std::memcmp(got.dlogits.data(), want.dlogits.row(b),
+                          got.dlogits.size() * sizeof(float)), 0);
+  }
+}
 }  // namespace
 }  // namespace odlp::nn

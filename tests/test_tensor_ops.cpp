@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "tensor/ops.h"
 #include "util/rng.h"
@@ -124,6 +126,67 @@ TEST(Gelu, KnownPointsAndMonotoneRegion) {
   EXPECT_NEAR(y.at(0, 0), 0.0f, 1e-6);
   EXPECT_NEAR(y.at(0, 1), 10.0f, 1e-3);   // ~identity for large x
   EXPECT_NEAR(y.at(0, 2), 0.0f, 1e-3);    // ~0 for very negative x
+}
+
+// The causal softmax reads and exponentiates only j <= i. It must write the
+// bytes of the path it replaced in attention: scale the whole score matrix,
+// fill −inf above the diagonal, and softmax whole rows.
+TEST(Softmax, CausalMatchesMaskedRowsBitForBit) {
+  util::Rng rng(31);
+  const float scale = 1.0f / std::sqrt(12.0f);
+  for (std::size_t T = 1; T <= 64; ++T) {
+    Tensor scores = Tensor::uninitialized(T, T);
+    for (std::size_t i = 0; i < scores.size(); ++i) {
+      scores.data()[i] = static_cast<float>(rng.normal(0.0, 4.0));
+    }
+    Tensor masked = scores;
+    masked *= scale;
+    for (std::size_t i = 0; i < T; ++i) {
+      for (std::size_t j = i + 1; j < T; ++j) {
+        masked.at(i, j) = -std::numeric_limits<float>::infinity();
+      }
+    }
+    Tensor want, got;
+    softmax_rows_into(masked, want);
+    softmax_causal_rows_into(scores, scale, got);
+    ASSERT_EQ(got.rows(), T);
+    ASSERT_EQ(got.cols(), T);
+    ASSERT_EQ(std::memcmp(want.data(), got.data(), T * T * sizeof(float)), 0)
+        << "T=" << T;
+  }
+}
+
+// GELU's backward reads the tanh its forward kept. It must write the bytes
+// of the recompute formula it replaced (this file is built with
+// -ffp-contract=off like the kernels, so the reference cannot fuse).
+TEST(Gelu, CachedTanhBackwardMatchesRecomputeBitForBit) {
+  constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
+  util::Rng rng(32);
+  for (std::size_t T = 1; T <= 64; ++T) {
+    Tensor x = Tensor::uninitialized(T, 96);
+    Tensor dout = Tensor::uninitialized(T, 96);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      x.data()[i] = static_cast<float>(rng.normal(0.0, 2.5));
+      dout.data()[i] = static_cast<float>(rng.normal(0.0, 1.0));
+    }
+    Tensor want = Tensor::uninitialized(T, 96);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const float v = x.data()[i];
+      const float u = kC * (v + 0.044715f * v * v * v);
+      const float t = std::tanh(u);
+      const float sech2 = 1.0f - t * t;
+      const float du = kC * (1.0f + 3.0f * 0.044715f * v * v);
+      const float grad = 0.5f * (1.0f + t) + 0.5f * v * sech2 * du;
+      want.data()[i] = dout.data()[i] * grad;
+    }
+    Tensor y, tanh_u, got;
+    gelu_into(x, y, tanh_u);
+    gelu_backward_into(x, tanh_u, dout, got);
+    ASSERT_EQ(std::memcmp(want.data(), got.data(), x.size() * sizeof(float)), 0)
+        << "T=" << T;
+    Tensor y_alloc = gelu(x);
+    ASSERT_EQ(std::memcmp(y.data(), y_alloc.data(), x.size() * sizeof(float)), 0);
+  }
 }
 
 TEST(Relu, ForwardAndBackward) {
