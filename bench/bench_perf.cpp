@@ -2,39 +2,32 @@
 //
 // Measures, on the current host:
 //   * register-tiled matmul vs. the naive reference kernel (several shapes,
-//     including the 256x256x256 contract size), with GFLOP/s, at thread
-//     counts {1, 2, 4} and the configured lane count,
-//   * the fan-out cut-over table: model-shaped and cubic GEMMs plus softmax
-//     and LayerNorm rows at 1 lane vs. 4 lanes, wall and CPU time, on both
-//     sides of tensor::kFanOutMinFlops,
+//     including the 256x256x256 contract size), with GFLOP/s,
 //   * matmul_backward (both tiled products) vs. its serial reference, with
 //     GFLOP/s,
 //   * the allocation probe: tensor heap allocations during a steady-state
 //     training step and decode step (the workspace design targets zero),
 //   * cached-norm IDD vs. the direct Eq. 4-5 formula,
 //   * end-to-end engine throughput: score() rate, fine-tune seconds/epoch,
-//     and evaluate_per_set() rate at 1 lane vs. the configured lane count,
-//     with a per-stage time breakdown read back from the obs metrics
-//     registry (stage sum is checked against the measured wall clock),
+//     and evaluate_per_set() rate, with a per-stage time breakdown read
+//     back from the obs metrics registry (stage sum is checked against the
+//     measured wall clock),
 //   * the cost of a disabled ODLP_TRACE_SCOPE relative to a decode step
 //     (the ≤1%-overhead budget of DESIGN.md §10).
 //
 // Writes a machine-readable summary to results/BENCH_perf.json (override
 // with --out). `kernel_variant` and `native_arch` name the GEMM build that
-// was measured (see tensor::kernel_build_info()); `hardware_threads` is
-// recorded so speedup numbers can be interpreted: on a single-core host the
-// thread-scaling rows measure scheduling overhead, not parallel speedup,
-// while the algorithmic rows (tiled-vs-naive matmul, cached-vs-direct IDD)
-// are core-count independent.
+// was measured (see tensor::kernel_build_info()). Every kernel runs on the
+// calling thread, so the rows are single-core numbers; `hardware_threads`
+// is recorded for the host's description.
 //
 // Flags: --quick (fewer reps / smaller end-to-end run), --seed N,
 // --out PATH, --metrics-out PATH (dump the full metrics registry as JSON).
-// Deterministic for a fixed seed and thread count.
+// Deterministic for a fixed seed.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <ctime>
 #include <string>
 #include <thread>
 #include <vector>
@@ -56,7 +49,6 @@
 #include "text/tokenizer.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 using namespace odlp;
 
@@ -69,13 +61,6 @@ tensor::Tensor random_tensor(std::size_t rows, std::size_t cols,
     t.data()[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
   }
   return t;
-}
-
-// CPU time of the whole process (all threads), in seconds.
-double process_cpu_seconds() {
-  timespec ts{};
-  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return double(ts.tv_sec) + double(ts.tv_nsec) * 1e-9;
 }
 
 // Median-of-reps wall time for `fn`, in seconds. One warmup call.
@@ -114,8 +99,6 @@ int main(int argc, char** argv) {
   // the bench still writes its JSON but exits non-zero.
   int failures = 0;
   util::Rng rng(opt.seed);
-  util::ThreadPool& pool = util::ThreadPool::global();
-  const std::size_t configured = pool.lanes();
 
   JsonWriter json;
   json.text("bench", "bench_perf");
@@ -123,7 +106,6 @@ int main(int argc, char** argv) {
   json.integer("quick", opt.quick ? 1 : 0);
   json.integer("hardware_threads",
                static_cast<long long>(std::thread::hardware_concurrency()));
-  json.integer("configured_lanes", static_cast<long long>(configured));
   const tensor::KernelBuildInfo kinfo = tensor::kernel_build_info();
   json.text("kernel_variant", kinfo.variant);
   json.integer("native_arch", kinfo.native_arch ? 1 : 0);
@@ -131,7 +113,7 @@ int main(int argc, char** argv) {
   json.integer("int8_block", static_cast<long long>(kinfo.int8_block));
   json.text("simd_level", kinfo.simd_level);
 
-  // ---- Matmul: blocked kernel vs. naive reference, thread scaling. ----
+  // ---- Matmul: blocked kernel vs. naive reference. ----
   std::printf("== matmul ==\n");
   const std::size_t shapes[][3] = {
       {64, 64, 64}, {256, 256, 256}, {96, 64, 512}};
@@ -143,23 +125,16 @@ int main(int argc, char** argv) {
     const double flops = 2.0 * s[0] * s[1] * s[2];
     const double t_naive =
         timed_seconds(reps, [&] { tensor::matmul_reference(a, b); });
-    std::vector<std::pair<std::string, double>> kv = {
-        {"m", double(s[0])},     {"k", double(s[1])},
-        {"n", double(s[2])},     {"naive_ms", t_naive * 1e3},
-        {"naive_gflops", flops / t_naive * 1e-9}};
-    std::vector<std::size_t> lane_counts = {1, 2, 4, configured};
-    std::sort(lane_counts.begin(), lane_counts.end());
-    lane_counts.erase(std::unique(lane_counts.begin(), lane_counts.end()),
-                      lane_counts.end());
-    for (std::size_t lanes : lane_counts) {
-      pool.resize(lanes);
-      const double t = timed_seconds(reps, [&] { tensor::matmul(a, b); });
-      const std::string tag = "tiled_" + std::to_string(lanes) + "t";
-      kv.emplace_back(tag + "_ms", t * 1e3);
-      kv.emplace_back(tag + "_gflops", flops / t * 1e-9);
-      kv.emplace_back(tag + "_speedup_vs_naive", t_naive / t);
-    }
-    pool.resize(configured);
+    const double t = timed_seconds(reps, [&] { tensor::matmul(a, b); });
+    const std::vector<std::pair<std::string, double>> kv = {
+        {"m", double(s[0])},
+        {"k", double(s[1])},
+        {"n", double(s[2])},
+        {"naive_ms", t_naive * 1e3},
+        {"naive_gflops", flops / t_naive * 1e-9},
+        {"tiled_ms", t * 1e3},
+        {"tiled_gflops", flops / t * 1e-9},
+        {"tiled_speedup_vs_naive", t_naive / t}};
     std::printf("  %zux%zux%zu: naive %.3f ms, tiled %s\n", s[0], s[1],
                 s[2], t_naive * 1e3, json_object(kv).c_str());
     if (si) matmul_rows += ", ";
@@ -168,95 +143,7 @@ int main(int argc, char** argv) {
   matmul_rows += "]";
   json.raw("matmul", matmul_rows);
 
-  // ---- Fan-out cut-over: each kernel at 1 lane vs. 4 lanes. ----
-  // tensor::kFanOutMinFlops decides whether a kernel call leaves the calling
-  // thread. Rows below it must cost the same at 4 lanes as at 1 (nothing
-  // fans out); rows at or above it fan out and should gain wall time. CPU
-  // time (all threads, median rep) is reported next to wall time: a
-  // fanned-out call also charges the workers' wake-up and chunk claims.
-  {
-    std::printf("== fan-out cut-over (2^%d flops) ==\n",
-                static_cast<int>(std::log2(double(tensor::kFanOutMinFlops))));
-    struct Case {
-      const char* op;
-      std::size_t m, k, n;
-    };
-    const Case cases[] = {
-        {"matmul", 22, 48, 430},  {"matmul", 64, 48, 430},
-        {"matmul", 64, 64, 64},   {"matmul", 128, 128, 128},
-        {"matmul", 192, 192, 192}, {"matmul", 256, 256, 256},
-        {"matmul", 512, 512, 512}, {"softmax", 64, 0, 430},
-        {"softmax", 256, 0, 512},  {"softmax", 1024, 0, 512},
-        {"layernorm", 64, 0, 48},  {"layernorm", 256, 0, 512},
-        {"layernorm", 1024, 0, 512}};
-    std::string rows = "[";
-    for (const Case& cs : cases) {
-      const bool gemm = std::strcmp(cs.op, "matmul") == 0;
-      const tensor::Tensor a = random_tensor(cs.m, gemm ? cs.k : cs.n, rng);
-      const tensor::Tensor b =
-          random_tensor(gemm ? cs.k : 1, gemm ? cs.n : 1, rng);
-      const std::size_t work = gemm ? 2 * cs.m * cs.k * cs.n
-                                    : a.size() * tensor::kRowwiseFlopsPerElem;
-      tensor::Tensor out;
-      tensor::LayerNormCache cache;
-      auto call = [&] {
-        if (gemm) {
-          tensor::matmul_into(a, b, out);
-        } else if (std::strcmp(cs.op, "softmax") == 0) {
-          tensor::softmax_rows_into(a, out);
-        } else {
-          tensor::layernorm_rows_into(a, 1e-5f, &cache, out);
-        }
-      };
-      // Enough calls per rep that one rep spans ~2 ms at 1 lane.
-      util::Stopwatch probe;
-      call();
-      const double one_call = std::max(probe.elapsed_seconds(), 1e-7);
-      const int calls =
-          static_cast<int>(std::clamp(2e-3 / one_call, 1.0, 5000.0));
-      std::vector<std::pair<std::string, double>> kv = {
-          {"m", double(cs.m)}, {"k", double(cs.k)}, {"n", double(cs.n)},
-          {"work_flops", double(work)},
-          {"fans_out", tensor::fans_out(work) ? 1.0 : 0.0}};
-      double wall_us[2], cpu_us[2];
-      for (int li = 0; li < 2; ++li) {
-        pool.resize(li == 0 ? 1 : 4);
-        std::vector<double> cpu;
-        const double wall = timed_seconds(reps, [&] {
-          const double cpu0 = process_cpu_seconds();
-          for (int c = 0; c < calls; ++c) call();
-          cpu.push_back(process_cpu_seconds() - cpu0);
-        });
-        cpu.erase(cpu.begin());  // timed_seconds' warmup call
-        std::sort(cpu.begin(), cpu.end());
-        wall_us[li] = wall / calls * 1e6;
-        cpu_us[li] = cpu[cpu.size() / 2] / calls * 1e6;
-      }
-      pool.resize(configured);
-      kv.insert(kv.end(), {{"lanes1_us", wall_us[0]},
-                           {"lanes1_cpu_us", cpu_us[0]},
-                           {"lanes4_us", wall_us[1]},
-                           {"lanes4_cpu_us", cpu_us[1]},
-                           {"lanes4_vs_lanes1", wall_us[1] / wall_us[0]}});
-      const std::string dims =
-          std::to_string(cs.m) + "x" +
-          (gemm ? std::to_string(cs.k) + "x" : std::string()) +
-          std::to_string(cs.n);
-      std::printf("  %-9s %-11s work 2^%.1f, %s, 1 lane %.1f us, "
-                  "4 lanes %.1f us (%.2fx)\n",
-                  cs.op, dims.c_str(), std::log2(double(work)),
-                  tensor::fans_out(work) ? "fans out" : "inline", wall_us[0],
-                  wall_us[1], wall_us[1] / wall_us[0]);
-      if (rows.size() > 1) rows += ", ";
-      std::string row = json_object(kv);
-      row.insert(1, std::string("\"op\": \"") + cs.op + "\", ");
-      rows += row;
-    }
-    rows += "]";
-    json.raw("fanout_cutover", rows);
-  }
-
-  // ---- matmul_backward: parallel vs. serial reference. ----
+  // ---- matmul_backward: tiled vs. serial reference. ----
   {
     const std::size_t m = 128, k = 128, n = 128;
     const tensor::Tensor a = random_tensor(m, k, rng);
@@ -670,19 +557,9 @@ int main(int argc, char** argv) {
 
     std::vector<const data::DialogueSet*> test;
     for (const auto& s : ds.test) test.push_back(&s);
-    pool.resize(1);
     sw.reset();
-    const auto serial_scores = engine.evaluate_per_set(test);
-    const double t_eval_1 = sw.elapsed_seconds();
-    pool.resize(configured);
-    sw.reset();
-    const auto par_scores = engine.evaluate_per_set(test);
-    const double t_eval_n = sw.elapsed_seconds();
-    double max_dev = 0.0;
-    for (std::size_t i = 0; i < serial_scores.size(); ++i) {
-      max_dev = std::max(max_dev,
-                         std::fabs(serial_scores[i] - par_scores[i]));
-    }
+    engine.evaluate_per_set(test);
+    const double t_eval = sw.elapsed_seconds();
     const double sec_per_epoch =
         obs::registry().gauge("train.seconds_per_epoch.last").value();
     json.raw("engine",
@@ -691,26 +568,21 @@ int main(int argc, char** argv) {
                   {"score_sets_per_sec", score_rate},
                   {"finetune_seconds_per_epoch", sec_per_epoch},
                   {"finetune_total_seconds", ft_seconds},
-                  {"eval_sets_per_sec_1lane", double(test_n) / t_eval_1},
-                  {"eval_sets_per_sec_configured", double(test_n) / t_eval_n},
-                  {"eval_speedup", t_eval_1 / t_eval_n},
-                  {"eval_parallel_max_abs_dev", max_dev}}));
+                  {"eval_sets_per_sec", double(test_n) / t_eval}}));
     std::printf("== engine: score %.1f sets/s, finetune %.2f s/epoch, "
-                "eval %.2f -> %.2f sets/s (max dev %.3g)\n",
-                score_rate, sec_per_epoch,
-                double(test_n) / t_eval_1, double(test_n) / t_eval_n, max_dev);
+                "eval %.2f sets/s\n",
+                score_rate, sec_per_epoch, double(test_n) / t_eval);
 
     // ---- Per-stage time breakdown, read back from the registry. ----
     //
     // The round wall clock is the sum of the three measured segments above
-    // (stream processing, fine-tune, both evaluations). The engine-level
+    // (stream processing, fine-tune, evaluation). The engine-level
     // stage histograms should re-account nearly all of it; `other` is
     // bookkeeping outside the instrumented stages (annotation, buffer
     // insert, quarantine checks).
     {
       const obs::MetricsSnapshot snap = obs::registry().snapshot();
-      const double round_wall =
-          stream_seconds + ft_seconds + t_eval_1 + t_eval_n;
+      const double round_wall = stream_seconds + ft_seconds + t_eval;
       const struct {
         const char* label;
         const char* metric;

@@ -264,7 +264,7 @@ ConcurrentFleetResult run_concurrent_fleet(const ConcurrentFleetConfig& config) 
   std::atomic<std::size_t> faults{0};
 
   // The eval flush drains every queue into one flush_evals call on the
-  // main thread, with the full pool free for the decode kernels.
+  // main thread, between waves.
   const auto flush = [&] {
     std::vector<EvalJob> batch;
     for (auto& q : queued) {

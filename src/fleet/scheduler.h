@@ -24,8 +24,8 @@
 // shares one base checkpoint (FleetConfig::shared_base_seed). Both run the
 // same session code; what the scheduler must keep out of the numbers is
 // the interleaving: per-user rng streams travel with the session, batched
-// decode is width-invariant, nested kernel parallelism runs inline on the
-// lanes, and eval jobs use fixed per-(repeat, set) seeds.
+// decode is width-invariant, kernels run on the calling lane, and eval
+// jobs use fixed per-(repeat, set) seeds.
 #pragma once
 
 #include <cstddef>

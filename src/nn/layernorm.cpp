@@ -1,8 +1,7 @@
 #include "nn/layernorm.h"
 
 #include <cassert>
-
-#include "util/thread_pool.h"
+#include <vector>
 
 namespace odlp::nn {
 
@@ -53,15 +52,13 @@ tensor::Tensor& LayerNorm::backward_ws(const tensor::Tensor& dout,
     tensor::layernorm_rows_backward_into(dnorm, cache_, din);
     return din;
   }
-  // Chunked path: dnorm rows are disjoint; the shared gain/bias gradients
-  // accumulate via chunk-local partials combined in chunk order (fixed
-  // grain), so the result is independent of the lane count and of whether
-  // the chunks fan out.
+  // Chunked path: the shared gain/bias gradients sum fixed 32-row chunk
+  // partials in chunk order.
   struct Partial {
     std::vector<float> dgain, dbias;
   };
-  const Partial sums = util::ThreadPool::global().reduce_ordered<Partial>(
-      0, dout.rows(), /*grain=*/0, Partial{},
+  const Partial sums = tensor::reduce_row_chunks(
+      dout.rows(),
       [&](std::size_t i0, std::size_t i1) {
         Partial p{std::vector<float>(cols, 0.0f), std::vector<float>(cols, 0.0f)};
         for (std::size_t i = i0; i < i1; ++i) {
@@ -76,17 +73,12 @@ tensor::Tensor& LayerNorm::backward_ws(const tensor::Tensor& dout,
         }
         return p;
       },
-      [](const Partial& a, const Partial& b) {
-        if (a.dgain.empty()) return b;
-        if (b.dgain.empty()) return a;
-        Partial out = a;
-        for (std::size_t j = 0; j < out.dgain.size(); ++j) {
-          out.dgain[j] += b.dgain[j];
-          out.dbias[j] += b.dbias[j];
+      [](Partial& acc, const Partial& part) {
+        for (std::size_t j = 0; j < acc.dgain.size(); ++j) {
+          acc.dgain[j] += part.dgain[j];
+          acc.dbias[j] += part.dbias[j];
         }
-        return out;
-      },
-      tensor::fans_out(dout.size() * tensor::kRowwiseFlopsPerElem));
+      });
   for (std::size_t j = 0; j < cols; ++j) {
     if (gain_.trainable) gain_.grad.at(0, j) += sums.dgain[j];
     if (bias_.trainable) bias_.grad.at(0, j) += sums.dbias[j];

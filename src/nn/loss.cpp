@@ -6,7 +6,6 @@
 
 #include "tensor/ops.h"
 #include "tensor/workspace.h"
-#include "util/thread_pool.h"
 
 namespace odlp::nn {
 
@@ -37,9 +36,9 @@ void cross_entropy_into(const tensor::Tensor& logits,
   const float inv_count = 1.0f / static_cast<float>(result.count);
 
   // Per-row NLL + gradient over absolute positions [t0, t1), clipped to the
-  // logits' rows. dlogits rows are disjoint across chunks; the scalar loss
-  // is an ordered fixed-grain reduction, so the value does not depend on
-  // the lane count, and a chunk with no logits row adds an exact 0.0.
+  // logits' rows. At kChunkedReduceMinElems and above the scalar loss sums
+  // fixed 32-row chunk partials, and a chunk with no logits row adds an
+  // exact 0.0.
   auto row_loss = [&](std::size_t t0, std::size_t t1) {
     double loss = 0.0;
     for (std::size_t t = std::max(t0, row0); t < std::min(t1, row0 + rows); ++t) {
@@ -63,10 +62,9 @@ void cross_entropy_into(const tensor::Tensor& logits,
   if (targets.size() * V < tensor::kChunkedReduceMinElems) {
     result.loss = row_loss(0, targets.size());
   } else {
-    result.loss = util::ThreadPool::global().reduce_ordered<double>(
-        0, targets.size(), /*grain=*/0, 0.0, row_loss,
-        [](const double& a, const double& b) { return a + b; },
-        tensor::fans_out(logits.size() * tensor::kRowwiseFlopsPerElem));
+    result.loss = tensor::reduce_row_chunks(
+        targets.size(), row_loss,
+        [](double& acc, double part) { acc += part; });
   }
   result.loss /= static_cast<double>(result.count);
 }

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "tensor/ops.h"
-#include "util/thread_pool.h"
 
 namespace odlp::nn {
 
@@ -67,25 +66,18 @@ tensor::Tensor& RmsNorm::backward_ws(const tensor::Tensor& dout,
     for (std::size_t i = 0; i < dout.rows(); ++i) row_backward(i, dgain);
     return din;
   }
-  // Chunked path: din rows are disjoint; the shared gain gradient uses
-  // fixed-grain chunk partials combined in chunk order (independent of the
-  // lane count and of whether the chunks fan out).
-  const std::vector<float> dgain =
-      util::ThreadPool::global().reduce_ordered<std::vector<float>>(
-          0, dout.rows(), /*grain=*/0, std::vector<float>(),
-          [&](std::size_t i0, std::size_t i1) {
-            std::vector<float> acc(n, 0.0f);
-            for (std::size_t i = i0; i < i1; ++i) row_backward(i, acc.data());
-            return acc;
-          },
-          [](const std::vector<float>& a, const std::vector<float>& b) {
-            if (a.empty()) return b;
-            if (b.empty()) return a;
-            std::vector<float> out = a;
-            for (std::size_t j = 0; j < out.size(); ++j) out[j] += b[j];
-            return out;
-          },
-          tensor::fans_out(dout.size() * tensor::kRowwiseFlopsPerElem));
+  // Chunked path: the shared gain gradient sums fixed 32-row chunk partials
+  // in chunk order.
+  const std::vector<float> dgain = tensor::reduce_row_chunks(
+      dout.rows(),
+      [&](std::size_t i0, std::size_t i1) {
+        std::vector<float> acc(n, 0.0f);
+        for (std::size_t i = i0; i < i1; ++i) row_backward(i, acc.data());
+        return acc;
+      },
+      [](std::vector<float>& acc, const std::vector<float>& part) {
+        for (std::size_t j = 0; j < acc.size(); ++j) acc[j] += part[j];
+      });
   if (gain_.trainable) {
     for (std::size_t j = 0; j < n; ++j) gain_.grad.at(0, j) += dgain[j];
   }

@@ -15,7 +15,6 @@
 #include "tensor/qtensor.h"  // kQuantBlock, reported in kernel_build_info
 #include "tensor/simd.h"
 #include "tensor/simd_kernels.h"
-#include "util/thread_pool.h"
 
 namespace odlp::tensor {
 
@@ -104,9 +103,9 @@ inline void micro_kernel(const float* __restrict__ ap,
 // C rows [i0, i1) of the tiled product. Per output element the accumulation
 // order is strictly ascending k: k-blocks run in order with C loaded/stored
 // between them (bit-exact equal to one continuous float accumulation), and
-// within a block the micro-kernel walks p upward. Row chunks touch disjoint
-// C rows, so any row partition — hence any lane count — yields bit-identical
-// results. detail::gemm_tiled_rows_avx2 (ops_avx2.cpp) is the AVX2 build of
+// within a block the micro-kernel walks p upward. Row ranges touch disjoint
+// C rows, so any row partition yields bit-identical results.
+// detail::gemm_tiled_rows_avx2 (ops_avx2.cpp) is the AVX2 build of
 // this loop, with the same per-element op sequence.
 void gemm_tiled_rows(const Operand& a, const float* __restrict__ bp,
                      std::size_t K, std::size_t N, float* __restrict__ c,
@@ -168,7 +167,7 @@ void small_nt(const Operand& a, const Operand& b, std::size_t K, std::size_t N,
     float* __restrict__ crow = c + i * ldc;
     for (std::size_t j = 0; j < N; ++j) {
       const float* __restrict__ brow = b.data + j * b.ld;
-      // Fixed 4-way split dot: order depends only on K, never on lanes.
+      // Fixed 4-way split dot: order depends only on K.
       float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
       std::size_t p = 0;
       for (; p + 4 <= K; p += 4) {
@@ -211,21 +210,8 @@ void gemm_small_rows(const Operand& a, const Operand& b, std::size_t K,
   }
 }
 
-// Rows per matmul chunk sized so one chunk is a meaningful slice of work.
-std::size_t matmul_row_grain(std::size_t m, std::size_t k, std::size_t n,
-                             std::size_t lanes) {
-  const std::size_t flops_per_row = 2 * k * n;
-  std::size_t grain = flops_per_row == 0
-                          ? m
-                          : std::max<std::size_t>(1, (1u << 15) / flops_per_row);
-  // No more than ~4 chunks per lane of slack, no fewer than one row.
-  const std::size_t min_grain = (m + lanes * 4 - 1) / (lanes * 4);
-  return std::max(grain, std::max<std::size_t>(1, min_grain));
-}
-
-// Shared driver for all three products. B is packed once by the calling
-// thread into a thread-local buffer (read-only for the row workers); rows
-// fan out to the pool when fans_out(2·m·k·n).
+// Shared driver for all three products. B is packed once into a
+// thread-local buffer, then the row loop runs over all of A.
 void gemm(const Operand& a, const Operand& b, std::size_t M, std::size_t K,
           std::size_t N, Tensor& out, bool accumulate) {
   if (!accumulate) {
@@ -241,45 +227,23 @@ void gemm(const Operand& a, const Operand& b, std::size_t M, std::size_t K,
     return;
   }
   // Path choice is a function of shape only (determinism: a given shape
-  // always takes the same path, whatever the lane count). The SIMD level is
-  // read once here, on the calling thread, and captured by value so pool
-  // workers never touch the dispatch atomic and a concurrent
-  // set_simd_level() cannot split one product across kernel variants (they
-  // are bit-identical anyway — this just keeps the hot loop load-free).
-  const bool tiled = M >= kMR && N >= kNR;
-  const bool use_avx2 = active_simd_level() >= SimdLevel::kAvx2;
-  const float* bp = nullptr;
-  if (tiled) {
-    thread_local std::vector<float> pack_buffer;
-    const std::size_t need = ((N + kNR - 1) / kNR) * kNR * K;
-    if (pack_buffer.size() < need) pack_buffer.resize(need);
-    pack_b(b, K, N, pack_buffer.data());
-    bp = pack_buffer.data();
-  }
-  auto run = [&, use_avx2](std::size_t i0, std::size_t i1) {
-    if (!tiled) {
-      gemm_small_rows(a, b, K, N, c, ldc, accumulate, i0, i1);
-      return;
-    }
-#ifdef ODLP_SIMD_KERNELS_X86
-    if (use_avx2) {
-      detail::gemm_tiled_rows_avx2(a, bp, K, N, c, ldc, accumulate, i0, i1);
-      return;
-    }
-#else
-    (void)use_avx2;
-#endif
-    gemm_tiled_rows(a, bp, K, N, c, ldc, accumulate, i0, i1);
-  };
-  if (!fans_out(2 * M * K * N)) {
-    run(0, M);
+  // always takes the same path).
+  if (M < kMR || N < kNR) {
+    gemm_small_rows(a, b, K, N, c, ldc, accumulate, 0, M);
     return;
   }
-  util::ThreadPool& pool = util::ThreadPool::global();
-  std::size_t grain = matmul_row_grain(M, K, N, pool.lanes());
-  // Quad-align chunks so only the final one packs a partial A quad.
-  grain = (grain + kMR - 1) / kMR * kMR;
-  pool.parallel_for(0, M, grain, run);
+  thread_local std::vector<float> pack_buffer;
+  const std::size_t need = ((N + kNR - 1) / kNR) * kNR * K;
+  if (pack_buffer.size() < need) pack_buffer.resize(need);
+  pack_b(b, K, N, pack_buffer.data());
+  const float* bp = pack_buffer.data();
+#ifdef ODLP_SIMD_KERNELS_X86
+  if (active_simd_level() >= SimdLevel::kAvx2) {
+    detail::gemm_tiled_rows_avx2(a, bp, K, N, c, ldc, accumulate, 0, M);
+    return;
+  }
+#endif
+  gemm_tiled_rows(a, bp, K, N, c, ldc, accumulate, 0, M);
 }
 
 }  // namespace
@@ -407,17 +371,10 @@ Tensor transpose(const Tensor& a) {
 
 void add_row_broadcast_inplace(Tensor& inout, const Tensor& bias) {
   assert(bias.rows() == 1 && bias.cols() == inout.cols());
-  auto apply = [&](std::size_t i0, std::size_t i1) {
-    const float* b = bias.row(0);
-    for (std::size_t i = i0; i < i1; ++i) {
-      float* row = inout.row(i);
-      for (std::size_t j = 0; j < inout.cols(); ++j) row[j] += b[j];
-    }
-  };
-  if (fans_out(inout.size() * kRowwiseFlopsPerElem)) {
-    util::ThreadPool::global().parallel_for(0, inout.rows(), 0, apply);
-  } else {
-    apply(0, inout.rows());
+  const float* b = bias.row(0);
+  for (std::size_t i = 0; i < inout.rows(); ++i) {
+    float* row = inout.row(i);
+    for (std::size_t j = 0; j < inout.cols(); ++j) row[j] += b[j];
   }
 }
 
@@ -437,11 +394,8 @@ void add_row_broadcast_backward(const Tensor& dout, Tensor& dbias) {
     }
     return;
   }
-  // Shared accumulator: reduce fixed-grain chunk partials in chunk order so
-  // the result is independent of the lane count and of fans_out().
-  const std::vector<float> partial =
-      util::ThreadPool::global().reduce_ordered<std::vector<float>>(
-      0, dout.rows(), /*grain=*/0, std::vector<float>(),
+  const std::vector<float> partial = reduce_row_chunks(
+      dout.rows(),
       [&](std::size_t i0, std::size_t i1) {
         std::vector<float> acc(dout.cols(), 0.0f);
         for (std::size_t i = i0; i < i1; ++i) {
@@ -450,14 +404,9 @@ void add_row_broadcast_backward(const Tensor& dout, Tensor& dbias) {
         }
         return acc;
       },
-      [](const std::vector<float>& a, const std::vector<float>& b) {
-        if (a.empty()) return b;
-        if (b.empty()) return a;
-        std::vector<float> out = a;
-        for (std::size_t j = 0; j < out.size(); ++j) out[j] += b[j];
-        return out;
-      },
-      fans_out(dout.size() * kRowwiseFlopsPerElem));
+      [](std::vector<float>& acc, const std::vector<float>& part) {
+        for (std::size_t j = 0; j < acc.size(); ++j) acc[j] += part[j];
+      });
   for (std::size_t j = 0; j < dout.cols(); ++j) db[j] += partial[j];
 }
 
@@ -480,15 +429,8 @@ void softmax_row(const float* in, float* o, std::size_t n) {
 
 void softmax_rows_into(const Tensor& logits, Tensor& out) {
   out.resize_uninitialized(logits.rows(), logits.cols());
-  auto apply = [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t i = i0; i < i1; ++i) {
-      softmax_row(logits.row(i), out.row(i), logits.cols());
-    }
-  };
-  if (fans_out(logits.size() * kRowwiseFlopsPerElem)) {
-    util::ThreadPool::global().parallel_for(0, logits.rows(), 0, apply);
-  } else {
-    apply(0, logits.rows());
+  for (std::size_t i = 0; i < logits.rows(); ++i) {
+    softmax_row(logits.row(i), out.row(i), logits.cols());
   }
 }
 
@@ -496,20 +438,13 @@ void softmax_causal_rows_into(const Tensor& scores, float scale, Tensor& out) {
   assert(scores.rows() == scores.cols());
   const std::size_t T = scores.rows();
   out.resize_uninitialized(T, T);
-  auto apply = [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t i = i0; i < i1; ++i) {
-      const float* in = scores.row(i);
-      float* o = out.row(i);
-      for (std::size_t j = 0; j <= i; ++j) o[j] = in[j] * scale;
-      softmax_row(o, o, i + 1);
-      // +0: the bytes a softmax over a −inf-masked row writes there.
-      std::fill(o + i + 1, o + T, 0.0f);
-    }
-  };
-  if (fans_out(scores.size() * kRowwiseFlopsPerElem)) {
-    util::ThreadPool::global().parallel_for(0, T, 0, apply);
-  } else {
-    apply(0, T);
+  for (std::size_t i = 0; i < T; ++i) {
+    const float* in = scores.row(i);
+    float* o = out.row(i);
+    for (std::size_t j = 0; j <= i; ++j) o[j] = in[j] * scale;
+    softmax_row(o, o, i + 1);
+    // +0: the bytes a softmax over a −inf-masked row writes there.
+    std::fill(o + i + 1, o + T, 0.0f);
   }
 }
 
@@ -604,33 +539,26 @@ void layernorm_rows_into(const Tensor& in, float eps, LayerNormCache* cache,
     cache->inv_std.resize(in.rows());
   }
   const std::size_t n = in.cols();
-  auto apply = [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t i = i0; i < i1; ++i) {
-      const float* x = in.row(i);
-      double mean = 0.0;
-      for (std::size_t j = 0; j < n; ++j) mean += x[j];
-      mean /= static_cast<double>(n);
-      double var = 0.0;
-      for (std::size_t j = 0; j < n; ++j) {
-        const double d = x[j] - mean;
-        var += d * d;
-      }
-      var /= static_cast<double>(n);
-      const float inv_std = static_cast<float>(1.0 / std::sqrt(var + eps));
-      float* o = out.row(i);
-      for (std::size_t j = 0; j < n; ++j) {
-        o[j] = (x[j] - static_cast<float>(mean)) * inv_std;
-      }
-      if (cache) {
-        std::memcpy(cache->normalized.row(i), o, n * sizeof(float));
-        cache->inv_std[i] = inv_std;
-      }
+  for (std::size_t i = 0; i < in.rows(); ++i) {
+    const float* x = in.row(i);
+    double mean = 0.0;
+    for (std::size_t j = 0; j < n; ++j) mean += x[j];
+    mean /= static_cast<double>(n);
+    double var = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      const double d = x[j] - mean;
+      var += d * d;
     }
-  };
-  if (fans_out(in.size() * kRowwiseFlopsPerElem)) {
-    util::ThreadPool::global().parallel_for(0, in.rows(), 0, apply);
-  } else {
-    apply(0, in.rows());
+    var /= static_cast<double>(n);
+    const float inv_std = static_cast<float>(1.0 / std::sqrt(var + eps));
+    float* o = out.row(i);
+    for (std::size_t j = 0; j < n; ++j) {
+      o[j] = (x[j] - static_cast<float>(mean)) * inv_std;
+    }
+    if (cache) {
+      std::memcpy(cache->normalized.row(i), o, n * sizeof(float));
+      cache->inv_std[i] = inv_std;
+    }
   }
 }
 
@@ -645,28 +573,21 @@ void layernorm_rows_backward_into(const Tensor& dout,
   assert(dout.same_shape(cache.normalized));
   const std::size_t n = dout.cols();
   din.resize_uninitialized(dout.rows(), dout.cols());
-  auto apply = [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t i = i0; i < i1; ++i) {
-      const float* d = dout.row(i);
-      const float* xn = cache.normalized.row(i);
-      const float inv_std = cache.inv_std[i];
-      double sum_d = 0.0, sum_dxn = 0.0;
-      for (std::size_t j = 0; j < n; ++j) {
-        sum_d += d[j];
-        sum_dxn += static_cast<double>(d[j]) * xn[j];
-      }
-      const float mean_d = static_cast<float>(sum_d / n);
-      const float mean_dxn = static_cast<float>(sum_dxn / n);
-      float* o = din.row(i);
-      for (std::size_t j = 0; j < n; ++j) {
-        o[j] = inv_std * (d[j] - mean_d - xn[j] * mean_dxn);
-      }
+  for (std::size_t i = 0; i < dout.rows(); ++i) {
+    const float* d = dout.row(i);
+    const float* xn = cache.normalized.row(i);
+    const float inv_std = cache.inv_std[i];
+    double sum_d = 0.0, sum_dxn = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      sum_d += d[j];
+      sum_dxn += static_cast<double>(d[j]) * xn[j];
     }
-  };
-  if (fans_out(dout.size() * kRowwiseFlopsPerElem)) {
-    util::ThreadPool::global().parallel_for(0, dout.rows(), 0, apply);
-  } else {
-    apply(0, dout.rows());
+    const float mean_d = static_cast<float>(sum_d / n);
+    const float mean_dxn = static_cast<float>(sum_dxn / n);
+    float* o = din.row(i);
+    for (std::size_t j = 0; j < n; ++j) {
+      o[j] = inv_std * (d[j] - mean_d - xn[j] * mean_dxn);
+    }
   }
 }
 

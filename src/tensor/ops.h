@@ -16,44 +16,41 @@
 //  * `*_reference` kernels are the plain serial implementations, retained as
 //    the numerical baseline. The tiled kernels are *deterministic* — the
 //    per-element accumulation order is a fixed function of the shape, so
-//    results are identical run-to-run and for any thread-pool lane count —
-//    but NOT bit-identical to the references (different accumulator widths
-//    and FP order); equivalence tests use a tight relative-tolerance band
+//    results are identical run-to-run — but NOT bit-identical to the
+//    references (different accumulator widths and FP order); equivalence
+//    tests use a tight relative-tolerance band
 //    (DESIGN.md §8, tests/test_kernel_shapes.cpp).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 
 #include "tensor/tensor.h"
 
 namespace odlp::tensor {
 
-// The one dispatch cut-over for kernel regions: gemm, qgemm and the
-// row-wise tensor/nn ops leave the calling thread for the util::ThreadPool
-// only when a call's work reaches this many flops. Below it, waking and
-// joining the workers costs more than the split saves: on a 4-core x86-64
-// host every model-shaped GEMM up to 192³ ran slower at 4 lanes than
-// inline, and 256³ (2²⁵ flops) was the first shape to gain (bench_perf's
-// `fanout_cutover` table, DESIGN.md §8). Keyed on shape only, never on the
-// lane count, and both sides of it write the same bytes.
-inline constexpr std::size_t kFanOutMinFlops = std::size_t{1} << 25;
-
-// Row-wise ops state their work as elements × this weight: roughly what one
-// element costs in GEMM flops at the tiled kernel's rate (on the table's
-// host a softmax element costs ~260, a LayerNorm element ~100).
-inline constexpr std::size_t kRowwiseFlopsPerElem = 128;
-
-inline constexpr bool fans_out(std::size_t work_flops) {
-  return work_flops >= kFanOutMinFlops;
-}
+// Every kernel runs on the calling thread; the fleet scheduler's per-user
+// slots are the only parallelism (DESIGN.md §8).
 
 // Row reductions into a shared accumulator (bias/gain gradients, the CE
 // loss) below this many elements run as one straight loop; at or above it
-// as fixed-grain chunk partials combined in chunk order
-// (ThreadPool::reduce_ordered), inline or on the pool per fans_out(). This
-// picks the summation order, so it is part of the determinism contract:
-// changing it changes bytes.
+// as reduce_row_chunks' fixed 32-row chunk partials. This picks the
+// summation order, so it is part of the determinism contract: changing it
+// changes bytes.
 inline constexpr std::size_t kChunkedReduceMinElems = std::size_t{1} << 14;
+inline constexpr std::size_t kChunkedReduceGrain = 32;
+
+// Reduces rows [0, rows) as kChunkedReduceGrain-row chunk partials
+// `map(row_begin, row_end)`, combined in ascending chunk order: the first
+// partial is taken as-is and each later one folded in by `add(acc, partial)`.
+template <typename Map, typename Add>
+auto reduce_row_chunks(std::size_t rows, Map map, Add add) {
+  auto acc = map(0, std::min(rows, kChunkedReduceGrain));
+  for (std::size_t b = kChunkedReduceGrain; b < rows; b += kChunkedReduceGrain) {
+    add(acc, map(b, std::min(rows, b + kChunkedReduceGrain)));
+  }
+  return acc;
+}
 
 // How the GEMM hot cores are built AND dispatched, recorded by bench_perf
 // into results/BENCH_perf.json so perf trajectories name the kernel they
@@ -75,7 +72,7 @@ struct KernelBuildInfo {
 KernelBuildInfo kernel_build_info();
 
 // out[m,n] (+)= A[m,k] * B[k,n]. Register-tiled 4xN micro-kernel over packed
-// B panels; row-parallel on the util::ThreadPool when fans_out(2·m·k·n).
+// B panels.
 // When accumulate is false, `out` is reshaped (uninitialized) and every
 // element is written exactly once. `out` must not alias `a` or `b`.
 void matmul_into(const Tensor& a, const Tensor& b, Tensor& out,

@@ -24,10 +24,8 @@
 #include <cstring>
 #include <vector>
 
-#include "tensor/ops.h"
 #include "tensor/simd.h"
 #include "tensor/simd_kernels.h"
-#include "util/thread_pool.h"
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -374,9 +372,7 @@ void qmatmul_into(const Tensor& x, const QuantizedTensor& w, Tensor& out,
   const std::size_t nblocks = w.blocks();
   float* c = out.data();
   const bool tiled = M >= kQMR;
-  // Kernel variant selection happens once per call, on the calling thread
-  // (pool workers receive the chosen pointer and never read the dispatch
-  // atomic). Every variant is bit-identical — exact int32 block sums feeding
+  // Kernel variant selection happens once per call. Every variant is bit-identical — exact int32 block sums feeding
   // the shared fp32 fixup — so the level affects throughput only.
   QGemmRowsFn small_fn = qgemm_small_rows_scalar;
   QGemmRowsFn tiled_fn = qgemm_tiled_rows_scalar;
@@ -401,23 +397,7 @@ void qmatmul_into(const Tensor& x, const QuantizedTensor& w, Tensor& out,
 #endif
 #endif
   const QGemmRowsFn rows_fn = tiled ? tiled_fn : small_fn;
-  auto run = [&, rows_fn](std::size_t r0, std::size_t r1) {
-    rows_fn(qx, sx, K, N, qw, sw, nblocks, c, N, accumulate, r0, r1);
-  };
-  // Same fan-out cut-over as the fp32 GEMM, keyed on shape only.
-  if (!fans_out(2 * M * K * N)) {
-    run(0, M);
-    return;
-  }
-  util::ThreadPool& pool = util::ThreadPool::global();
-  const std::size_t flops_per_row = 2 * K * N;
-  std::size_t grain = std::max<std::size_t>(1, (1u << 15) / flops_per_row);
-  const std::size_t min_grain =
-      (M + pool.lanes() * 4 - 1) / (pool.lanes() * 4);
-  grain = std::max(grain, std::max<std::size_t>(1, min_grain));
-  // Quad-align chunks so only the final one runs a partial row quad.
-  grain = (grain + kQMR - 1) / kQMR * kQMR;
-  pool.parallel_for(0, M, grain, run);
+  rows_fn(qx, sx, K, N, qw, sw, nblocks, c, N, accumulate, 0, M);
 }
 
 Tensor qmatmul(const Tensor& x, const QuantizedTensor& w) {

@@ -13,8 +13,8 @@
 // with k-blocks visited in strictly ascending order. Because the integer
 // partial sums are exact (any summation order gives the same int32) and the
 // fixup expression + order is fixed, qmatmul is not merely deterministic
-// like the fp32 tiled kernels: it is bit-identical to qmatmul_reference and
-// invariant to the thread-pool lane count (DESIGN.md §8–§9).
+// like the fp32 tiled kernels: it is bit-identical to qmatmul_reference
+// (DESIGN.md §8–§9).
 //
 // This TU is compiled -O3 -ffp-contract=off like ops.cpp (the fixup is fp32
 // arithmetic and must not contract into FMA).
@@ -27,8 +27,8 @@ namespace odlp::tensor {
 
 // out[m,n] (+)= X[m,k] · Q(W)[k,n]. W must be quantized kAlongRows with
 // W.rows() == X.cols(). Register-tiled 4×16 path for m ≥ 4, a W-streaming
-// matvec path for m < 4 (the m=1 decode step); row-parallel when
-// fans_out(2·m·k·n) (tensor/ops.h). When accumulate is false `out` is reshaped and fully written.
+// matvec path for m < 4 (the m=1 decode step). When accumulate is false
+// `out` is reshaped and fully written.
 // `out` must not alias `x`.
 void qmatmul_into(const Tensor& x, const QuantizedTensor& w, Tensor& out,
                   bool accumulate = false);
@@ -37,7 +37,7 @@ void qmatmul_into(const Tensor& x, const QuantizedTensor& w, Tensor& out,
 Tensor qmatmul(const Tensor& x, const QuantizedTensor& w);
 
 // Serial unblocked kernel with the identical block order and fixup
-// expression; bit-identical to qmatmul for every shape and lane count
+// expression; bit-identical to qmatmul for every shape
 // (tests/test_quantized_equivalence.cpp).
 Tensor qmatmul_reference(const Tensor& x, const QuantizedTensor& w);
 

@@ -5,11 +5,11 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -139,7 +139,7 @@ struct ThreadPool::Impl {
 };
 
 ThreadPool::ThreadPool(std::size_t lanes) : impl_(new Impl) {
-  resize(lanes == 0 ? configured_lanes() : lanes);
+  resize(lanes == 0 ? std::thread::hardware_concurrency() : lanes);
 }
 
 ThreadPool::~ThreadPool() {
@@ -164,30 +164,12 @@ ThreadPool& ThreadPool::global() {
   return pool;
 }
 
-std::size_t ThreadPool::configured_lanes() {
-  if (const char* env = std::getenv("ODLP_THREADS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && v >= 1) {
-      return std::min<std::size_t>(static_cast<std::size_t>(v), kMaxLanes);
-    }
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : std::min<std::size_t>(hw, kMaxLanes);
-}
-
-void ThreadPool::run_region(
+void ThreadPool::parallel_for_slotted(
     std::size_t begin, std::size_t end, std::size_t grain,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& chunk) {
   if (end <= begin) return;
-  const std::size_t range = end - begin;
-  if (grain == 0) {
-    // ~4 chunks per lane for dynamic load balancing. Only legal where chunk
-    // writes are disjoint (reduce_ordered always passes an explicit grain).
-    grain = (range + lanes_ * 4 - 1) / (lanes_ * 4);
-    if (grain == 0) grain = 1;
-  }
-  const std::size_t num_chunks = (range + grain - 1) / grain;
+  if (grain == 0) grain = 1;
+  const std::size_t num_chunks = (end - begin + grain - 1) / grain;
 
   // Serial / inline paths: single-lane pool, a single chunk, or a nested
   // region on a thread already executing chunks (avoids deadlock).
@@ -237,19 +219,6 @@ void ThreadPool::run_region(
   }
   pm.queue_depth.set(0.0);
   if (job.error) std::rethrow_exception(job.error);
-}
-
-void ThreadPool::parallel_for(
-    std::size_t begin, std::size_t end, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& chunk) {
-  run_region(begin, end, grain,
-             [&chunk](std::size_t b, std::size_t e, std::size_t) { chunk(b, e); });
-}
-
-void ThreadPool::parallel_for_slotted(
-    std::size_t begin, std::size_t end, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& chunk) {
-  run_region(begin, end, grain, chunk);
 }
 
 }  // namespace odlp::util

@@ -6,22 +6,15 @@
 // on, just below, and just above every boundary — plus degenerate 1×1,
 // prime, all-zero, and denormal inputs — for the forward product and both
 // backward products (dA += dC·Bᵀ via the nt kernel, dB += Aᵀ·dC via tn).
-// Lane-count invariance is checked bit-for-bit per the determinism
-// contract in DESIGN.md §8.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cmath>
-#include <cstdint>
-#include <cstring>
 #include <limits>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "tensor/ops.h"
 #include "tensor/simd.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace odlp {
 namespace {
@@ -34,11 +27,6 @@ tensor::Tensor random_tensor(std::size_t rows, std::size_t cols, util::Rng& rng)
   return t;
 }
 
-bool bit_identical(const tensor::Tensor& a, const tensor::Tensor& b) {
-  return a.same_shape(b) &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
-}
-
 void expect_close(const tensor::Tensor& ref, const tensor::Tensor& got,
                   float rtol = 1e-4f, float atol = 1e-5f) {
   ASSERT_TRUE(ref.same_shape(got));
@@ -47,20 +35,6 @@ void expect_close(const tensor::Tensor& ref, const tensor::Tensor& got,
     const float g = got.data()[i];
     ASSERT_LE(std::abs(g - r), atol + rtol * std::abs(r)) << "element " << i;
   }
-}
-
-std::uint64_t pool_regions() {
-  return obs::registry().counter("pool.regions.total").value();
-}
-
-template <typename Fn>
-auto with_global_lanes(std::size_t lanes, Fn fn) {
-  util::ThreadPool& pool = util::ThreadPool::global();
-  const std::size_t before = pool.lanes();
-  pool.resize(lanes);
-  auto result = fn();
-  pool.resize(before);
-  return result;
 }
 
 // Shapes as [m, n, k] of the logical product C[m,n] = A[m,k] * B[k,n].
@@ -168,49 +142,6 @@ TEST(KernelShapes, DenormalInputsStayFiniteAndMatchReference) {
     }
     expect_close(ref, got, /*rtol=*/1e-4f, /*atol=*/0.0f);
   }
-}
-
-TEST(KernelShapes, AllProductsIndependentOfLaneCount) {
-  // Bit-exact lane invariance for forward, nt, and tn across edge shapes —
-  // the chunk grain is quad-aligned, so row ownership never straddles lanes.
-  // The edge shapes all sit below tensor::kFanOutMinFlops and must stay on
-  // the calling thread; the last shape (2·260·260·257 ≥ 2²⁵ flops, with a
-  // partial final panel and a k-block crossing) must fan out, one pool
-  // region per product, so the 4-lane run really splits.
-  util::Rng rng(0xF5);
-  std::vector<std::array<std::size_t, 3>> shapes;
-  for (const auto& s : kShapes) shapes.push_back({s[0], s[1], s[2]});
-  shapes.push_back({260, 260, 257});
-  for (const auto& s : shapes) {
-    SCOPED_TRACE(testing::Message()
-                 << "shape " << s[0] << "x" << s[1] << "x" << s[2]);
-    const tensor::Tensor a = random_tensor(s[0], s[2], rng);
-    const tensor::Tensor bn = random_tensor(s[2], s[1], rng);
-    const tensor::Tensor bt = random_tensor(s[1], s[2], rng);
-    const tensor::Tensor at = random_tensor(s[2], s[0], rng);
-    struct R {
-      tensor::Tensor nn, nt, tn;
-      std::uint64_t regions = 0;
-    };
-    auto run = [&] {
-      R r;
-      const std::uint64_t before = pool_regions();
-      tensor::matmul_into(a, bn, r.nn);
-      tensor::matmul_nt_into(a, bt, r.nt);
-      tensor::matmul_tn_into(at, bn, r.tn);
-      r.regions = pool_regions() - before;
-      return r;
-    };
-    const R one = with_global_lanes(1, run);
-    const R four = with_global_lanes(4, run);
-    EXPECT_TRUE(bit_identical(one.nn, four.nn));
-    EXPECT_TRUE(bit_identical(one.nt, four.nt));
-    EXPECT_TRUE(bit_identical(one.tn, four.tn));
-    const bool fans_out = tensor::fans_out(2 * s[0] * s[1] * s[2]);
-    EXPECT_EQ(one.regions, 0u);
-    EXPECT_EQ(four.regions, fans_out ? 3u : 0u);
-  }
-  EXPECT_TRUE(tensor::fans_out(2 * 260 * 260 * 257));
 }
 
 TEST(KernelShapes, BuildInfoReportsTileGeometry) {

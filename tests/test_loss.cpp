@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "nn/loss.h"
+#include "tensor/ops.h"
 #include "util/rng.h"
 
 namespace odlp::nn {
@@ -122,5 +123,49 @@ TEST(CrossEntropy, RowSpanMatchesFullSequenceBitForBit) {
                           got.dlogits.size() * sizeof(float)), 0);
   }
 }
+
+// At kChunkedReduceMinElems elements and above, the loss sums fixed 32-row
+// chunk partials in chunk order. A one-row call returns that row's loss
+// exactly (count 1), so the test rebuilds both the chunked and the
+// straight-loop sum from them. The rows mix near-certain hits and misses,
+// as above, so the two orders differ in the last bit.
+TEST(CrossEntropy, ChunkedLossMatchesFixed32RowPartials) {
+  constexpr std::size_t T = 100, V = 600;
+  constexpr std::size_t kGrain = tensor::kChunkedReduceGrain;
+  static_assert(T * V >= tensor::kChunkedReduceMinElems);
+  util::Rng rng(43);
+  Tensor logits = Tensor::uninitialized(T, V);
+  std::vector<int> targets(T);
+  for (std::size_t t = 0; t < T; ++t) {
+    const std::size_t y = rng.uniform_index(V);
+    for (std::size_t j = 0; j < V; ++j) {
+      logits.at(t, j) = static_cast<float>(rng.normal(0.0, 0.3));
+    }
+    logits.at(t, y) += rng.bernoulli(0.5) ? 22.0f : -20.0f;
+    targets[t] = t % 9 == 4 ? -1 : static_cast<int>(y);
+  }
+  const CrossEntropyResult site = cross_entropy(logits, targets);
+
+  double chunked = 0.0;
+  double straight = 0.0;
+  for (std::size_t b = 0; b < T; b += kGrain) {
+    double part = 0.0;
+    for (std::size_t t = b; t < std::min(T, b + kGrain); ++t) {
+      if (targets[t] == -1) continue;
+      Tensor row = Tensor::uninitialized(1, V);
+      std::memcpy(row.data(), logits.row(t), V * sizeof(float));
+      const double loss = cross_entropy(row, {targets[t]}).loss;
+      part += loss;
+      straight += loss;
+    }
+    chunked = b == 0 ? part : chunked + part;
+  }
+  chunked /= static_cast<double>(site.count);
+  straight /= static_cast<double>(site.count);
+  EXPECT_EQ(std::memcmp(&site.loss, &chunked, sizeof(double)), 0)
+      << site.loss << " vs " << chunked;
+  EXPECT_NE(std::memcmp(&straight, &chunked, sizeof(double)), 0);
+}
+
 }  // namespace
 }  // namespace odlp::nn

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "nn/attention.h"
 #include "nn/block.h"
@@ -163,6 +165,65 @@ TEST(LayerNormModule, GainAndBiasApplied) {
   double mean = 0;
   for (std::size_t j = 0; j < 4; ++j) mean += y.at(0, j);
   EXPECT_NEAR(mean / 4, 1.0, 1e-5);
+}
+
+// At kChunkedReduceMinElems elements and above, the gain and bias gradients
+// sum fixed 32-row chunk partials in chunk order. A 32-row chunk alone is
+// below the switch, so running the module chunk by chunk gives each partial
+// (into zeroed gradients) and, accumulated into one gradient, the
+// straight-loop sum that the chunked order must differ from on this data.
+TEST(LayerNormModule, ChunkedGradientMatchesFixed32RowPartials) {
+  constexpr std::size_t kRows = 300, kCols = 64;
+  constexpr std::size_t kGrain = tensor::kChunkedReduceGrain;
+  static_assert(kRows * kCols >= tensor::kChunkedReduceMinElems);
+  static_assert(kGrain * kCols < tensor::kChunkedReduceMinElems);
+  util::Rng rng(51);
+  Tensor x(kRows, kCols), dout(kRows, kCols);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x.data()[i] = static_cast<float>(rng.normal());
+    dout.data()[i] = static_cast<float>(rng.normal());
+  }
+  auto rows_of = [](const Tensor& t, std::size_t b, std::size_t e) {
+    Tensor out = Tensor::uninitialized(e - b, t.cols());
+    std::memcpy(out.data(), t.row(b), out.size() * sizeof(float));
+    return out;
+  };
+  LayerNorm ln("ln", kCols);
+  ParameterList params;  // gain, bias
+  ln.collect_parameters(params);
+  auto run = [&](std::size_t b, std::size_t e) {
+    ln.forward(rows_of(x, b, e));
+    ln.backward(rows_of(dout, b, e));
+  };
+
+  zero_grads(params);
+  run(0, kRows);
+  const Tensor site[2] = {params[0]->grad, params[1]->grad};
+
+  Tensor chunked[2];
+  for (std::size_t b = 0; b < kRows; b += kGrain) {
+    zero_grads(params);
+    run(b, std::min(kRows, b + kGrain));
+    for (std::size_t p = 0; p < 2; ++p) {
+      if (b == 0) {
+        chunked[p] = params[p]->grad;
+        continue;
+      }
+      for (std::size_t j = 0; j < kCols; ++j) {
+        chunked[p].data()[j] += params[p]->grad.data()[j];
+      }
+    }
+  }
+  zero_grads(params);
+  for (std::size_t b = 0; b < kRows; b += kGrain) {
+    run(b, std::min(kRows, b + kGrain));
+  }
+  const std::size_t bytes = kCols * sizeof(float);
+  for (std::size_t p = 0; p < 2; ++p) {
+    SCOPED_TRACE(params[p]->name);
+    EXPECT_EQ(std::memcmp(site[p].data(), chunked[p].data(), bytes), 0);
+    EXPECT_NE(std::memcmp(params[p]->grad.data(), chunked[p].data(), bytes), 0);
+  }
 }
 
 TEST(Attention, OutputShapeMatchesInput) {

@@ -1,10 +1,14 @@
 // RMSNorm forward/backward and the Llama-style model variant.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "llm/decode_session.h"
 #include "llm/minillm.h"
 #include "llm/trainer.h"
 #include "nn/rmsnorm.h"
+#include "tensor/ops.h"
 #include "tensor/gradcheck.h"
 #include "util/rng.h"
 
@@ -83,6 +87,59 @@ TEST(RmsNorm, FrozenGainAccumulatesNoGradient) {
   norm.forward(Tensor::from(1, 3, {1, 2, 3}));
   norm.backward(Tensor::ones(1, 3));
   EXPECT_FLOAT_EQ(params[0]->grad.l2_norm(), 0.0f);
+}
+
+// At kChunkedReduceMinElems elements and above, the gain gradient sums
+// fixed 32-row chunk partials in chunk order. A 32-row chunk alone is below
+// the switch, so running the module chunk by chunk gives each partial (into
+// a zeroed gradient) and, accumulated into one gradient, the straight-loop
+// sum that the chunked order must differ from on this data.
+TEST(RmsNorm, ChunkedGainGradientMatchesFixed32RowPartials) {
+  constexpr std::size_t kRows = 300, kCols = 64;
+  constexpr std::size_t kGrain = tensor::kChunkedReduceGrain;
+  static_assert(kRows * kCols >= tensor::kChunkedReduceMinElems);
+  static_assert(kGrain * kCols < tensor::kChunkedReduceMinElems);
+  util::Rng rng(53);
+  Tensor x(kRows, kCols), dout(kRows, kCols);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x.data()[i] = static_cast<float>(rng.normal());
+    dout.data()[i] = static_cast<float>(rng.normal());
+  }
+  auto rows_of = [](const Tensor& t, std::size_t b, std::size_t e) {
+    Tensor out = Tensor::uninitialized(e - b, t.cols());
+    std::memcpy(out.data(), t.row(b), out.size() * sizeof(float));
+    return out;
+  };
+  RmsNorm norm("n", kCols);
+  ParameterList params;
+  norm.collect_parameters(params);
+  Tensor& grad = params[0]->grad;
+  auto run = [&](std::size_t b, std::size_t e) {
+    norm.forward(rows_of(x, b, e));
+    norm.backward(rows_of(dout, b, e));
+  };
+
+  zero_grads(params);
+  run(0, kRows);
+  const Tensor site = grad;
+
+  Tensor chunked;
+  for (std::size_t b = 0; b < kRows; b += kGrain) {
+    zero_grads(params);
+    run(b, std::min(kRows, b + kGrain));
+    if (b == 0) {
+      chunked = grad;
+    } else {
+      for (std::size_t j = 0; j < kCols; ++j) chunked.data()[j] += grad.data()[j];
+    }
+  }
+  zero_grads(params);
+  for (std::size_t b = 0; b < kRows; b += kGrain) {
+    run(b, std::min(kRows, b + kGrain));
+  }
+  const std::size_t bytes = kCols * sizeof(float);
+  EXPECT_EQ(std::memcmp(site.data(), chunked.data(), bytes), 0);
+  EXPECT_NE(std::memcmp(grad.data(), chunked.data(), bytes), 0);
 }
 
 TEST(RmsNormModel, LlamaStyleModelTrainsAndDecodes) {

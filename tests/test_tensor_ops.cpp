@@ -83,6 +83,48 @@ TEST(RowBroadcast, BackwardSumsColumns) {
   EXPECT_FLOAT_EQ(dbias.at(0, 1), 12);
 }
 
+// At kChunkedReduceMinElems elements and above, the bias gradient sums
+// fixed 32-row chunk partials in chunk order. A 32-row chunk alone is below
+// the switch, so calling the op chunk by chunk gives each partial (into a
+// zeroed gradient) and, accumulated into one gradient, the straight-loop
+// sum that the chunked order must differ from on this data.
+TEST(RowBroadcast, ChunkedBackwardMatchesFixed32RowPartials) {
+  constexpr std::size_t kRows = 300, kCols = 64;
+  constexpr std::size_t kGrain = kChunkedReduceGrain;
+  static_assert(kRows * kCols >= kChunkedReduceMinElems);
+  static_assert(kGrain * kCols < kChunkedReduceMinElems);
+  util::Rng rng(52);
+  Tensor dout(kRows, kCols);
+  for (std::size_t i = 0; i < dout.size(); ++i) {
+    dout.data()[i] = static_cast<float>(rng.normal());
+  }
+  auto rows_of = [&](std::size_t b, std::size_t e) {
+    Tensor out = Tensor::uninitialized(e - b, kCols);
+    std::memcpy(out.data(), dout.row(b), out.size() * sizeof(float));
+    return out;
+  };
+
+  Tensor site = Tensor::zeros(1, kCols);
+  add_row_broadcast_backward(dout, site);
+
+  Tensor chunked;
+  Tensor straight = Tensor::zeros(1, kCols);
+  for (std::size_t b = 0; b < kRows; b += kGrain) {
+    const Tensor chunk = rows_of(b, std::min(kRows, b + kGrain));
+    Tensor part = Tensor::zeros(1, kCols);
+    add_row_broadcast_backward(chunk, part);
+    if (b == 0) {
+      chunked = part;
+    } else {
+      for (std::size_t j = 0; j < kCols; ++j) chunked.data()[j] += part.data()[j];
+    }
+    add_row_broadcast_backward(chunk, straight);
+  }
+  const std::size_t bytes = kCols * sizeof(float);
+  EXPECT_EQ(std::memcmp(site.data(), chunked.data(), bytes), 0);
+  EXPECT_NE(std::memcmp(straight.data(), chunked.data(), bytes), 0);
+}
+
 TEST(Softmax, RowsSumToOne) {
   Tensor logits = Tensor::from(2, 3, {1, 2, 3, -1, 0, 1});
   Tensor p = softmax_rows(logits);

@@ -1,12 +1,13 @@
-// util::ThreadPool: coverage semantics, determinism across lane counts,
-// nested regions, exception propagation, slot stability. Also the stress
-// suite the TSan build (ODLP_SANITIZE=thread) exercises.
+// util::ThreadPool: coverage semantics, nested regions, exception
+// propagation, slot stability. Also the stress suite the TSan build
+// (ODLP_SANITIZE=thread) exercises.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.h"
@@ -18,9 +19,12 @@ TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
   util::ThreadPool pool(4);
   for (std::size_t n : {0u, 1u, 7u, 64u, 1000u}) {
     std::vector<std::atomic<int>> hits(n);
-    pool.parallel_for(0, n, 3, [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
-    });
+    pool.parallel_for_slotted(0, n, 3,
+                              [&](std::size_t b, std::size_t e, std::size_t) {
+                                for (std::size_t i = b; i < e; ++i) {
+                                  hits[i].fetch_add(1);
+                                }
+                              });
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(hits[i].load(), 1) << "index " << i << " of " << n;
     }
@@ -30,91 +34,66 @@ TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
 TEST(ThreadPool, ChunksRespectGrain) {
   util::ThreadPool pool(3);
   std::atomic<std::size_t> max_chunk{0};
-  pool.parallel_for(10, 95, 7, [&](std::size_t b, std::size_t e) {
-    ASSERT_LE(b, e);
-    std::size_t len = e - b;
-    std::size_t prev = max_chunk.load();
-    while (len > prev && !max_chunk.compare_exchange_weak(prev, len)) {
-    }
-  });
+  pool.parallel_for_slotted(10, 95, 7,
+                            [&](std::size_t b, std::size_t e, std::size_t) {
+                              ASSERT_LE(b, e);
+                              std::size_t len = e - b;
+                              std::size_t prev = max_chunk.load();
+                              while (len > prev &&
+                                     !max_chunk.compare_exchange_weak(prev, len)) {
+                              }
+                            });
   EXPECT_LE(max_chunk.load(), 7u);
 }
 
 TEST(ThreadPool, SingleLanePoolRunsInline) {
   util::ThreadPool pool(1);
   std::vector<int> order;
-  pool.parallel_for(0, 10, 4, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) order.push_back(static_cast<int>(i));
-  });
+  pool.parallel_for_slotted(0, 10, 4,
+                            [&](std::size_t b, std::size_t e, std::size_t lane) {
+                              EXPECT_EQ(lane, 0u);
+                              for (std::size_t i = b; i < e; ++i) {
+                                order.push_back(static_cast<int>(i));
+                              }
+                            });
   std::vector<int> expected(10);
   std::iota(expected.begin(), expected.end(), 0);
   EXPECT_EQ(order, expected);  // chunk order == submission order when inline
 }
 
-TEST(ThreadPool, ReduceOrderedIsIdenticalAcrossLaneCounts) {
-  // The reduction decomposes by grain only, so 1-lane and 4-lane pools must
-  // agree bit-for-bit even for float accumulation — and so must the inline
-  // (fan_out = false) mapping of the same chunks. All equal the explicit
-  // fixed-grain chunk sum combined in chunk order.
-  std::vector<float> values(10007);
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    values[i] = 1.0f / static_cast<float>(i + 1);
-  }
-  auto chunk_sum = [&](std::size_t b, std::size_t e) {
-    float acc = 0.0f;
-    for (std::size_t i = b; i < e; ++i) acc += values[i];
-    return acc;
-  };
-  auto run = [&](util::ThreadPool& pool, bool fan_out = true) {
-    return pool.reduce_ordered<float>(
-        0, values.size(), 0, 0.0f, chunk_sum,
-        [](const float& a, const float& b) { return a + b; }, fan_out);
-  };
-  float expected = 0.0f;
-  const std::size_t grain = util::ThreadPool::kDefaultReduceGrain;
-  for (std::size_t b = 0; b < values.size(); b += grain) {
-    expected += chunk_sum(b, std::min(values.size(), b + grain));
-  }
-  util::ThreadPool serial(1);
-  util::ThreadPool wide(4);
-  const float s = run(serial);
-  const float w1 = run(wide);
-  const float w2 = run(wide);
-  EXPECT_EQ(s, expected);
-  EXPECT_EQ(w1, expected);
-  EXPECT_EQ(w2, expected);  // run-to-run
-  EXPECT_EQ(run(wide, /*fan_out=*/false), expected);
-  EXPECT_NE(chunk_sum(0, values.size()), expected);  // the order is visible
-}
-
 TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
   util::ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(64);
-  pool.parallel_for(0, 8, 1, [&](std::size_t b, std::size_t e) {
-    for (std::size_t outer = b; outer < e; ++outer) {
-      pool.parallel_for(0, 8, 1, [&](std::size_t ib, std::size_t ie) {
-        for (std::size_t inner = ib; inner < ie; ++inner) {
-          hits[outer * 8 + inner].fetch_add(1);
+  pool.parallel_for_slotted(
+      0, 8, 1, [&](std::size_t b, std::size_t e, std::size_t) {
+        for (std::size_t outer = b; outer < e; ++outer) {
+          pool.parallel_for_slotted(
+              0, 8, 1, [&](std::size_t ib, std::size_t ie, std::size_t) {
+                for (std::size_t inner = ib; inner < ie; ++inner) {
+                  hits[outer * 8 + inner].fetch_add(1);
+                }
+              });
         }
       });
-    }
-  });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, ExceptionPropagatesToSubmitter) {
   util::ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.parallel_for(0, 100, 1,
-                        [&](std::size_t b, std::size_t) {
-                          if (b == 42) throw std::runtime_error("chunk 42");
-                        }),
-      std::runtime_error);
+  EXPECT_THROW(pool.parallel_for_slotted(
+                   0, 100, 1,
+                   [&](std::size_t b, std::size_t, std::size_t) {
+                     if (b == 42) throw std::runtime_error("chunk 42");
+                   }),
+               std::runtime_error);
   // Pool stays usable after a failed region.
   std::atomic<int> sum{0};
-  pool.parallel_for(0, 10, 1, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) sum.fetch_add(static_cast<int>(i));
-  });
+  pool.parallel_for_slotted(0, 10, 1,
+                            [&](std::size_t b, std::size_t e, std::size_t) {
+                              for (std::size_t i = b; i < e; ++i) {
+                                sum.fetch_add(static_cast<int>(i));
+                              }
+                            });
   EXPECT_EQ(sum.load(), 45);
 }
 
@@ -150,9 +129,10 @@ TEST(ThreadPool, ResizeChangesLaneCount) {
   pool.resize(5);
   EXPECT_EQ(pool.lanes(), 5u);
   std::atomic<int> sum{0};
-  pool.parallel_for(0, 100, 0, [&](std::size_t b, std::size_t e) {
-    sum.fetch_add(static_cast<int>(e - b));
-  });
+  pool.parallel_for_slotted(0, 100, 1,
+                            [&](std::size_t b, std::size_t e, std::size_t) {
+                              sum.fetch_add(static_cast<int>(e - b));
+                            });
   EXPECT_EQ(sum.load(), 100);
   pool.resize(1);
   EXPECT_EQ(pool.lanes(), 1u);
@@ -162,14 +142,17 @@ TEST(ThreadPool, GlobalPoolIsUsable) {
   util::ThreadPool& pool = util::ThreadPool::global();
   EXPECT_GE(pool.lanes(), 1u);
   std::atomic<int> sum{0};
-  pool.parallel_for(0, 64, 0, [&](std::size_t b, std::size_t e) {
-    sum.fetch_add(static_cast<int>(e - b));
-  });
+  pool.parallel_for_slotted(0, 64, 1,
+                            [&](std::size_t b, std::size_t e, std::size_t) {
+                              sum.fetch_add(static_cast<int>(e - b));
+                            });
   EXPECT_EQ(sum.load(), 64);
 }
 
-TEST(ThreadPool, ConfiguredLanesIsPositive) {
-  EXPECT_GE(util::ThreadPool::configured_lanes(), 1u);
+TEST(ThreadPool, DefaultPoolStartsAtHardwareConcurrency) {
+  const std::size_t hw = std::thread::hardware_concurrency();
+  util::ThreadPool pool;
+  EXPECT_EQ(pool.lanes(), std::clamp<std::size_t>(hw, 1, 64));
 }
 
 TEST(ThreadPool, StressManySmallRegions) {
@@ -177,9 +160,10 @@ TEST(ThreadPool, StressManySmallRegions) {
   util::ThreadPool pool(4);
   for (int round = 0; round < 200; ++round) {
     std::atomic<int> sum{0};
-    pool.parallel_for(0, 37, 2, [&](std::size_t b, std::size_t e) {
-      sum.fetch_add(static_cast<int>(e - b));
-    });
+    pool.parallel_for_slotted(0, 37, 2,
+                              [&](std::size_t b, std::size_t e, std::size_t) {
+                                sum.fetch_add(static_cast<int>(e - b));
+                              });
     ASSERT_EQ(sum.load(), 37);
   }
 }
