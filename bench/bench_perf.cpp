@@ -398,8 +398,11 @@ int main(int argc, char** argv) {
     // is checked token-for-token against a serial DecodeSession loop (an
     // implementation independent of the scheduler) with the same
     // per-session seeds; a mismatch or a batch=4 int8 slowdown vs batch=1
-    // fails the bench (DESIGN.md §12). ----
+    // fails the bench (DESIGN.md §12). The model is frozen first, as the
+    // fleet's decode base is, so its fp32 products read pre-packed weight
+    // panels (DESIGN.md §8). ----
     {
+      model.freeze();
       llm::SamplerConfig sc;
       sc.temperature = 0.5f;
       sc.max_new_tokens = 48;

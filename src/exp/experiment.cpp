@@ -174,11 +174,10 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   // The pretrained base stays adapter-free and decodes every evaluation
   // (adapter snapshots ride along as overlays); a LoRA-attached clone of it
   // runs the rounds.
-  std::unique_ptr<llm::MiniLlm> base = make_base_model(config, tokenizer);
+  fleet::FleetModels models = fleet::make_fleet_models(config, tokenizer, 1);
+  llm::MiniLlm& base = *models.base;
+  fleet::WorkerContext& worker = models.workers.front();
   const core::EngineConfig ec = make_engine_config(config);
-  fleet::WorkerContext worker =
-      fleet::make_worker(make_model_config(config, tokenizer),
-                         experiment_base_seed(config), *base, ec.lora);
   fleet::AdapterState adapter = fleet::initial_adapter_state(*worker.model);
 
   std::vector<fleet::EvalJob> jobs;
@@ -197,7 +196,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     journal = std::make_unique<obs::JournalWriter>(config.journal_out);
   }
   const auto flush = [&] {
-    fleet::flush_evals(std::move(jobs), sessions, *base, tokenizer,
+    fleet::flush_evals(std::move(jobs), sessions, base, tokenizer,
                        ec.decode_batch);
     jobs.clear();
     if (journal) {

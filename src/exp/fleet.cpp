@@ -165,11 +165,8 @@ ChaosFleetResult run_chaos_fleet(const ChaosFleetConfig& config) {
     // recording or replaying traffic cannot shift the fault firing
     // sequence — record-run and replay-run stay bit-identical.
     const ExperimentConfig device = device_config(config.fleet, tmpl, "Ours", i);
-    const std::unique_ptr<llm::MiniLlm> base =
-        make_base_model(device, tokenizer);
-    d.worker = fleet::make_worker(make_model_config(device, tokenizer),
-                                  experiment_base_seed(device), *base,
-                                  make_engine_config(device).lora);
+    d.worker =
+        std::move(fleet::make_fleet_models(device, tokenizer, 1).workers[0]);
     d.adapter = fleet::initial_adapter_state(*d.worker.model);
     d.session = fleet::make_user_session(i, device, d.worker, discard);
 

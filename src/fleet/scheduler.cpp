@@ -199,21 +199,14 @@ ConcurrentFleetResult run_concurrent_fleet(const ConcurrentFleetConfig& config) 
   for (exp::ExperimentConfig& ec : user_configs) ec.base_seed = shared_base;
 
   const text::Tokenizer tokenizer = exp::make_device_tokenizer();
-  const llm::ModelConfig mc =
-      exp::make_model_config(user_configs[0], tokenizer);
-  // The pretrained base stays adapter-free: workers clone it, and it is
-  // the cross-user decode model, where per-slot LoRA overlays supply each
-  // request's adapter so requests from different users share forward steps.
-  const std::unique_ptr<llm::MiniLlm> pretrained =
-      exp::make_base_model(user_configs[0], tokenizer);
-  llm::MiniLlm& decode_model = *pretrained;
-
-  const nn::LoraConfig lora = exp::make_engine_config(user_configs[0]).lora;
-  std::vector<WorkerContext> workers;
-  workers.reserve(pool_lanes);
-  for (std::size_t lane = 0; lane < pool_lanes; ++lane) {
-    workers.push_back(make_worker(mc, shared_base, *pretrained, lora));
-  }
+  // The pretrained base stays adapter-free: each lane's worker clones it,
+  // and it is the cross-user decode model, where per-slot LoRA overlays
+  // supply each request's adapter so requests from different users share
+  // forward steps. Every lane reads the base's one set of weight panels.
+  FleetModels models =
+      make_fleet_models(user_configs[0], tokenizer, pool_lanes);
+  llm::MiniLlm& decode_model = *models.base;
+  std::vector<WorkerContext>& workers = models.workers;
   const AdapterState initial = initial_adapter_state(*workers[0].model);
 
   std::size_t cache_capacity = config.adapter_cache_capacity;

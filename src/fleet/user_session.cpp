@@ -61,18 +61,27 @@ data::GeneratedDataset exp::make_experiment_dataset(
 
 namespace fleet {
 
-WorkerContext make_worker(const llm::ModelConfig& mc, std::uint64_t base_seed,
-                          llm::MiniLlm& pretrained,
-                          const nn::LoraConfig& lora) {
-  WorkerContext worker;
-  // The ctor seed is the base seed, as make_base_model uses: attach_lora
-  // draws its A-init from the model rng and seeds each LoRA site's fallback
-  // dropout rng, so every worker starts from the same adapters and streams.
-  worker.model = std::make_unique<llm::MiniLlm>(mc, base_seed);
-  worker.model->copy_parameters_from(pretrained);
-  worker.model->attach_lora(lora);
-  worker.sites = worker.model->lora_linears();
-  return worker;
+FleetModels make_fleet_models(const exp::ExperimentConfig& config,
+                              const text::Tokenizer& tokenizer,
+                              std::size_t workers) {
+  FleetModels models;
+  models.base = exp::make_base_model(config, tokenizer);
+  models.base->freeze();
+  const llm::ModelConfig mc = exp::make_model_config(config, tokenizer);
+  const nn::LoraConfig lora = exp::make_engine_config(config).lora;
+  models.workers.resize(workers);
+  for (WorkerContext& worker : models.workers) {
+    // The ctor seed is the base seed, as make_base_model uses: attach_lora
+    // draws its A-init from the model rng and seeds each LoRA site's
+    // fallback dropout rng, so every worker starts from the same adapters
+    // and streams.
+    worker.model =
+        std::make_unique<llm::MiniLlm>(mc, exp::experiment_base_seed(config));
+    worker.model->copy_parameters_from(*models.base);
+    worker.model->attach_lora(lora);
+    worker.sites = worker.model->lora_linears();
+  }
+  return models;
 }
 
 AdapterState initial_adapter_state(llm::MiniLlm& model) {

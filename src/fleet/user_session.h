@@ -95,9 +95,20 @@ struct WorkerContext {
   std::vector<nn::Linear*> sites;  // model->lora_linears(), cached
 };
 
-WorkerContext make_worker(const llm::ModelConfig& mc, std::uint64_t base_seed,
-                          llm::MiniLlm& pretrained,
-                          const nn::LoraConfig& lora);
+// The models a runner decodes and trains on: the adapter-free pretrained
+// base for `config` (exp::make_base_model), frozen, and `workers`
+// LoRA-attached clones of it (one per scheduler lane; one for
+// run_experiment and for each chaos device). The base is frozen before the
+// clones are made, so every clone shares its weight panels and the process
+// holds one packed copy of the frozen weights however many workers read
+// it (DESIGN.md §8). The base is the cross-user decode model.
+struct FleetModels {
+  std::unique_ptr<llm::MiniLlm> base;
+  std::vector<WorkerContext> workers;
+};
+FleetModels make_fleet_models(const exp::ExperimentConfig& config,
+                              const text::Tokenizer& tokenizer,
+                              std::size_t workers);
 
 // Adapter values of a freshly-attached worker (A init, B = 0, no moments) —
 // every user starts from this state.

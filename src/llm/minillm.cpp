@@ -160,10 +160,15 @@ tensor::Tensor MiniLlm::hidden_states(const std::vector<int>& ids) {
   return cached_final_hidden_;
 }
 
+void MiniLlm::freeze() {
+  for (nn::Parameter* p : parameters()) p->trainable = false;
+  for (nn::Linear* l : all_linears()) l->sync_panels();
+}
+
 void MiniLlm::attach_lora(const nn::LoraConfig& config) {
   if (has_lora_) return;
   // Freeze everything, then install adapters (whose params are trainable).
-  for (nn::Parameter* p : parameters()) p->trainable = false;
+  freeze();
   for (auto& block : blocks_) block->attach_lora(config, rng_);
   has_lora_ = true;
 }
@@ -237,6 +242,7 @@ void MiniLlm::merge_lora() {
   // merge_lora re-enables trainability on the attention projections; restore
   // the rest of the network to trainable as well for symmetry.
   for (nn::Parameter* p : parameters()) p->trainable = true;
+  for (nn::Linear* l : all_linears()) l->sync_panels();
   has_lora_ = false;
 }
 
@@ -266,6 +272,12 @@ void MiniLlm::copy_parameters_from(MiniLlm& other) {
     }
     dst[i]->value = src[i]->value;
     dst[i]->trainable = src[i]->trainable;
+  }
+  // Same values, same trainability: the source's panels are ours too.
+  const std::vector<nn::Linear*> dst_linears = all_linears();
+  const std::vector<nn::Linear*> src_linears = other.all_linears();
+  for (std::size_t i = 0; i < dst_linears.size(); ++i) {
+    dst_linears[i]->share_panels(*src_linears[i]);
   }
   refresh_quantized_weights();
 }
@@ -328,6 +340,7 @@ void MiniLlm::load(const std::string& path) {
   for (std::size_t i = 0; i < params.size(); ++i) {
     params[i]->value = std::move(staged[i]);
   }
+  for (nn::Linear* l : all_linears()) l->repack_panels();
   refresh_quantized_weights();
 }
 

@@ -123,6 +123,12 @@ class MiniLlm {
   // any pending backward().
   tensor::Tensor hidden_states(const std::vector<int>& ids);
 
+  // Marks every parameter frozen, and packs each Linear's weight into the
+  // GEMM panels a frozen weight keeps (nn::Linear::panels(), DESIGN.md §8).
+  // The fleet freezes its adapter-free decode base before cloning workers
+  // from it, so every clone shares the base's one set of panels.
+  void freeze();
+
   // LoRA lifecycle: attach freezes every base parameter and installs
   // adapters on q/k/v/o in every block (the paper's trainable set).
   void attach_lora(const nn::LoraConfig& config);
@@ -135,6 +141,9 @@ class MiniLlm {
   // per-user adapters on attached worker models and to count sites on the
   // adapter-free shared decode model.
   std::vector<nn::Linear*> lora_linears();
+
+  // Every Linear in forward order (block projections + FFNs, then lm_head).
+  std::vector<nn::Linear*> all_linears();
 
   // Inference precision switch (nn/precision.h). kInt8 snapshots every base
   // weight — all Linears including the LM head, plus both embedding tables —
@@ -172,6 +181,7 @@ class MiniLlm {
   // Copies every parameter value (and trainability flag) from `other`,
   // which must have the same architecture and LoRA state (identical
   // parameter names and shapes) — throws std::invalid_argument otherwise.
+  // Frozen weights share `other`'s panels instead of packing their own.
   // Used to build per-worker inference clones for parallel evaluation:
   // forward() mutates activation caches, so concurrent lanes must not
   // share one model instance.
@@ -183,7 +193,8 @@ class MiniLlm {
   // Binary checkpoint of all parameter values (not optimizer state).
   // save() writes atomically with a CRC-32 footer; load() verifies it and
   // throws util::CorruptionError on a damaged or mismatched file, leaving
-  // the in-memory parameters untouched.
+  // the in-memory parameters untouched. load() repacks frozen weights'
+  // panels from the loaded values.
   void save(const std::string& path);
   void load(const std::string& path);
 
@@ -201,9 +212,6 @@ class MiniLlm {
   nn::Linear lm_head_;
   bool has_lora_ = false;
   nn::InferencePrecision precision_ = nn::InferencePrecision::kFp32;
-
-  // Every Linear in forward order (block projections + FFNs, then lm_head).
-  std::vector<nn::Linear*> all_linears();
 
   std::vector<int> cached_ids_;
   tensor::Tensor cached_final_hidden_;  // final-norm output, all T rows

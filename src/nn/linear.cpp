@@ -29,7 +29,8 @@ tensor::Tensor& Linear::forward_ws(const tensor::Tensor& x, bool training,
     // path it ran.
     tensor::qmatmul_into(x, qweight_, y);
   } else {
-    tensor::matmul_into(x, weight_.value, y);
+    tensor::matmul_into(x, weight_.value, y, /*accumulate=*/false,
+                        panels_ ? &panels_->w : nullptr);
   }
   if (has_bias_) tensor::add_row_broadcast_inplace(y, bias_.value);
   if (lora_) {
@@ -104,7 +105,8 @@ tensor::Tensor& Linear::backward_ws(const tensor::Tensor& dout,
   // Base path: dX = dY·Wᵀ always; dW/db only when trainable (frozen under
   // LoRA — skipping them removes the whole Aᵀ·dC product, not just its
   // destination).
-  tensor::matmul_nt_into(dout, weight_.value, dx, /*accumulate=*/false);
+  tensor::matmul_nt_into(dout, weight_.value, dx, /*accumulate=*/false,
+                         panels_ ? &panels_->w_t : nullptr);
   if (weight_.trainable) {
     tensor::matmul_tn_into(cached_x_, dout, weight_.grad, /*accumulate=*/true);
   }
@@ -183,12 +185,34 @@ void Linear::attach_lora(const LoraConfig& config, util::Rng& rng) {
   lora_ = std::move(lora);
   weight_.trainable = false;
   bias_.trainable = false;
+  sync_panels();
 }
 
 void Linear::detach_lora() {
   lora_.reset();
   weight_.trainable = true;
   bias_.trainable = true;
+  sync_panels();
+}
+
+void Linear::sync_panels() {
+  if (weight_.trainable) {
+    panels_.reset();
+  } else if (!panels_) {
+    repack_panels();
+  }
+}
+
+void Linear::repack_panels() {
+  panels_.reset();
+  if (weight_.trainable) return;
+  panels_ = std::make_shared<const Panels>(Panels{
+      tensor::PackedB::nn(weight_.value), tensor::PackedB::nt(weight_.value)});
+}
+
+void Linear::share_panels(const Linear& source) {
+  assert(weight_.trainable == source.weight_.trainable);
+  panels_ = source.panels_;
 }
 
 void Linear::merge_lora() {

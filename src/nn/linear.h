@@ -15,6 +15,7 @@
 
 #include "nn/lora_overlay.h"
 #include "nn/param.h"
+#include "tensor/ops.h"
 #include "tensor/qtensor.h"
 #include "tensor/tensor.h"
 #include "tensor/workspace.h"
@@ -76,19 +77,37 @@ class Linear {
     return (weight_.value.size() + bias_.value.size()) * sizeof(float);
   }
 
-  // LoRA lifecycle.
+  // LoRA lifecycle. attach_lora freezes W and b (building W's panels, see
+  // below); detach_lora and merge_lora make them trainable again and drop
+  // the panels.
   void attach_lora(const LoraConfig& config, util::Rng& rng);
   void detach_lora();
   bool has_lora() const { return lora_.has_value(); }
   // Folds A·B·(α/r) into W and removes the adapter; W/b become trainable again.
   void merge_lora();
 
+  // Frozen-weight GEMM panels (DESIGN.md §8): while W is frozen the Linear
+  // holds W packed for the forward product and Wᵀ for the backward dX, built
+  // once, so those GEMMs stop packing B per call. The bytes do not move.
+  // The panels are immutable and may be shared by Linears whose W holds the
+  // same values. sync_panels() builds them for a frozen W that has none and
+  // drops them for a trainable one; repack_panels() rebuilds them after W's
+  // values changed; share_panels() takes `source`'s, whose W values and
+  // trainability this Linear must already have.
+  struct Panels {
+    tensor::PackedB w;    // PackedB::nn(W): forward
+    tensor::PackedB w_t;  // PackedB::nt(W): backward dX = dY·Wᵀ
+  };
+  void sync_panels();
+  void repack_panels();
+  void share_panels(const Linear& source);
+  const Panels* panels() const { return panels_.get(); }
+
   void collect_parameters(ParameterList& out);
 
   std::size_t in_features() const { return weight_.value.rows(); }
   std::size_t out_features() const { return weight_.value.cols(); }
   const Parameter& weight() const { return weight_; }
-  Parameter& mutable_weight() { return weight_; }
   const Parameter* lora_a() const { return lora_ ? &lora_->a : nullptr; }
   const Parameter* lora_b() const { return lora_ ? &lora_->b : nullptr; }
   // Mutable adapter access for the fleet hot-swap path (overwriting the
@@ -128,6 +147,7 @@ class Linear {
   bool has_bias_;
   std::optional<Lora> lora_;
   tensor::QuantizedTensor qweight_;  // int8 snapshot of W when quantized_
+  std::shared_ptr<const Panels> panels_;  // set iff W is frozen
   bool quantized_ = false;
   util::Rng* dropout_rng_ = nullptr;
   util::Rng fallback_rng_;

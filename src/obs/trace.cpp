@@ -131,8 +131,15 @@ void append_event(std::string& out, bool& first, const char* name, char ph,
 }
 
 // Registered via atexit by the first enable_tracing(); ODLP_TRACE users get
-// their trace without any explicit flush call.
-void flush_at_exit() { flush_trace(); }
+// their trace without any explicit flush call. Writes only while tracing is
+// still enabled: a caller that disabled it has taken the trace (or deleted
+// the file) and expects no later write.
+void flush_at_exit() {
+  if (trace_detail::g_mode.load(std::memory_order_relaxed) &
+      trace_detail::kModeTrace) {
+    flush_trace();
+  }
+}
 
 // ODLP_TRACE=path.json enables tracing for the whole process at startup.
 // Also anchors the profiler TU: odlp is a static library, so a binary that

@@ -68,10 +68,12 @@ inline bool tracing_enabled() {
 }
 
 // Starts a new trace that flush_trace() will write to `path`. Clears any
-// previously recorded events and registers an atexit flush (once).
+// previously recorded events and registers an atexit flush (once), which
+// writes only if tracing is still enabled at exit.
 void enable_tracing(const std::string& path);
 
-// Stops recording. Already-recorded events are kept for flush_trace().
+// Stops recording. Already-recorded events are kept for an explicit
+// flush_trace(); the atexit flush no longer writes them.
 void disable_tracing();
 
 // Writes everything recorded since enable_tracing() to the configured path

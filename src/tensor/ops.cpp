@@ -48,6 +48,11 @@ void detail::pack_a(const Operand& a, std::size_t i0, std::size_t mr,
 
 namespace {
 
+// Floats in the packed panels of a logical K×N B.
+std::size_t packed_b_floats(std::size_t K, std::size_t N) {
+  return ((N + kNR - 1) / kNR) * kNR * K;
+}
+
 // Pack all of logical B (K×N) into kNR-wide panels: panel j0/kNR holds
 // bp[panel*K*kNR + p*kNR + j']. Columns past N are zero-padded.
 void pack_b(const Operand& b, std::size_t K, std::size_t N,
@@ -210,10 +215,12 @@ void gemm_small_rows(const Operand& a, const Operand& b, std::size_t K,
   }
 }
 
-// Shared driver for all three products. B is packed once into a
-// thread-local buffer, then the row loop runs over all of A.
+// Shared driver for all three products. B's panels come from `packed_b`
+// when the caller holds them, else B is packed once into a thread-local
+// buffer; then the row loop runs over all of A.
 void gemm(const Operand& a, const Operand& b, std::size_t M, std::size_t K,
-          std::size_t N, Tensor& out, bool accumulate) {
+          std::size_t N, Tensor& out, bool accumulate,
+          const PackedB* packed_b = nullptr) {
   if (!accumulate) {
     out.resize_uninitialized(M, N);
   }
@@ -232,11 +239,18 @@ void gemm(const Operand& a, const Operand& b, std::size_t M, std::size_t K,
     gemm_small_rows(a, b, K, N, c, ldc, accumulate, 0, M);
     return;
   }
-  thread_local std::vector<float> pack_buffer;
-  const std::size_t need = ((N + kNR - 1) / kNR) * kNR * K;
-  if (pack_buffer.size() < need) pack_buffer.resize(need);
-  pack_b(b, K, N, pack_buffer.data());
-  const float* bp = pack_buffer.data();
+  const float* bp = nullptr;
+  if (packed_b) {
+    assert(packed_b->k() == K && packed_b->n() == N &&
+           packed_b->transposed() == b.trans);
+    bp = packed_b->data();
+  } else {
+    thread_local std::vector<float> pack_buffer;
+    const std::size_t need = packed_b_floats(K, N);
+    if (pack_buffer.size() < need) pack_buffer.resize(need);
+    pack_b(b, K, N, pack_buffer.data());
+    bp = pack_buffer.data();
+  }
 #ifdef ODLP_SIMD_KERNELS_X86
   if (active_simd_level() >= SimdLevel::kAvx2) {
     detail::gemm_tiled_rows_avx2(a, bp, K, N, c, ldc, accumulate, 0, M);
@@ -247,6 +261,18 @@ void gemm(const Operand& a, const Operand& b, std::size_t M, std::size_t K,
 }
 
 }  // namespace
+
+PackedB::PackedB(const Tensor& w, bool transposed)
+    : k_(transposed ? w.cols() : w.rows()),
+      n_(transposed ? w.rows() : w.cols()),
+      transposed_(transposed) {
+  panels_.resize(packed_b_floats(k_, n_));
+  pack_b(Operand{w.data(), w.cols(), transposed}, k_, n_, panels_.data());
+}
+
+PackedB PackedB::nn(const Tensor& w) { return PackedB(w, false); }
+
+PackedB PackedB::nt(const Tensor& w) { return PackedB(w, true); }
 
 KernelBuildInfo kernel_build_info() {
   static_assert(kMR == 4 && kNR == 8,
@@ -279,19 +305,19 @@ KernelBuildInfo kernel_build_info() {
 }
 
 void matmul_into(const Tensor& a, const Tensor& b, Tensor& out,
-                 bool accumulate) {
+                 bool accumulate, const PackedB* packed_b) {
   ODLP_TRACE_SCOPE("tensor.gemm");
   assert(a.cols() == b.rows());
   gemm(Operand{a.data(), a.cols(), false}, Operand{b.data(), b.cols(), false},
-       a.rows(), a.cols(), b.cols(), out, accumulate);
+       a.rows(), a.cols(), b.cols(), out, accumulate, packed_b);
 }
 
 void matmul_nt_into(const Tensor& a, const Tensor& b, Tensor& out,
-                    bool accumulate) {
+                    bool accumulate, const PackedB* packed_b) {
   ODLP_TRACE_SCOPE("tensor.gemm");
   assert(a.cols() == b.cols());
   gemm(Operand{a.data(), a.cols(), false}, Operand{b.data(), b.cols(), true},
-       a.rows(), a.cols(), b.rows(), out, accumulate);
+       a.rows(), a.cols(), b.rows(), out, accumulate, packed_b);
 }
 
 void matmul_tn_into(const Tensor& a, const Tensor& b, Tensor& out,

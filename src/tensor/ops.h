@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <vector>
 
 #include "tensor/tensor.h"
 
@@ -71,16 +72,43 @@ struct KernelBuildInfo {
 };
 KernelBuildInfo kernel_build_info();
 
+// A constant B packed once into the tiled kernel's kNR-wide column panels,
+// for a B that many products read (a frozen weight, DESIGN.md §8). `nn(w)`
+// holds the panels matmul_into(·, w) packs per call, `nt(w)` those
+// matmul_nt_into(·, w) packs (B = wᵀ). Passing one to the product swaps
+// only where the tiled kernel reads B's panels from: the same floats in the
+// same order, so the same bytes. Immutable once built.
+class PackedB {
+ public:
+  static PackedB nn(const Tensor& w);
+  static PackedB nt(const Tensor& w);
+
+  std::size_t k() const { return k_; }  // logical rows of B
+  std::size_t n() const { return n_; }  // logical cols of B
+  bool transposed() const { return transposed_; }
+  const float* data() const { return panels_.data(); }
+
+ private:
+  PackedB(const Tensor& w, bool transposed);
+
+  std::vector<float> panels_;
+  std::size_t k_ = 0;
+  std::size_t n_ = 0;
+  bool transposed_ = false;
+};
+
 // out[m,n] (+)= A[m,k] * B[k,n]. Register-tiled 4xN micro-kernel over packed
-// B panels.
+// B panels: `packed_b` (PackedB::nn(b)) when given, else B packed per call.
+// The small path (m < 4 or n < 8) reads `b` itself either way.
 // When accumulate is false, `out` is reshaped (uninitialized) and every
 // element is written exactly once. `out` must not alias `a` or `b`.
 void matmul_into(const Tensor& a, const Tensor& b, Tensor& out,
-                 bool accumulate = false);
+                 bool accumulate = false, const PackedB* packed_b = nullptr);
 
-// out[m,n] (+)= A[m,k] * B[n,k]^T  (shared micro-kernel, B packed transposed).
+// out[m,n] (+)= A[m,k] * B[n,k]^T  (shared micro-kernel, B packed transposed;
+// `packed_b` is PackedB::nt(b) when given).
 void matmul_nt_into(const Tensor& a, const Tensor& b, Tensor& out,
-                    bool accumulate = false);
+                    bool accumulate = false, const PackedB* packed_b = nullptr);
 
 // out[m,n] (+)= A[k,m]^T * B[k,n]  (shared micro-kernel, A packed transposed).
 void matmul_tn_into(const Tensor& a, const Tensor& b, Tensor& out,

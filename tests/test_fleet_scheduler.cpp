@@ -15,6 +15,7 @@
 
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "core/engine.h"
 #include "exp/fleet.h"
@@ -243,11 +244,8 @@ TEST(RunUserChunk, FaultMidChunkLeavesSessionWhole) {
   config.stream_size = 8;
   config.finetune_interval = 8;
   const text::Tokenizer tokenizer = exp::make_device_tokenizer();
-  const std::unique_ptr<llm::MiniLlm> base =
-      exp::make_base_model(config, tokenizer);
-  WorkerContext worker = make_worker(exp::make_model_config(config, tokenizer),
-                                     exp::experiment_base_seed(config), *base,
-                                     exp::make_engine_config(config).lora);
+  FleetModels models = make_fleet_models(config, tokenizer, 1);
+  WorkerContext& worker = models.workers.front();
   AdapterState adapter = initial_adapter_state(*worker.model);
   const EvalSink discard = [](EvalJob) {};
   const std::unique_ptr<UserSession> session =
@@ -273,6 +271,39 @@ TEST(RunUserChunk, FaultMidChunkLeavesSessionWhole) {
   EXPECT_TRUE(session->work_done);
   EXPECT_EQ(session->stats.seen, 8u);
   EXPECT_EQ(session->stats.finetune_rounds, 1u);
+}
+
+// The scheduler's models: the decode base is frozen before the lane
+// workers are cloned from it, so every worker Linear reads the base's one
+// set of weight panels, and a LoRA fine-tune round on a worker (engine,
+// training, the post-round refresh) repacks none of them.
+TEST(FleetModels, WorkersShareTheBasePanelsThroughAFineTune) {
+  exp::ExperimentConfig config = exp::chaos_fleet_defaults().device_template;
+  config.stream_size = 8;
+  config.finetune_interval = 8;
+  const text::Tokenizer tokenizer = exp::make_device_tokenizer();
+  FleetModels models = make_fleet_models(config, tokenizer, 3);
+  const std::vector<nn::Linear*> base = models.base->all_linears();
+  const auto expect_shared = [&] {
+    for (WorkerContext& worker : models.workers) {
+      const std::vector<nn::Linear*> linears = worker.model->all_linears();
+      ASSERT_EQ(linears.size(), base.size());
+      for (std::size_t i = 0; i < base.size(); ++i) {
+        ASSERT_NE(base[i]->panels(), nullptr);
+        EXPECT_EQ(linears[i]->panels(), base[i]->panels()) << "linear " << i;
+      }
+    }
+  };
+  expect_shared();
+
+  WorkerContext& worker = models.workers[1];
+  AdapterState adapter = initial_adapter_state(*worker.model);
+  const EvalSink discard = [](EvalJob) {};
+  const std::unique_ptr<UserSession> session =
+      make_user_session(0, config, worker, discard);
+  run_user_chunk(*session, worker, tokenizer, adapter, discard);
+  EXPECT_EQ(session->stats.finetune_rounds, 1u);
+  expect_shared();
 }
 
 // Test-local copy of the session's string hash: the oracle below derives

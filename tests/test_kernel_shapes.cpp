@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -142,6 +143,64 @@ TEST(KernelShapes, DenormalInputsStayFiniteAndMatchReference) {
     }
     expect_close(ref, got, /*rtol=*/1e-4f, /*atol=*/0.0f);
   }
+}
+
+// A PackedB handed to matmul_into / matmul_nt_into changes only where the
+// tiled kernel reads B's panels from, so every output byte must equal the
+// per-call packing's, on a fresh and on a seeded (accumulating) output. M
+// runs 1..70, so the small path (m < 4) is covered too; N and K take the
+// paper geometry's sizes (48, 96, 600) plus panel edges.
+void expect_prepacked_matches_per_call(bool nt) {
+  util::Rng rng(nt ? 0xF6 : 0xF5);
+  constexpr std::size_t kNs[] = {8, 12, 48, 96, 430, 600};
+  constexpr std::size_t kKs[] = {8, 48, 96, 430};
+  constexpr std::size_t kMaxM = 70;
+  const tensor::Tensor a_full = random_tensor(kMaxM, 430, rng);
+  const auto same_bytes = [](const tensor::Tensor& x, const tensor::Tensor& y) {
+    return x.same_shape(y) &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+  };
+  for (const std::size_t n : kNs) {
+    for (const std::size_t k : kKs) {
+      const tensor::Tensor b =
+          nt ? random_tensor(n, k, rng) : random_tensor(k, n, rng);
+      const tensor::PackedB packed =
+          nt ? tensor::PackedB::nt(b) : tensor::PackedB::nn(b);
+      const auto product = [&](const tensor::Tensor& a, tensor::Tensor& out,
+                               bool accumulate, const tensor::PackedB* pb) {
+        if (nt) {
+          tensor::matmul_nt_into(a, b, out, accumulate, pb);
+        } else {
+          tensor::matmul_into(a, b, out, accumulate, pb);
+        }
+      };
+      for (std::size_t m = 1; m <= kMaxM; ++m) {
+        SCOPED_TRACE(testing::Message()
+                     << "m=" << m << " n=" << n << " k=" << k);
+        tensor::Tensor a(m, k);
+        for (std::size_t i = 0; i < m; ++i) {
+          std::memcpy(a.row(i), a_full.row(i), k * sizeof(float));
+        }
+        tensor::Tensor want, got;
+        product(a, want, /*accumulate=*/false, nullptr);
+        product(a, got, /*accumulate=*/false, &packed);
+        ASSERT_TRUE(same_bytes(want, got));
+        tensor::Tensor want_acc = random_tensor(m, n, rng);
+        tensor::Tensor got_acc = want_acc;
+        product(a, want_acc, /*accumulate=*/true, nullptr);
+        product(a, got_acc, /*accumulate=*/true, &packed);
+        ASSERT_TRUE(same_bytes(want_acc, got_acc));
+      }
+    }
+  }
+}
+
+TEST(KernelShapes, PrePackedBMatchesPerCallPackingBitForBit) {
+  expect_prepacked_matches_per_call(/*nt=*/false);
+}
+
+TEST(KernelShapes, PrePackedTransposedBMatchesPerCallPackingBitForBit) {
+  expect_prepacked_matches_per_call(/*nt=*/true);
 }
 
 TEST(KernelShapes, BuildInfoReportsTileGeometry) {

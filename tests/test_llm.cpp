@@ -2,7 +2,9 @@
 
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
+#include <vector>
 
 #include "llm/minillm.h"
 #include "llm/trainer.h"
@@ -341,6 +343,125 @@ TEST(Trainer, FineTuneMatchesGoldenDigest) {
   crc = util::crc32(&pre.final_epoch_loss, sizeof(double), crc);
   crc = util::crc32(&ft.final_epoch_loss, sizeof(double), crc);
   EXPECT_EQ(crc, kGoldenCrc) << std::hex << "actual 0x" << crc;
+}
+
+// --- frozen-weight panels (DESIGN.md §8) ---
+//
+// After each point where W's values or trainability change (load,
+// copy_parameters_from, merge_lora), no Linear may read panels of values it
+// no longer holds: forward logits and every gradient must equal, byte for
+// byte, those of a model built fresh with the same values.
+
+nn::LoraConfig panel_lora() {
+  nn::LoraConfig lc;
+  lc.rank = 4;
+  return lc;
+}
+
+// Overwrites every adapter from `seed`, so B != 0 and both adapter
+// gradients are live.
+void set_adapters(MiniLlm& model, std::uint64_t seed) {
+  util::Rng rng(seed);
+  for (nn::Linear* site : model.lora_linears()) {
+    for (nn::Parameter* p : {&site->mutable_lora_a(), &site->mutable_lora_b()}) {
+      for (std::size_t i = 0; i < p->value.size(); ++i) {
+        p->value.data()[i] = static_cast<float>(rng.normal(0.0, 0.05));
+      }
+    }
+  }
+}
+
+// A model holding `src`'s values that no refresh point has touched: every
+// value is assigned while it is trainable (so it holds no panels yet), and
+// when `src` has adapters, attach_lora then packs the panels from exactly
+// those values.
+std::unique_ptr<MiniLlm> rebuilt(MiniLlm& src) {
+  auto model = std::make_unique<MiniLlm>(src.config(), 0xFEED);
+  const auto assign_trainable = [&] {
+    const nn::ParameterList from = src.parameters();
+    for (nn::Parameter* p : model->parameters()) {
+      for (const nn::Parameter* q : from) {
+        if (q->name == p->name && p->trainable) p->value = q->value;
+      }
+    }
+  };
+  assign_trainable();
+  if (src.has_lora()) {
+    model->attach_lora(panel_lora());
+    assign_trainable();
+  }
+  return model;
+}
+
+// The bytes of an inference forward's logits and, after a backward from
+// fixed upstream gradients, of every trainable parameter's gradient.
+std::vector<std::vector<unsigned char>> logits_and_grads(MiniLlm& model) {
+  util::Rng rng(0x51);
+  const std::vector<int> ids = random_ids(20, model.config().vocab_size, rng);
+  for (nn::Parameter* p : model.parameters()) p->zero_grad();
+  const tensor::Tensor logits = model.forward(ids, /*training=*/false);
+  tensor::Tensor dlogits(logits.rows(), logits.cols());
+  for (std::size_t i = 0; i < dlogits.size(); ++i) {
+    dlogits.data()[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  model.backward(dlogits);
+  const auto bytes = [](const tensor::Tensor& t) {
+    const auto* b = reinterpret_cast<const unsigned char*>(t.data());
+    return std::vector<unsigned char>(b, b + t.size() * sizeof(float));
+  };
+  std::vector<std::vector<unsigned char>> out{bytes(logits)};
+  for (const nn::Parameter* p : model.parameters()) {
+    if (p->trainable) out.push_back(bytes(p->grad));
+  }
+  return out;
+}
+
+void expect_matches_rebuilt(MiniLlm& model) {
+  const std::unique_ptr<MiniLlm> fresh = rebuilt(model);
+  EXPECT_TRUE(logits_and_grads(model) == logits_and_grads(*fresh));
+}
+
+std::unique_ptr<MiniLlm> attached_model(std::uint64_t seed) {
+  auto model = std::make_unique<MiniLlm>(paper_config(), seed);
+  model->attach_lora(panel_lora());
+  set_adapters(*model, seed + 100);
+  for (nn::Linear* l : model->all_linears()) {
+    EXPECT_NE(l->panels(), nullptr);
+  }
+  return model;
+}
+
+TEST(FrozenPanels, LoadRepacksFromTheLoadedValues) {
+  const std::string path = "/tmp/odlp_test_panels_load.bin";
+  const std::unique_ptr<MiniLlm> model = attached_model(1);
+  logits_and_grads(*model);  // read the seed-1 panels once
+  attached_model(2)->save(path);
+  model->load(path);
+  std::remove(path.c_str());
+  expect_matches_rebuilt(*model);
+}
+
+TEST(FrozenPanels, CopyParametersSharesTheSourcePanels) {
+  const std::unique_ptr<MiniLlm> model = attached_model(1);
+  const std::unique_ptr<MiniLlm> source = attached_model(2);
+  model->copy_parameters_from(*source);
+  const std::vector<nn::Linear*> ours = model->all_linears();
+  const std::vector<nn::Linear*> theirs = source->all_linears();
+  for (std::size_t i = 0; i < ours.size(); ++i) {
+    EXPECT_EQ(ours[i]->panels(), theirs[i]->panels());
+  }
+  expect_matches_rebuilt(*model);
+}
+
+TEST(FrozenPanels, MergeDropsPanelsAndReattachPacksTheMergedWeights) {
+  const std::unique_ptr<MiniLlm> model = attached_model(1);
+  logits_and_grads(*model);
+  model->merge_lora();
+  for (nn::Linear* l : model->all_linears()) EXPECT_EQ(l->panels(), nullptr);
+  expect_matches_rebuilt(*model);
+  model->attach_lora(panel_lora());
+  set_adapters(*model, 7);
+  expect_matches_rebuilt(*model);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "nn/attention.h"
 #include "nn/block.h"
@@ -119,6 +120,108 @@ TEST(Linear, FrozenWeightAccumulatesNoGradient) {
   lin.forward(x, false);
   lin.backward(Tensor::ones(2, 2));
   EXPECT_FLOAT_EQ(lin.weight().grad.l2_norm(), 0.0f);
+}
+
+// --- frozen-weight panels (DESIGN.md §8) ---
+
+bool same_bytes(const Tensor& x, const Tensor& y) {
+  return x.same_shape(y) &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+void fill_normal(Tensor& t, util::Rng& rng, double stddev) {
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    t.data()[i] = static_cast<float>(rng.normal(0.0, stddev));
+  }
+}
+
+// One training forward + backward of `lin` on `x` (dropout drawn from a
+// fixed stream) from fixed upstream gradients: y, dX and the adapter
+// gradients, in that order.
+std::vector<Tensor> lora_step(Linear& lin, const Tensor& x) {
+  util::Rng dropout(0xD0);
+  lin.set_dropout_rng(&dropout);
+  ParameterList params;
+  lin.collect_parameters(params);
+  for (Parameter* p : params) p->zero_grad();
+  std::vector<Tensor> out;
+  out.push_back(lin.forward(x, /*training=*/true));
+  Tensor dout(x.rows(), lin.out_features());
+  util::Rng grad_rng(0xD1);
+  fill_normal(dout, grad_rng, 1.0);
+  out.push_back(lin.backward(dout));
+  out.push_back(lin.lora_a()->grad);
+  out.push_back(lin.lora_b()->grad);
+  lin.set_dropout_rng(nullptr);
+  return out;
+}
+
+void expect_same_steps(const std::vector<Tensor>& want,
+                       const std::vector<Tensor>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(same_bytes(want[i], got[i])) << "output " << i;
+  }
+}
+
+// A frozen W's forward and dX read its panels; with the panels dropped the
+// same Linear packs W per call. Both must give the same bytes — the tiled
+// path (T >= 4) and the small path (T < 4), with the LoRA delta and
+// dropout on top.
+TEST(LinearPanels, FrozenForwardBackwardMatchPerCallPacking) {
+  for (const std::size_t T : {1u, 3u, 4u, 12u, 37u}) {
+    SCOPED_TRACE(testing::Message() << "T=" << T);
+    util::Rng rng(0xA0);
+    Linear lin("l", 48, 96, rng);
+    lin.attach_lora(LoraConfig{}, rng);
+    fill_normal(lin.mutable_lora_b().value, rng, 0.05);
+    ASSERT_NE(lin.panels(), nullptr);
+    Tensor x(T, 48);
+    fill_normal(x, rng, 1.0);
+    const std::vector<Tensor> with_panels = lora_step(lin, x);
+
+    ParameterList params;
+    lin.collect_parameters(params);
+    params[0]->trainable = true;  // W only; its panels go with it
+    lin.sync_panels();
+    ASSERT_EQ(lin.panels(), nullptr);
+    expect_same_steps(with_panels, lora_step(lin, x));
+  }
+}
+
+// detach_lora makes W trainable, so its panels must go: an optimizer step
+// on W is read by the next forward, and a later attach_lora packs the new
+// values. Checked against a Linear built with those values.
+TEST(LinearPanels, DetachDropsPanelsAndReattachPacksTheNewWeight) {
+  util::Rng rng(0xA1);
+  Linear lin("l", 48, 96, rng);
+  lin.attach_lora(LoraConfig{}, rng);
+  ASSERT_NE(lin.panels(), nullptr);
+  lin.detach_lora();
+  EXPECT_EQ(lin.panels(), nullptr);
+  ParameterList params;
+  lin.collect_parameters(params);
+  fill_normal(params[0]->value, rng, 0.1);  // the step on W
+
+  util::Rng other(0xA2);
+  Linear fresh("l", 48, 96, other);
+  ParameterList fresh_params;
+  fresh.collect_parameters(fresh_params);
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    fresh_params[i]->value = params[i]->value;
+  }
+  Tensor x(12, 48);
+  fill_normal(x, rng, 1.0);
+  EXPECT_TRUE(same_bytes(fresh.forward(x, false), lin.forward(x, false)));
+
+  util::Rng attach_a(0xA3), attach_b(0xA3);
+  lin.attach_lora(LoraConfig{}, attach_a);
+  fresh.attach_lora(LoraConfig{}, attach_b);
+  util::Rng adapter_a(0xA4), adapter_b(0xA4);
+  fill_normal(lin.mutable_lora_b().value, adapter_a, 0.05);
+  fill_normal(fresh.mutable_lora_b().value, adapter_b, 0.05);
+  ASSERT_NE(lin.panels(), nullptr);
+  expect_same_steps(lora_step(fresh, x), lora_step(lin, x));
 }
 
 TEST(Embedding, GathersRows) {

@@ -461,9 +461,7 @@ TEST(TraceConcurrent, MultiThreadBinaryFlushBalanced) {
   std::remove(chrome.c_str());
 }
 
-TEST(TraceDrops, RingOverflowCountsDropsAndStaysBalanced) {
-  const std::string json = temp_path("odlp_t2_drops.json");
-  const std::string bin = temp_path("odlp_t2_drops.obsf");
+void ring_overflow_case(const std::string& json, const std::string& bin) {
   obs::enable_tracing(json);  // resets rings and drop counts
 
   const std::uint64_t reg_before =
@@ -490,6 +488,29 @@ TEST(TraceDrops, RingOverflowCountsDropsAndStaysBalanced) {
 
   std::remove(json.c_str());
   std::remove(bin.c_str());
+}
+
+TEST(TraceDrops, RingOverflowCountsDropsAndStaysBalanced) {
+  ring_overflow_case(temp_path("odlp_t2_drops.json"),
+                     temp_path("odlp_t2_drops.obsf"));
+}
+
+// The case above disables tracing and deletes its JSON. The exit flush that
+// enable_tracing registered must not write that file again when the
+// process ends: run the case in a child that exits normally (atexit
+// handlers run), then look for the file.
+TEST(TraceDrops, RingOverflowLeavesNoTraceFileAtExit) {
+  const std::string json = temp_path("odlp_t2_drops.json");
+  const std::string bin = temp_path("odlp_t2_drops.obsf");
+  EXPECT_EXIT(
+      {
+        ring_overflow_case(json, bin);
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
+  EXPECT_FALSE(fs::exists(json));
+  EXPECT_FALSE(fs::exists(bin));
+  std::remove(json.c_str());
 }
 
 // --- profiler ---
