@@ -31,7 +31,7 @@ const Variant kVariants[] = {
        c.sanity_threshold = 0.9;
      }},
     {"C2: no synthesis",
-     [](exp::ExperimentConfig& c) { c.use_synthesis = false; }},
+     [](exp::ExperimentConfig& c) { c.synth_per_set = 0; }},
     {"D1: annotation budget 48",
      [](exp::ExperimentConfig& c) { c.annotation_budget = 48; }},
     {"D2: annotation budget 16",

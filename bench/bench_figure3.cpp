@@ -31,7 +31,6 @@ int main(int argc, char** argv) {
     config.dataset = "MedDialog";
     config.method = "Ours";
     config.synth_per_set = k;
-    config.use_synthesis = k > 0;
     config.record_curve = false;
     const exp::ExperimentResult r = exp::run_experiment(config);
 

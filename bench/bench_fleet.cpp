@@ -118,6 +118,14 @@ int main(int argc, char** argv) {
   const std::size_t users = opt.quick ? 6 : 8;
   const std::string scratch =
       "/tmp/odlp_bench_fleet_" + std::to_string(::getpid());
+  // Removes the scratch directory on every return path, failures included.
+  struct RemoveOnExit {
+    const std::string& dir;
+    ~RemoveOnExit() {
+      std::error_code ec;
+      std::filesystem::remove_all(dir, ec);
+    }
+  } remove_scratch{scratch};
   std::filesystem::create_directories(scratch + "/cache");
   std::filesystem::create_directories(scratch + "/traffic");
   const exp::FleetConfig fleet =
@@ -306,8 +314,6 @@ int main(int argc, char** argv) {
   std::fwrite(body.data(), 1, body.size(), f);
   std::fclose(f);
   std::printf("\nwrote %s\n", out_path.c_str());
-
-  std::filesystem::remove_all(scratch);
 
   if (!identical) {
     std::fprintf(stderr,

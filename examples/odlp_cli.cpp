@@ -59,7 +59,6 @@ int main(int argc, char** argv) {
   config.epochs = static_cast<std::size_t>(args.get_int("epochs", 16));
   config.learning_rate = static_cast<float>(args.get_double("lr", 1e-2));
   config.synth_per_set = static_cast<std::size_t>(args.get_int("synth", 3));
-  config.use_synthesis = config.synth_per_set > 0;
   config.embedding_source = args.get("embedding", "llm");
   config.use_rmsnorm = args.has("rmsnorm");
   config.annotation_budget =

@@ -70,7 +70,6 @@ class CheckpointManager {
   void set_retry(const resil::RetryConfig& config) {
     retry_ = std::make_unique<resil::RetryPolicy>(config);
   }
-  void clear_retry() { retry_.reset(); }
   const resil::RetryPolicy* retry() const { return retry_.get(); }
 
   // Writes one new generation (model + buffer + vocab + stats + metrics

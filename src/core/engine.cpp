@@ -283,18 +283,16 @@ void PersonalizationEngine::finetune_now() {
 }
 
 double PersonalizationEngine::evaluate(
-    const std::vector<const data::DialogueSet*>& test, std::size_t repeats,
-    std::optional<nn::InferencePrecision> precision) {
+    const std::vector<const data::DialogueSet*>& test, std::size_t repeats) {
   if (test.empty() || repeats == 0) return 0.0;
-  const std::vector<double> per_set = evaluate_per_set(test, repeats, precision);
+  const std::vector<double> per_set = evaluate_per_set(test, repeats);
   double total = 0.0;
   for (double s : per_set) total += s;
   return total / static_cast<double>(per_set.size());
 }
 
 std::vector<double> PersonalizationEngine::evaluate_per_set(
-    const std::vector<const data::DialogueSet*>& test, std::size_t repeats,
-    std::optional<nn::InferencePrecision> precision) {
+    const std::vector<const data::DialogueSet*>& test, std::size_t repeats) {
   ODLP_TRACE_SCOPE("engine.evaluate");
   static obs::Histogram& h_eval =
       obs::registry().histogram("engine.evaluate.us");
@@ -302,8 +300,6 @@ std::vector<double> PersonalizationEngine::evaluate_per_set(
   if (test.empty() || repeats == 0) {
     return std::vector<double>(test.size(), 0.0);
   }
-  if (precision) model_.set_inference_precision(*precision);
-
   EvalDecodeStats decode;
   std::vector<double> scores = std::move(
       evaluate_requests(model_, tokenizer_,

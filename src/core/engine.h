@@ -15,7 +15,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/buffer.h"
@@ -149,12 +148,8 @@ class PersonalizationEngine {
   // Mean ROUGE-1 of generated responses against references over `test`.
   // `repeats` averages over that many independent sampler seeds to damp the
   // τ=0.5 sampling variance (1 = single pass, the paper's protocol).
-  // `precision`, when set, switches the model (and the per-lane clones) to
-  // that inference precision for this and subsequent inference — pass it to
-  // compare fp32 vs int8 generation on the identical seeds.
   double evaluate(const std::vector<const data::DialogueSet*>& test,
-                  std::size_t repeats = 1,
-                  std::optional<nn::InferencePrecision> precision = std::nullopt);
+                  std::size_t repeats = 1);
 
   // Per-set ROUGE-1 scores (mean over `repeats` sampler seeds), aligned with
   // `test`: one evaluate_requests call on this engine's model, at
@@ -162,8 +157,7 @@ class PersonalizationEngine {
   // comparing two engines evaluated on the identical subset.
   std::vector<double> evaluate_per_set(
       const std::vector<const data::DialogueSet*>& test,
-      std::size_t repeats = 1,
-      std::optional<nn::InferencePrecision> precision = std::nullopt);
+      std::size_t repeats = 1);
 
   // Peak number of simultaneously-live KV-cached decode sessions in the
   // most recent evaluation (1 before any evaluation ran). The devicesim

@@ -129,16 +129,13 @@ std::vector<data::DialogueSet> ParaphraseSynthesizer::synthesize(
 LlmSynthesizer::LlmSynthesizer(llm::MiniLlm& model, const text::Tokenizer& tokenizer,
                                const llm::SamplerConfig& sampler_config,
                                util::Rng rng, const SanityCheckConfig& sanity,
-                               std::optional<nn::InferencePrecision> precision,
                                std::size_t decode_batch)
     : model_(model),
       tokenizer_(tokenizer),
       sampler_config_(sampler_config),
       rng_(rng),
       sanity_(sanity),
-      decode_batch_(decode_batch == 0 ? 1 : decode_batch) {
-  if (precision) model_.set_inference_precision(*precision);
-}
+      decode_batch_(decode_batch == 0 ? 1 : decode_batch) {}
 
 std::string LlmSynthesizer::extract_bracketed(const std::string& raw) {
   const auto open = raw.find('[');

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -84,9 +83,6 @@ class ParaphraseSynthesizer final : public Synthesizer {
 
 class LlmSynthesizer final : public Synthesizer {
  public:
-  // `precision`, when set, switches the model's inference precision at
-  // construction (synthesis is decode-only, so kInt8 runs the whole
-  // generation against the quantized base; the setting stays on the model).
   // `decode_batch` is the continuous-batching width: candidate generations
   // are decoded in waves of up to this many concurrent KV-cached sessions.
   // Accepted outputs are bit-identical at every width (each attempt samples
@@ -94,7 +90,6 @@ class LlmSynthesizer final : public Synthesizer {
   LlmSynthesizer(llm::MiniLlm& model, const text::Tokenizer& tokenizer,
                  const llm::SamplerConfig& sampler_config, util::Rng rng,
                  const SanityCheckConfig& sanity = SanityCheckConfig{},
-                 std::optional<nn::InferencePrecision> precision = std::nullopt,
                  std::size_t decode_batch = 4);
 
   std::string name() const override { return "llm"; }

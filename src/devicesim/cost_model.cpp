@@ -14,15 +14,4 @@ TrainingCost finetune_cost(const llm::ModelConfig& model, std::size_t num_sequen
   return cost;
 }
 
-TrainingCost generation_cost(const llm::ModelConfig& model, std::size_t prompt_len,
-                             std::size_t new_tokens, const DeviceSpec& device) {
-  TrainingCost cost;
-  for (std::size_t t = 0; t < new_tokens; ++t) {
-    cost.flops += model.forward_flops(prompt_len + t);
-  }
-  cost.modeled_seconds = device.seconds_for_flops(cost.flops);
-  cost.modeled_joules = device.joules_for_flops(cost.flops);
-  return cost;
-}
-
 }  // namespace odlp::devicesim

@@ -35,10 +35,4 @@ TrainingCost finetune_cost(const llm::ModelConfig& model, std::size_t num_sequen
                            double mean_seq_len, std::size_t epochs,
                            const DeviceSpec& device = DeviceSpec{});
 
-// Cost of generating `new_tokens` continuation tokens from a `prompt_len`
-// prompt (full-sequence recompute per step, as MiniLlm does).
-TrainingCost generation_cost(const llm::ModelConfig& model, std::size_t prompt_len,
-                             std::size_t new_tokens,
-                             const DeviceSpec& device = DeviceSpec{});
-
 }  // namespace odlp::devicesim

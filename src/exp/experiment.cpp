@@ -23,6 +23,9 @@ namespace odlp::exp {
 
 namespace {
 
+// Learning rate of the base model's full-parameter pretraining.
+constexpr float kPretrainLearningRate = 3e-3f;
+
 bool file_exists(const std::string& path) {
   struct stat st{};
   return ::stat(path.c_str(), &st) == 0;
@@ -81,7 +84,7 @@ core::EngineConfig make_engine_config(const ExperimentConfig& config) {
   core::EngineConfig ec;
   ec.buffer_bins = config.buffer_bins;
   ec.finetune_interval = config.finetune_interval;
-  ec.synth_per_set = config.use_synthesis ? config.synth_per_set : 0;
+  ec.synth_per_set = config.synth_per_set;
   ec.max_seq_len = config.max_seq_len;
   ec.annotation_budget = config.annotation_budget;
   ec.train.epochs = config.epochs;
@@ -148,7 +151,7 @@ std::unique_ptr<llm::MiniLlm> make_base_model(const ExperimentConfig& config,
   llm::TrainConfig tc;
   tc.epochs = config.pretrain_epochs;
   tc.batch_size = config.batch_size;
-  tc.learning_rate = config.pretrain_lr;
+  tc.learning_rate = kPretrainLearningRate;
   llm::Trainer trainer(*model, tc, rng.split());
   const llm::TrainStats stats = trainer.fine_tune(corpus);
   util::log_info(util::format(

@@ -72,12 +72,10 @@ struct ExperimentConfig {
   // Base-model pretraining (the "deployed generic LLM").
   std::size_t pretrain_examples = 240;
   std::size_t pretrain_epochs = 6;
-  float pretrain_lr = 3e-3f;
   // Directory for cached base checkpoints ("" disables caching).
   std::string cache_dir = "/tmp/odlp_cache";
 
   bool record_curve = true;   // evaluate at every fine-tune round
-  bool use_synthesis = true;
   // Generation temperature for evaluation. The paper fixes τ = 0.5; with a
   // miniature model and small evaluation subsets the sampling variance at
   // τ = 0.5 can swamp the method differences, so benches may lower it

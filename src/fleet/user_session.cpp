@@ -162,7 +162,7 @@ std::unique_ptr<UserSession> make_user_session(
   session->engine_rng = outer.split();
   session->trainer_rng = session->engine_rng.split();
   for (nn::Linear* site : fresh.sites) {
-    session->dropout_rngs.push_back(site->fallback_dropout_rng());
+    session->dropout_rngs.push_back(site->dropout_rng());
   }
   session->buffer = core::DataBuffer(session->ec.buffer_bins);
 
@@ -212,7 +212,7 @@ void run_user_chunk(UserSession& session, WorkerContext& worker,
   engine.rng() = session.engine_rng;
   engine.trainer().rng() = session.trainer_rng;
   for (std::size_t i = 0; i < worker.sites.size(); ++i) {
-    worker.sites[i]->fallback_dropout_rng() = session.dropout_rngs[i];
+    worker.sites[i]->dropout_rng() = session.dropout_rngs[i];
   }
   engine.restore_buffer(std::move(session.buffer));
   engine.set_stats(session.stats);
@@ -237,7 +237,7 @@ void run_user_chunk(UserSession& session, WorkerContext& worker,
     session.engine_rng = engine.rng();
     session.trainer_rng = engine.trainer().rng();
     for (std::size_t i = 0; i < worker.sites.size(); ++i) {
-      session.dropout_rngs[i] = worker.sites[i]->fallback_dropout_rng();
+      session.dropout_rngs[i] = worker.sites[i]->dropout_rng();
     }
     session.work_seconds += chunk_sw.elapsed_seconds();
   };

@@ -133,53 +133,10 @@ void validate_schema(const Schema& schema) {
 // ---------------------------------------------------------------------------
 // ObsfWriter
 
-void ObsfWriter::write_block(std::uint32_t rows,
-                             const std::vector<std::uint8_t>& raw) {
-  util::Stopwatch sw;
-  const std::uint32_t raw_len = static_cast<std::uint32_t>(raw.size());
-
-  // Runs shorter than this are stored raw without attempting LZ4 — the
-  // framing overhead would eat any plausible gain.
-  constexpr std::size_t kMinCompressRun = 64;
-
-  std::vector<std::uint8_t> framed;
-  std::vector<std::uint8_t> scratch;
-  const std::uint8_t* payload = raw.data();
-  std::uint32_t stored_len = raw_len;
-  std::uint8_t codec = 0;
-  if (raw_len > 0) {
-    // Re-frame the plain columnar payload (varint len + bytes per column)
-    // into independently compressed per-column runs, so readers can skip
-    // decompressing columns a projected scan never touches.
-    framed.reserve(raw.size() / 2 + 64);
-    std::size_t off = 0;
-    while (off < raw.size()) {
-      const std::uint64_t run = get_varint(raw.data(), raw.size(), off);
-      const std::uint8_t* run_bytes = raw.data() + off;
-      put_varint(framed, run);
-      bool stored_compressed = false;
-      if (run >= kMinCompressRun) {
-        scratch.resize(lz4_max_compressed_size(static_cast<std::size_t>(run)));
-        const std::size_t csize = lz4_compress(
-            run_bytes, static_cast<std::size_t>(run), scratch.data());
-        if (csize < run) {
-          put_varint(framed, csize);
-          framed.push_back(1);
-          framed.insert(framed.end(), scratch.data(), scratch.data() + csize);
-          stored_compressed = true;
-        }
-      }
-      if (!stored_compressed) {
-        put_varint(framed, run);
-        framed.push_back(0);
-        framed.insert(framed.end(), run_bytes, run_bytes + run);
-      }
-      off += static_cast<std::size_t>(run);
-    }
-    payload = framed.data();
-    stored_len = static_cast<std::uint32_t>(framed.size());
-    codec = 1;
-  }
+void ObsfWriter::write_block(std::uint32_t rows, std::uint32_t raw_len,
+                             const std::vector<std::uint8_t>& payload) {
+  const std::uint32_t stored_len = static_cast<std::uint32_t>(payload.size());
+  const std::uint8_t codec = rows == 0 ? 0 : 1;  // 0 only on the sentinel
 
   // Frame CRC covers rows..payload (everything after the block magic).
   util::Crc32 crc;
@@ -187,7 +144,7 @@ void ObsfWriter::write_block(std::uint32_t rows,
   crc.update(&raw_len, sizeof(raw_len));
   crc.update(&stored_len, sizeof(stored_len));
   crc.update(&codec, sizeof(codec));
-  crc.update(payload, stored_len);
+  crc.update(payload.data(), stored_len);
   const std::uint32_t crc_value = crc.value();
 
   out_->write_pod(kBlockMagic);
@@ -195,7 +152,7 @@ void ObsfWriter::write_block(std::uint32_t rows,
   out_->write_pod(raw_len);
   out_->write_pod(stored_len);
   out_->write_pod(codec);
-  out_->write(payload, stored_len);
+  out_->write(payload.data(), stored_len);
   out_->write_pod(crc_value);
 
   ++blocks_;
@@ -206,7 +163,6 @@ void ObsfWriter::write_block(std::uint32_t rows,
   m.blocks.inc();
   m.bytes_raw.inc(raw_len);
   m.bytes_compressed.inc(stored_len);
-  m.flush_us.record(sw.elapsed_seconds() * 1e6);
 }
 
 struct ObsfWriter::ColumnBuffer {
@@ -229,11 +185,37 @@ struct ObsfWriter::ColumnBuffer {
 
 namespace {
 
-// Encodes one column's block-worth of values; appends varint(enc_len) +
-// encoded bytes to `out`.
+// Encodes one column's block-worth of values into `enc`.
 void encode_column(const ColumnSpec& spec,
-                   const ObsfWriter::ColumnBuffer& col, std::size_t rows,
-                   std::vector<std::uint8_t>& out);
+                   const ObsfWriter::ColumnBuffer& col,
+                   std::vector<std::uint8_t>& enc);
+
+// Runs shorter than this are stored raw without attempting LZ4 — the
+// framing overhead would eat any plausible gain.
+constexpr std::size_t kMinCompressRun = 64;
+
+// Appends the column frame { varint raw_len, varint stored_len, u8 run_codec,
+// stored bytes } of the encoded run `enc` to `out`, LZ4-compressed only when
+// that shrinks it.
+void put_column_frame(const std::vector<std::uint8_t>& enc,
+                      std::vector<std::uint8_t>& scratch,
+                      std::vector<std::uint8_t>& out) {
+  put_varint(out, enc.size());
+  if (enc.size() >= kMinCompressRun) {
+    scratch.resize(lz4_max_compressed_size(enc.size()));
+    const std::size_t csize =
+        lz4_compress(enc.data(), enc.size(), scratch.data());
+    if (csize < enc.size()) {
+      put_varint(out, csize);
+      out.push_back(1);
+      out.insert(out.end(), scratch.data(), scratch.data() + csize);
+      return;
+    }
+  }
+  put_varint(out, enc.size());
+  out.push_back(0);
+  out.insert(out.end(), enc.begin(), enc.end());
+}
 
 template <typename T, typename PutValue>
 void encode_zoh(const std::vector<T>& v, std::vector<std::uint8_t>& enc,
@@ -318,16 +300,27 @@ void ObsfWriter::end_row() {
 
 void ObsfWriter::flush_block() {
   if (rows_in_block_ == 0) return;
+  util::Stopwatch sw;
   std::vector<std::uint8_t> payload;
+  std::vector<std::uint8_t> enc;
+  std::vector<std::uint8_t> scratch;
+  // The block header's raw_len is the unframed size: varint(len) + encoded
+  // run, summed over the columns.
+  std::uint64_t raw_len = 0;
   for (std::size_t c = 0; c < schema_.columns.size(); ++c) {
-    encode_column(schema_.columns[c], columns_[c], rows_in_block_, payload);
+    enc.clear();
+    encode_column(schema_.columns[c], columns_[c], enc);
     columns_[c].clear();
+    raw_len += varint_size(enc.size()) + enc.size();
+    if (raw_len > kMaxRawBytes) {
+      throw std::runtime_error("obsf: block payload exceeds 1 GiB cap");
+    }
+    put_column_frame(enc, scratch, payload);
   }
-  if (payload.size() > kMaxRawBytes) {
-    throw std::runtime_error("obsf: block payload exceeds 1 GiB cap");
-  }
-  write_block(static_cast<std::uint32_t>(rows_in_block_), payload);
+  write_block(static_cast<std::uint32_t>(rows_in_block_),
+              static_cast<std::uint32_t>(raw_len), payload);
   rows_in_block_ = 0;
+  IoMetrics::get().flush_us.record(sw.elapsed_seconds() * 1e6);
 }
 
 ObsfWriter::Stats ObsfWriter::finish() {
@@ -336,7 +329,7 @@ ObsfWriter::Stats ObsfWriter::finish() {
   flush_block();
   // Terminal sentinel: rows == 0 marks clean end-of-stream so truncation at
   // a block boundary is detectable.
-  write_block(0, {});
+  write_block(0, 0, {});
 
   Stats stats;
   stats.rows = total_rows_;
@@ -353,9 +346,8 @@ ObsfWriter::Stats ObsfWriter::finish() {
 namespace {
 
 void encode_column(const ColumnSpec& spec,
-                   const ObsfWriter::ColumnBuffer& col, std::size_t rows,
-                   std::vector<std::uint8_t>& out) {
-  std::vector<std::uint8_t> enc;
+                   const ObsfWriter::ColumnBuffer& col,
+                   std::vector<std::uint8_t>& enc) {
   switch (spec.type) {
     case ColumnType::kBytes:
       for (const std::string& s : col.bytes) {
@@ -429,9 +421,6 @@ void encode_column(const ColumnSpec& spec,
       put_raw(enc, col.f32.data(), col.f32.size() * sizeof(float));
       break;
   }
-  (void)rows;
-  put_varint(out, enc.size());
-  out.insert(out.end(), enc.begin(), enc.end());
 }
 
 }  // namespace
@@ -732,53 +721,43 @@ bool ObsfReader::next_block() {
         return false;
       }
 
+      // Data blocks are always framed per column; block_codec 0 is
+      // reserved for the sentinel.
+      if (codec != 1) {
+        throw util::CorruptionError("obsf: unframed data block");
+      }
       // Locate each column's run inside the payload. Decoding (and any
       // per-column decompression) is deferred to the first accessor touch,
       // so a projected scan only pays for the columns it reads; the framing
       // itself is fully validated here.
-      if (codec == 0 && stored_len != raw_len) {
-        throw util::CorruptionError("obsf: raw block length mismatch");
-      }
       std::size_t off = 0;
       std::uint64_t plain_total = 0;
       for (std::size_t c = 0; c < schema_.columns.size(); ++c) {
         columns_[c].clear();
         ColumnData& col = columns_[c];
-        if (codec == 1) {
-          const std::uint64_t rlen = get_varint(payload, stored_len, off);
-          const std::uint64_t slen = get_varint(payload, stored_len, off);
-          if (off >= stored_len) {
-            throw util::CorruptionError("obsf: truncated column frame");
-          }
-          const std::uint8_t run_codec = payload[off++];
-          if (run_codec > 1 || (run_codec == 0 && slen != rlen) ||
-              rlen > kMaxRawBytes || slen > stored_len - off) {
-            throw util::CorruptionError("obsf: bad column frame");
-          }
-          col.src = payload + off;
-          col.stored_len = static_cast<std::size_t>(slen);
-          col.raw_len = static_cast<std::size_t>(rlen);
-          col.run_codec = run_codec;
-          off += static_cast<std::size_t>(slen);
-          plain_total += varint_size(rlen) + rlen;
-        } else {
-          const std::uint64_t rlen = get_varint(payload, stored_len, off);
-          if (rlen > stored_len - off) {
-            throw util::CorruptionError("obsf: column run overruns block");
-          }
-          col.src = payload + off;
-          col.stored_len = static_cast<std::size_t>(rlen);
-          col.raw_len = static_cast<std::size_t>(rlen);
-          col.run_codec = 0;
-          off += static_cast<std::size_t>(rlen);
+        const std::uint64_t rlen = get_varint(payload, stored_len, off);
+        const std::uint64_t slen = get_varint(payload, stored_len, off);
+        if (off >= stored_len) {
+          throw util::CorruptionError("obsf: truncated column frame");
         }
+        const std::uint8_t run_codec = payload[off++];
+        if (run_codec > 1 || (run_codec == 0 && slen != rlen) ||
+            rlen > kMaxRawBytes || slen > stored_len - off) {
+          throw util::CorruptionError("obsf: bad column frame");
+        }
+        col.src = payload + off;
+        col.stored_len = static_cast<std::size_t>(slen);
+        col.raw_len = static_cast<std::size_t>(rlen);
+        col.run_codec = run_codec;
+        off += static_cast<std::size_t>(slen);
+        plain_total += varint_size(rlen) + rlen;
       }
       if (off != stored_len) {
         throw util::CorruptionError("obsf: block has trailing bytes");
       }
-      // raw_len in the frame header is the plain-payload size; for framed
-      // blocks it must equal the reconstruction from the per-column runs.
-      if (codec == 1 && plain_total != raw_len) {
+      // raw_len in the block header is the unframed size: it must equal
+      // the reconstruction from the per-column runs.
+      if (plain_total != raw_len) {
         throw util::CorruptionError("obsf: bad block header");
       }
 

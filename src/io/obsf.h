@@ -10,7 +10,8 @@
 //                                      u32 crc32(all preceding bytes)
 //   [ block ]*                         u32 magic "OBLK", u32 rows,
 //                                      u32 raw_len, u32 stored_len,
-//                                      u8 block_codec (0 raw / 1 lz4),
+//                                      u8 block_codec (1 column frames;
+//                                      0 only on the sentinel),
 //                                      stored_len payload bytes,
 //                                      u32 crc32(rows..payload)
 //   [ sentinel ]                       a block frame with rows == 0 —
@@ -19,15 +20,15 @@
 //                                      block boundary is still detected
 //
 // Each block is independently decodable, and within a block each *column*
-// is independently decodable. block_codec 0 stores the plain columnar
-// payload: the concatenation, in schema order, of one encoded byte-run per
-// column (varint length + bytes). block_codec 1 stores per-column frames:
-// { varint raw_len, varint stored_len, u8 run_codec (0 raw / 1 lz4),
-// stored bytes } per column — each column's run is LZ4-compressed only
-// when that actually shrinks it. Per-column compression is what makes
-// projected scans cheap: the reader decodes a column the first time an
-// accessor touches it, so a scan over the narrow numeric columns never
-// decompresses the wide text columns riding in the same block.
+// is independently decodable. A data block's payload is one frame per
+// column, in schema order: { varint raw_len, varint stored_len, u8 run_codec
+// (0 raw / 1 lz4), stored bytes } — each column's run is LZ4-compressed only
+// when that actually shrinks it. The block header's raw_len is the size of
+// the unframed form (varint length + run per column). Per-column
+// compression is what makes projected scans cheap: the reader decodes a
+// column the first time an accessor touches it, so a scan over the narrow
+// numeric columns never decompresses the wide text columns riding in the
+// same block.
 // Blocks are CRC-32-footed (util/crc32), verified eagerly in next_block()
 // over the stored payload. Durability comes from util::AtomicFileWriter: the
 // whole file appears atomically on commit (tmp + fsync + rename), and the
@@ -137,9 +138,10 @@ class ObsfWriter {
 
  private:
   void flush_block();
-  // Frames one encoded block (per-column LZ4 when it has rows), CRC-foots
-  // it and writes it to out_.
-  void write_block(std::uint32_t rows, const std::vector<std::uint8_t>& raw);
+  // Writes one block frame around `payload` (the column frames; empty for
+  // the sentinel), CRC-footed, to out_.
+  void write_block(std::uint32_t rows, std::uint32_t raw_len,
+                   const std::vector<std::uint8_t>& payload);
 
   std::string path_;
   Schema schema_;

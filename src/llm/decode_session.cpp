@@ -15,11 +15,6 @@ DecodeSession::DecodeSession(MiniLlm& model) : model_(model) {
   }
 }
 
-DecodeSession::DecodeSession(MiniLlm& model, nn::InferencePrecision precision)
-    : DecodeSession(model) {
-  model.set_inference_precision(precision);
-}
-
 const tensor::Tensor& DecodeSession::step(int token) {
   assert(!full());
   ODLP_TRACE_SCOPE("decode.step");

@@ -23,11 +23,6 @@ class DecodeSession {
  public:
   explicit DecodeSession(MiniLlm& model);
 
-  // Convenience overload that switches the model to `precision` before the
-  // first step (a plain set_inference_precision — the setting outlives the
-  // session; callers wanting the old mode back switch it themselves).
-  DecodeSession(MiniLlm& model, nn::InferencePrecision precision);
-
   // Feeds one token at the next position; returns its logits [1, vocab] as a
   // reference into the model's workspace — valid until the next step()/
   // forward on the same model (copy out to keep). Precondition: !full().

@@ -161,7 +161,7 @@ tensor::Tensor MiniLlm::hidden_states(const std::vector<int>& ids) {
 }
 
 void MiniLlm::freeze() {
-  for (nn::Parameter* p : parameters()) p->trainable = false;
+  for (nn::Parameter* p : parameters()) p->set_trainable(false);
   for (nn::Linear* l : all_linears()) l->sync_panels();
 }
 
@@ -241,7 +241,7 @@ void MiniLlm::merge_lora() {
   for (auto& block : blocks_) block->merge_lora();
   // merge_lora re-enables trainability on the attention projections; restore
   // the rest of the network to trainable as well for symmetry.
-  for (nn::Parameter* p : parameters()) p->trainable = true;
+  for (nn::Parameter* p : parameters()) p->set_trainable(true);
   for (nn::Linear* l : all_linears()) l->sync_panels();
   has_lora_ = false;
 }
@@ -271,7 +271,7 @@ void MiniLlm::copy_parameters_from(MiniLlm& other) {
                                   src[i]->name + "' mismatch");
     }
     dst[i]->value = src[i]->value;
-    dst[i]->trainable = src[i]->trainable;
+    dst[i]->set_trainable(src[i]->trainable);
   }
   // Same values, same trainability: the source's panels are ours too.
   const std::vector<nn::Linear*> dst_linears = all_linears();

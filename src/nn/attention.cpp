@@ -248,11 +248,4 @@ void MultiHeadSelfAttention::collect_linears(std::vector<Linear*>& out) {
   out.push_back(&o_proj_);
 }
 
-void MultiHeadSelfAttention::set_dropout_rng(util::Rng* rng) {
-  q_proj_.set_dropout_rng(rng);
-  k_proj_.set_dropout_rng(rng);
-  v_proj_.set_dropout_rng(rng);
-  o_proj_.set_dropout_rng(rng);
-}
-
 }  // namespace odlp::nn

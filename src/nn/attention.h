@@ -62,7 +62,6 @@ class MultiHeadSelfAttention {
   // Appends the four projection layers; MiniLlm walks these for the
   // quantize / memory-ledger traversals.
   void collect_linears(std::vector<Linear*>& out);
-  void set_dropout_rng(util::Rng* rng);
 
   std::size_t dim() const { return dim_; }
   std::size_t heads() const { return heads_; }

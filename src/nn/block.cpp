@@ -76,8 +76,4 @@ void TransformerBlock::collect_linears(std::vector<Linear*>& out) {
   ff_.collect_linears(out);
 }
 
-void TransformerBlock::set_dropout_rng(util::Rng* rng) {
-  attn_.set_dropout_rng(rng);
-}
-
 }  // namespace odlp::nn

@@ -46,7 +46,6 @@ class TransformerBlock {
   void collect_parameters(ParameterList& out);
   // Appends every Linear in the block (attention projections, then FFN).
   void collect_linears(std::vector<Linear*>& out);
-  void set_dropout_rng(util::Rng* rng);
 
   MultiHeadSelfAttention& attention() { return attn_; }
 

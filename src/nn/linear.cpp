@@ -13,7 +13,7 @@ Linear::Linear(std::string name, std::size_t in, std::size_t out, util::Rng& rng
       weight_(name_ + ".weight", in, out),
       bias_(name_ + ".bias", bias ? 1 : 0, bias ? out : 0),
       has_bias_(bias),
-      fallback_rng_(rng.next_u64()) {
+      rng_(rng.next_u64()) {
   init_xavier_uniform(weight_.value, rng);
 }
 
@@ -37,11 +37,10 @@ tensor::Tensor& Linear::forward_ws(const tensor::Tensor& x, bool training,
     const float keep = 1.0f - lora_->config.dropout;
     cached_x_dropped_ = x;
     if (training && lora_->config.dropout > 0.0f) {
-      util::Rng& rng = dropout_rng_ ? *dropout_rng_ : fallback_rng_;
       const float inv_keep = keep > 0.0f ? 1.0f / keep : 0.0f;
       for (std::size_t i = 0; i < cached_x_dropped_.size(); ++i) {
         cached_x_dropped_.data()[i] =
-            rng.bernoulli(keep) ? cached_x_dropped_.data()[i] * inv_keep : 0.0f;
+            rng_.bernoulli(keep) ? cached_x_dropped_.data()[i] * inv_keep : 0.0f;
       }
     }
     tensor::matmul_into(cached_x_dropped_, lora_->a.value, cached_xa_);
@@ -183,15 +182,15 @@ void Linear::attach_lora(const LoraConfig& config, util::Rng& rng) {
   init_normal(lora.a.value, rng, 0.02f);
   lora.b.value.zero();  // Standard LoRA: B starts at zero so delta starts at 0.
   lora_ = std::move(lora);
-  weight_.trainable = false;
-  bias_.trainable = false;
+  weight_.set_trainable(false);
+  bias_.set_trainable(false);
   sync_panels();
 }
 
 void Linear::detach_lora() {
   lora_.reset();
-  weight_.trainable = true;
-  bias_.trainable = true;
+  weight_.set_trainable(true);
+  bias_.set_trainable(true);
   sync_panels();
 }
 

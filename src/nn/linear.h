@@ -127,12 +127,10 @@ class Linear {
                           const LoraOverlaySet* const* overlays, std::size_t n,
                           std::size_t site, tensor::Workspace& ws);
 
-  // Deterministic dropout source for reproducible training.
-  void set_dropout_rng(util::Rng* rng) { dropout_rng_ = rng; }
-  // The rng LoRA dropout actually draws from when no external source is
-  // set — per-user state under fleet hot-swap (capture before deactivating
-  // a user, restore before their next training step).
-  util::Rng& fallback_dropout_rng() { return fallback_rng_; }
+  // The rng LoRA dropout draws from, seeded at construction — per-user
+  // state under fleet hot-swap (capture before deactivating a user, restore
+  // before their next training step).
+  util::Rng& dropout_rng() { return rng_; }
 
  private:
   struct Lora {
@@ -149,8 +147,7 @@ class Linear {
   tensor::QuantizedTensor qweight_;  // int8 snapshot of W when quantized_
   std::shared_ptr<const Panels> panels_;  // set iff W is frozen
   bool quantized_ = false;
-  util::Rng* dropout_rng_ = nullptr;
-  util::Rng fallback_rng_;
+  util::Rng rng_;  // the LoRA dropout stream
 
   // Forward caches.
   tensor::Tensor cached_x_;         // input

@@ -4,27 +4,6 @@
 
 namespace odlp::nn {
 
-Sgd::Sgd(float lr, float momentum) : lr_(lr), momentum_(momentum) {}
-
-void Sgd::step(const ParameterList& params) {
-  for (Parameter* p : params) {
-    if (!p->trainable) continue;
-    if (momentum_ > 0.0f) {
-      auto it = velocity_.find(p);
-      if (it == velocity_.end()) {
-        it = velocity_.emplace(p, tensor::Tensor(p->value.rows(), p->value.cols(), 0.0f)).first;
-      }
-      tensor::Tensor& v = it->second;
-      for (std::size_t i = 0; i < p->value.size(); ++i) {
-        v.data()[i] = momentum_ * v.data()[i] + p->grad.data()[i];
-        p->value.data()[i] -= lr_ * v.data()[i];
-      }
-    } else {
-      p->value.add_scaled(p->grad, -lr_);
-    }
-  }
-}
-
 AdamW::AdamW(const Config& config) : config_(config) {}
 
 void AdamW::step(const ParameterList& params) {

@@ -1,4 +1,4 @@
-// Optimizers over ParameterLists. AdamW is the paper's fine-tuning optimizer.
+// AdamW over a ParameterList: the paper's fine-tuning optimizer.
 #pragma once
 
 #include <unordered_map>
@@ -9,31 +9,8 @@
 
 namespace odlp::nn {
 
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-  // Applies one update using the gradients currently stored in the
-  // parameters; does not zero them (caller's responsibility).
-  virtual void step(const ParameterList& params) = 0;
-  virtual void set_learning_rate(float lr) = 0;
-  virtual float learning_rate() const = 0;
-};
-
-class Sgd final : public Optimizer {
- public:
-  explicit Sgd(float lr, float momentum = 0.0f);
-  void step(const ParameterList& params) override;
-  void set_learning_rate(float lr) override { lr_ = lr; }
-  float learning_rate() const override { return lr_; }
-
- private:
-  float lr_;
-  float momentum_;
-  std::unordered_map<const Parameter*, tensor::Tensor> velocity_;
-};
-
 // AdamW (decoupled weight decay), Loshchilov & Hutter 2019.
-class AdamW final : public Optimizer {
+class AdamW {
  public:
   struct Config {
     float lr = 3e-4f;          // paper default learning rate
@@ -44,9 +21,11 @@ class AdamW final : public Optimizer {
   };
 
   explicit AdamW(const Config& config);
-  void step(const ParameterList& params) override;
-  void set_learning_rate(float lr) override { config_.lr = lr; }
-  float learning_rate() const override { return config_.lr; }
+  // Applies one update using the gradients currently stored in the
+  // parameters; does not zero them (caller's responsibility).
+  void step(const ParameterList& params);
+  void set_learning_rate(float lr) { config_.lr = lr; }
+  float learning_rate() const { return config_.lr; }
 
   long long step_count() const { return t_; }
 

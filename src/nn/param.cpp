@@ -34,7 +34,9 @@ std::size_t count_total(const ParameterList& params) {
 }
 
 void zero_grads(const ParameterList& params) {
-  for (Parameter* p : params) p->zero_grad();
+  for (Parameter* p : params) {
+    if (p->trainable) p->zero_grad();
+  }
 }
 
 float clip_grad_norm(const ParameterList& params, float max_norm) {

@@ -4,7 +4,7 @@
 // which optimizers consume. LoRA fine-tuning is expressed by flipping
 // `trainable` on base weights (frozen) vs. adapter weights (trained) — the
 // optimizer simply skips frozen parameters, exactly mirroring how LoRA is
-// applied to Llama in the paper.
+// applied to Llama in the paper. A frozen parameter holds no gradient.
 #pragma once
 
 #include <string>
@@ -25,6 +25,17 @@ struct Parameter {
   Parameter(std::string n, std::size_t rows, std::size_t cols)
       : name(std::move(n)), value(rows, cols), grad(rows, cols) {}
 
+  // The one writer of `trainable`. Freezing frees `grad` (a frozen weight
+  // accumulates none); unfreezing allocates it, zeroed, if it is missing.
+  void set_trainable(bool on) {
+    trainable = on;
+    if (!on) {
+      grad = tensor::Tensor();
+    } else if (!grad.same_shape(value)) {
+      grad = tensor::Tensor(value.rows(), value.cols());
+    }
+  }
+
   void zero_grad() { grad.zero(); }
   std::size_t size() const { return value.size(); }
 };
@@ -43,7 +54,7 @@ std::size_t count_trainable(const ParameterList& params);
 // Sum over all parameters.
 std::size_t count_total(const ParameterList& params);
 
-// Zero every gradient in the list.
+// Zero the gradient of every trainable parameter in the list.
 void zero_grads(const ParameterList& params);
 
 // Global gradient-norm clipping over trainable parameters. Returns the

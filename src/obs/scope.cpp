@@ -137,22 +137,6 @@ void ScopedCounter::fold(std::uint32_t slot) {
                       std::memory_order_relaxed);
 }
 
-ScopedGauge::ScopedGauge(ScopeTable& table, std::string name)
-    : ScopedMetricBase(table, std::move(name)) {
-  cells_ = std::make_unique<std::atomic<double>[]>(table.slots());
-  for (std::size_t i = 0; i < table.slots(); ++i) cells_[i].store(0.0);
-}
-
-void ScopedGauge::reset() {
-  for (std::size_t i = 0; i < table().slots(); ++i) {
-    cells_[i].store(0.0, std::memory_order_relaxed);
-  }
-}
-
-void ScopedGauge::fold(std::uint32_t slot) {
-  cells_[slot].store(0.0, std::memory_order_relaxed);
-}
-
 ScopedHistogram::ScopedHistogram(ScopeTable& table, std::string name,
                                  std::vector<double> bounds)
     : ScopedMetricBase(table, std::move(name)) {
@@ -178,7 +162,6 @@ struct ScopedRegistry::Impl {
   mutable std::mutex mutex;
   ScopeTable table{ScopeTable::kDefaultSlots};
   std::map<std::string, std::unique_ptr<ScopedCounter>> counters;
-  std::map<std::string, std::unique_ptr<ScopedGauge>> gauges;
   std::map<std::string, std::unique_ptr<ScopedHistogram>> histograms;
 };
 
@@ -196,17 +179,6 @@ ScopedCounter& ScopedRegistry::counter(const std::string& name) {
   if (it == im.counters.end()) {
     it = im.counters
              .emplace(name, std::make_unique<ScopedCounter>(im.table, name))
-             .first;
-  }
-  return *it->second;
-}
-
-ScopedGauge& ScopedRegistry::gauge(const std::string& name) {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lk(im.mutex);
-  auto it = im.gauges.find(name);
-  if (it == im.gauges.end()) {
-    it = im.gauges.emplace(name, std::make_unique<ScopedGauge>(im.table, name))
              .first;
   }
   return *it->second;
@@ -251,20 +223,6 @@ void ScopedRegistry::append_to(MetricsSnapshot& snap) const {
       snap.samples.push_back(std::move(sample));
     }
   }
-  for (const auto& [name, g] : im.gauges) {
-    for (std::uint32_t s = 0; s < nslots; ++s) {
-      const std::string scope = slot_scope(s);
-      if (scope.empty()) continue;
-      const double v = g->value(s);
-      if (s == 0 && v == 0.0) continue;
-      MetricSample sample;
-      sample.kind = MetricSample::Kind::kGauge;
-      sample.name = name;
-      sample.scope = scope;
-      sample.gauge = v;
-      snap.samples.push_back(std::move(sample));
-    }
-  }
   for (const auto& [name, h] : im.histograms) {
     for (std::uint32_t s = 0; s < nslots; ++s) {
       const std::string scope = slot_scope(s);
@@ -290,7 +248,6 @@ void ScopedRegistry::reset() {
   Impl& im = impl();
   std::lock_guard<std::mutex> lk(im.mutex);
   for (auto& [name, c] : im.counters) c->reset();
-  for (auto& [name, g] : im.gauges) g->reset();
   for (auto& [name, h] : im.histograms) h->reset();
 }
 

@@ -150,25 +150,6 @@ class ScopedCounter : public ScopedMetricBase {
   std::unique_ptr<std::atomic<std::uint64_t>[]> cells_;
 };
 
-// One last-written double per scope slot. Demotion zeroes the evicted slot
-// (a gauge is not additive; `other` keeps its own last value).
-class ScopedGauge : public ScopedMetricBase {
- public:
-  ScopedGauge(ScopeTable& table, std::string name);
-
-  void set(ScopeTable::Handle h, double v) {
-    cells_[table().resolve(h)].store(v, std::memory_order_relaxed);
-  }
-  double value(std::uint32_t slot) const {
-    return cells_[slot].load(std::memory_order_relaxed);
-  }
-  void reset();
-
- private:
-  void fold(std::uint32_t slot) override;
-  std::unique_ptr<std::atomic<double>[]> cells_;
-};
-
 // One Histogram per scope slot, all sharing one bounds vector. Demotion
 // absorbs the evicted slot's buckets into slot 0 exactly (bucket counts,
 // count, sum; min/max merged).
@@ -195,7 +176,6 @@ class ScopedRegistry {
  public:
   ScopeTable& scopes();
   ScopedCounter& counter(const std::string& name);
-  ScopedGauge& gauge(const std::string& name);
   ScopedHistogram& histogram(const std::string& name);  // default_us_bounds()
   ScopedHistogram& histogram(const std::string& name,
                              std::vector<double> bounds);

@@ -8,7 +8,6 @@
 #include <mutex>
 #include <vector>
 
-#include "io/obsf.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "util/atomic_file.h"
@@ -291,21 +290,14 @@ std::uint64_t trace_dropped_count() {
 
 namespace {
 
-// One balanced Chrome-style event: phase 'B' or 'E', always paired.
-struct FlatEvent {
-  const char* name = nullptr;
-  char phase = 'B';
-  int tid = 0;
-  std::uint64_t ts_ns = 0;
-};
-
 // Snapshots every thread buffer and replays each with a name stack so every
 // "E" names its matching "B", orphan ends (begin cleared by a mid-span
 // enable_tracing) are skipped, and spans still open are closed
-// synthetically at the last timestamp — the returned stream always
+// synthetically at the last timestamp — the emitted stream always
 // balances. Per-thread order is chronological; threads are concatenated in
-// registration (tid) order. Shared by the JSON and binary flush paths.
-std::vector<FlatEvent> collect_balanced_events(std::uint64_t& dropped) {
+// registration (tid) order. Returns the Chrome Trace JSON and sets `count`
+// to the events written and `dropped` to the events the rings lost.
+std::string balanced_chrome_json(std::size_t& count, std::uint64_t& dropped) {
   State& st = state();
   std::vector<std::pair<int, std::vector<Event>>> per_thread;
   std::uint64_t last_ts = 0;
@@ -323,39 +315,34 @@ std::vector<FlatEvent> collect_balanced_events(std::uint64_t& dropped) {
     }
   }
 
-  std::vector<FlatEvent> flat;
+  std::string out = "{\"traceEvents\":[\n";
+  bool first = true;
+  count = 0;
+  const auto emit = [&](const char* name, char phase, int tid,
+                        std::uint64_t ts_ns) {
+    append_event(out, first, name, phase, tid, ts_ns);
+    ++count;
+  };
   for (const auto& [tid, events] : per_thread) {
     std::vector<const char*> open;
     for (const Event& e : events) {
       if (e.name) {
         open.push_back(e.name);
-        flat.push_back({e.name, 'B', tid, e.ts_ns});
+        emit(e.name, 'B', tid, e.ts_ns);
       } else if (!open.empty()) {
-        flat.push_back({open.back(), 'E', tid, e.ts_ns});
+        emit(open.back(), 'E', tid, e.ts_ns);
         open.pop_back();
       }
     }
     while (!open.empty()) {
-      flat.push_back({open.back(), 'E', tid, last_ts});
+      emit(open.back(), 'E', tid, last_ts);
       open.pop_back();
     }
-  }
-  return flat;
-}
-
-std::string chrome_json(const std::vector<FlatEvent>& events,
-                        std::uint64_t dropped) {
-  std::string out = "{\"traceEvents\":[\n";
-  bool first = true;
-  for (const FlatEvent& e : events) {
-    append_event(out, first, e.name, e.phase, e.tid, e.ts_ns);
   }
   out += "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped_events\":\"" +
          std::to_string(dropped) + "\"}}\n";
   return out;
 }
-
-constexpr const char* kTraceObsfMeta = "odlp.trace.v1";
 
 }  // namespace
 
@@ -365,9 +352,9 @@ bool flush_trace() {
     std::lock_guard<std::mutex> lk(st.mutex);
     if (st.path.empty()) return false;
   }
+  std::size_t count = 0;
   std::uint64_t dropped = 0;
-  const std::vector<FlatEvent> events = collect_balanced_events(dropped);
-  const std::string out = chrome_json(events, dropped);
+  const std::string out = balanced_chrome_json(count, dropped);
 
   try {
     util::AtomicFileWriter writer(trace_path());
@@ -377,72 +364,10 @@ bool flush_trace() {
     util::log_warn(std::string("trace: flush failed: ") + e.what());
     return false;
   }
-  util::log_info("trace: flushed " + std::to_string(events.size()) +
+  util::log_info("trace: flushed " + std::to_string(count) +
                  " events (" + std::to_string(dropped) + " dropped) to " +
                  trace_path());
   return true;
-}
-
-bool flush_trace_binary(const std::string& path) {
-  std::uint64_t dropped = 0;
-  const std::vector<FlatEvent> events = collect_balanced_events(dropped);
-
-  io::Schema schema;
-  schema.meta = std::string(kTraceObsfMeta) +
-                ";dropped=" + std::to_string(dropped);
-  schema.columns = {
-      {"tid", io::ColumnType::kI64, io::ColumnCodec::kZoH},
-      {"ts_ns", io::ColumnType::kU64, io::ColumnCodec::kDelta},
-      {"phase", io::ColumnType::kU8, io::ColumnCodec::kZoH},
-      {"name", io::ColumnType::kBytes, io::ColumnCodec::kFlat},
-  };
-  try {
-    io::ObsfWriter writer(path, schema);
-    for (const FlatEvent& e : events) {
-      writer.append_i64(e.tid);
-      writer.append_u64(e.ts_ns);
-      writer.append_u8(static_cast<std::uint8_t>(e.phase));
-      writer.append_bytes(e.name);
-      writer.end_row();
-    }
-    writer.finish();
-  } catch (const std::exception& e) {
-    util::log_warn(std::string("trace: binary flush failed: ") + e.what());
-    return false;
-  }
-  return true;
-}
-
-void trace_binary_to_chrome_json(const std::string& binary_path,
-                                 const std::string& json_path) {
-  io::ObsfReader r(binary_path);
-  const std::string& meta = r.schema().meta;
-  if (meta.rfind(kTraceObsfMeta, 0) != 0 || r.schema().columns.size() != 4) {
-    throw util::CorruptionError("trace: not a binary trace: " + binary_path);
-  }
-  std::uint64_t dropped = 0;
-  if (const std::size_t at = meta.find("dropped="); at != std::string::npos) {
-    dropped = std::strtoull(meta.c_str() + at + 8, nullptr, 10);
-  }
-
-  std::string out = "{\"traceEvents\":[\n";
-  bool first = true;
-  while (r.next_block()) {
-    for (std::size_t k = 0; k < r.rows(); ++k) {
-      const char ph = static_cast<char>(r.col_u8(2)[k]);
-      if (ph != 'B' && ph != 'E') {
-        throw util::CorruptionError("trace: bad event phase");
-      }
-      append_event(out, first, r.col_bytes(3)[k].c_str(), ph,
-                   static_cast<int>(r.col_i64(0)[k]), r.col_u64(1)[k]);
-    }
-  }
-  out += "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped_events\":\"" +
-         std::to_string(dropped) + "\"}}\n";
-
-  util::AtomicFileWriter writer(json_path);
-  writer.write(out.data(), out.size());
-  writer.commit();
 }
 
 }  // namespace odlp::obs

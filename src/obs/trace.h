@@ -82,21 +82,6 @@ void disable_tracing();
 // enabled or the file cannot be written.
 bool flush_trace();
 
-// Same event stream, but written to `path` as an OBSF binary trace
-// (io/obsf.h, meta "odlp.trace.v1": tid/ts_ns/phase/name columns, LZ4
-// blocks) — roughly an order of magnitude smaller than the JSON and cheap
-// enough to flush at fleet scale. Unlike flush_trace() the destination is
-// explicit, so it works whether or not a JSON path was configured. Returns
-// false when the file cannot be written.
-bool flush_trace_binary(const std::string& path);
-
-// Converts a binary trace written by flush_trace_binary() into Chrome Trace
-// JSON loadable in chrome://tracing — offline, so devices ship the compact
-// form and the JSON blow-up happens on the analysis host. Throws
-// util::CorruptionError on a damaged input file.
-void trace_binary_to_chrome_json(const std::string& binary_path,
-                                 const std::string& json_path);
-
 // Path configured by the last enable_tracing() ("" when never enabled).
 std::string trace_path();
 

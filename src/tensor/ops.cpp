@@ -538,23 +538,6 @@ void gelu_backward_into(const Tensor& in, const Tensor& tanh_u,
   }
 }
 
-Tensor relu(const Tensor& in) {
-  Tensor out = Tensor::uninitialized(in.rows(), in.cols());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    out.data()[i] = in.data()[i] > 0.0f ? in.data()[i] : 0.0f;
-  }
-  return out;
-}
-
-Tensor relu_backward(const Tensor& in, const Tensor& dout) {
-  assert(in.same_shape(dout));
-  Tensor din = Tensor::uninitialized(in.rows(), in.cols());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    din.data()[i] = in.data()[i] > 0.0f ? dout.data()[i] : 0.0f;
-  }
-  return din;
-}
-
 void layernorm_rows_into(const Tensor& in, float eps, LayerNormCache* cache,
                          Tensor& out) {
   out.resize_uninitialized(in.rows(), in.cols());

@@ -57,8 +57,8 @@ auto reduce_row_chunks(std::size_t rows, Map map, Add add) {
 // into results/BENCH_perf.json so perf trajectories name the kernel they
 // measured. The variant strings reflect the *runtime* SIMD dispatch level
 // (tensor/simd.h) at the moment of the call, not just compile-time flags —
-// forcing a level via ODLP_SIMD or set_simd_level() changes what this
-// reports (tests/test_simd_dispatch.cpp pins the mapping).
+// forcing a level via set_simd_level() changes what this reports
+// (tests/test_simd_dispatch.cpp pins the mapping).
 struct KernelBuildInfo {
   const char* variant;       // fp32 core: "tiled-4x8-packed" or, at the
                              // AVX2 level, "tiled-4x16-packed-avx2"
@@ -165,10 +165,6 @@ Tensor gelu(const Tensor& in);
 void gelu_into(const Tensor& in, Tensor& out, Tensor& tanh_u);
 void gelu_backward_into(const Tensor& in, const Tensor& tanh_u,
                         const Tensor& dout, Tensor& din);
-
-// ReLU forward / backward (kept for ablation/testing).
-Tensor relu(const Tensor& in);
-Tensor relu_backward(const Tensor& in, const Tensor& dout);
 
 // Row-wise layer normalization (no affine; the nn::LayerNorm module owns
 // gain/bias). eps stabilizes the variance.

@@ -1,9 +1,6 @@
 #include "tensor/simd.h"
 
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 namespace odlp::tensor {
 
@@ -30,28 +27,10 @@ SimdLevel clamp_to_host(SimdLevel level) {
   return static_cast<int>(level) > static_cast<int>(host) ? host : level;
 }
 
-SimdLevel initial_level() {
-  SimdLevel level = detected_simd_level();
-  if (const char* env = std::getenv("ODLP_SIMD")) {
-    SimdLevel parsed;
-    if (parse_simd_level(env, parsed)) {
-      level = clamp_to_host(parsed);
-    } else {
-      std::fprintf(
-          stderr,
-          "odlp: ignoring unrecognized ODLP_SIMD=%s "
-          "(want scalar|sse2|avx2|vnni)\n",
-          env);
-    }
-  }
-  return level;
-}
-
-// Function-local static so the env parse happens exactly once, thread-safely,
-// on first kernel use. Relaxed order suffices: the level only selects among
-// bit-identical kernels, so there is nothing to synchronize with.
+// Relaxed order suffices: the level only selects among bit-identical
+// kernels, so there is nothing to synchronize with.
 std::atomic<int>& active_storage() {
-  static std::atomic<int> active{static_cast<int>(initial_level())};
+  static std::atomic<int> active{static_cast<int>(detected_simd_level())};
   return active;
 }
 
@@ -85,27 +64,6 @@ const char* simd_level_name(SimdLevel level) {
     default:
       return "scalar";
   }
-}
-
-bool parse_simd_level(const char* text, SimdLevel& out) {
-  if (text == nullptr) return false;
-  if (std::strcmp(text, "scalar") == 0) {
-    out = SimdLevel::kScalar;
-    return true;
-  }
-  if (std::strcmp(text, "sse2") == 0) {
-    out = SimdLevel::kSse2;
-    return true;
-  }
-  if (std::strcmp(text, "avx2") == 0) {
-    out = SimdLevel::kAvx2;
-    return true;
-  }
-  if (std::strcmp(text, "vnni") == 0) {
-    out = SimdLevel::kVnni;
-    return true;
-  }
-  return false;
 }
 
 }  // namespace odlp::tensor

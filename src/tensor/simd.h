@@ -13,9 +13,9 @@
 //             only exists when the toolchain can emit AVX-VNNI
 //             (ODLP_HAVE_AVXVNNI) and the host reports the feature
 //
-// The active level starts at min(detected host capability, ODLP_SIMD env
-// override) and can be forced lower at runtime via set_simd_level() — the
-// dispatch-matrix tests sweep every level available on the host. Every
+// The active level starts at the detected host capability (cpuid) and can be
+// forced lower via set_simd_level(), a test hook — the dispatch-matrix tests
+// sweep every level available on the host. Every
 // variant of a kernel is bit-identical to every other (fp32: same
 // per-element accumulation order; int8: exact integer block sums plus the
 // shared fp32 fixup), so the level changes throughput, never results; the
@@ -36,10 +36,8 @@ enum class SimdLevel : int {
 // Non-x86 builds always report kScalar.
 SimdLevel detected_simd_level();
 
-// Level the kernel TUs currently dispatch on. Initialized once to
-// min(detected_simd_level(), ODLP_SIMD) — ODLP_SIMD=scalar|sse2|avx2|vnni;
-// unparseable values are ignored with a stderr warning, and requests above
-// the host capability are clamped down, never honored.
+// Level the kernel TUs currently dispatch on: detected_simd_level() until a
+// set_simd_level() call.
 SimdLevel active_simd_level();
 
 // Forces the active level (test hook for the dispatch-matrix sweep). Clamped
@@ -48,9 +46,5 @@ SimdLevel set_simd_level(SimdLevel level);
 
 // "scalar" | "sse2" | "avx2" | "vnni".
 const char* simd_level_name(SimdLevel level);
-
-// Parses an ODLP_SIMD-style spelling. Returns false (out untouched) on
-// anything other than exactly "scalar", "sse2", "avx2", or "vnni".
-bool parse_simd_level(const char* text, SimdLevel& out);
 
 }  // namespace odlp::tensor

@@ -431,11 +431,9 @@ TEST(BatchDecodeEngine, SynthesizerOutputsIndependentOfDecodeBatch) {
 
   SynthesisStats stats1, stats4;
   LlmSynthesizer synth1(model, tokenizer, sc, util::Rng(77),
-                        SanityCheckConfig{}, std::nullopt,
-                        /*decode_batch=*/1);
+                        SanityCheckConfig{}, /*decode_batch=*/1);
   LlmSynthesizer synth4(model, tokenizer, sc, util::Rng(77),
-                        SanityCheckConfig{}, std::nullopt,
-                        /*decode_batch=*/4);
+                        SanityCheckConfig{}, /*decode_batch=*/4);
   const auto out1 = synth1.synthesize(original, 3, &stats1);
   const auto out4 = synth4.synthesize(original, 3, &stats4);
   EXPECT_EQ(stats1.generated, stats4.generated);

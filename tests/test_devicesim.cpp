@@ -102,20 +102,6 @@ TEST(CostModel, EnergyTracksPower) {
   EXPECT_NEAR(c.modeled_joules, c.modeled_seconds * 150.0, 1e-9);
 }
 
-TEST(CostModel, GenerationCostGrowsSuperlinearlyWithLength) {
-  // Full-sequence recompute: generating 2x tokens costs more than 2x.
-  llm::ModelConfig mc;
-  const auto c1 = generation_cost(mc, 16, 8);
-  const auto c2 = generation_cost(mc, 16, 16);
-  EXPECT_GT(c2.flops, 2.0 * c1.flops);
-}
-
-TEST(CostModel, ZeroTokensZeroCost) {
-  llm::ModelConfig mc;
-  const auto c = generation_cost(mc, 16, 0);
-  EXPECT_DOUBLE_EQ(c.flops, 0.0);
-}
-
 // --- MemoryLedger edge cases (resilience-layer accounting) ---------------
 
 llm::ModelConfig tiny_model_config() {

@@ -130,7 +130,7 @@ TEST(RunExperiment, AnnotationSparsityBounded) {
 
 TEST(RunExperiment, SynthesisTogglable) {
   ExperimentConfig c = micro_config("Ours");
-  c.use_synthesis = false;
+  c.synth_per_set = 0;
   const ExperimentResult r = run_experiment(c);
   EXPECT_EQ(r.engine_stats.synthesized_used, 0u);
 }

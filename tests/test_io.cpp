@@ -18,7 +18,6 @@
 #include "io/stream_capture.h"
 #include "lexicon/lexicon.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/atomic_file.h"
 #include "util/crc32.h"
 #include "util/rng.h"
@@ -398,6 +397,75 @@ TEST(ObsfFaultMatrix, TrailingGarbageAfterSentinelThrows) {
   std::remove(path.c_str());
 }
 
+// Data blocks are always framed per column (block_codec 1); block_codec 0
+// belongs to the sentinel. A data block in the plain layout is rejected even
+// under a correct CRC: strict mode throws, recover mode stops before it.
+TEST(ObsfFaultMatrix, UnframedDataBlockIsRejected) {
+  const std::string path = temp_path("odlp_obsf_unframed.obsf");
+  io::Schema schema;
+  schema.columns = {{"x", io::ColumnType::kU64, io::ColumnCodec::kFlat}};
+  io::ObsfWriter::Options wo;
+  wo.block_rows = 1;
+  {
+    io::ObsfWriter w(path, schema, wo);
+    for (const std::uint64_t v : {7u, 9u}) {
+      w.append_u64(v);
+      w.end_row();
+    }
+    w.finish();
+  }
+  const std::vector<unsigned char> bytes = slurp(path);
+  const auto u32_at = [&bytes](std::size_t at) {
+    std::uint32_t v;
+    std::memcpy(&v, bytes.data() + at, sizeof(v));
+    return v;
+  };
+  // Header: five u32 fields, column "x" (type, codec, u16 name_len, name),
+  // CRC. A block frame is 17 header bytes + stored_len + a u32 CRC.
+  const std::size_t first = 5 * 4 + (1 + 1 + 2 + 1) + 4;
+  ASSERT_EQ(u32_at(first), io::kBlockMagic);
+  const std::size_t second = first + 21 + u32_at(first + 12);
+  ASSERT_EQ(u32_at(second), io::kBlockMagic);
+  const std::size_t sentinel = second + 21 + u32_at(second + 12);
+
+  // The second row (9) as a plain block: varint(run length) + run.
+  std::vector<unsigned char> block;
+  const auto put_u32 = [&block](std::uint32_t v) {
+    const auto* p = reinterpret_cast<const unsigned char*>(&v);
+    block.insert(block.end(), p, p + sizeof(v));
+  };
+  const std::vector<unsigned char> payload = {1, 9};
+  put_u32(io::kBlockMagic);
+  put_u32(1);  // rows
+  put_u32(static_cast<std::uint32_t>(payload.size()));  // raw_len
+  put_u32(static_cast<std::uint32_t>(payload.size()));  // stored_len
+  block.push_back(0);                                   // block_codec
+  block.insert(block.end(), payload.begin(), payload.end());
+  put_u32(util::crc32(block.data() + 4, block.size() - 4));
+
+  std::vector<unsigned char> mut(bytes.begin(), bytes.begin() + second);
+  mut.insert(mut.end(), block.begin(), block.end());
+  mut.insert(mut.end(), bytes.begin() + sentinel, bytes.end());
+  spit(path, mut);
+
+  EXPECT_THROW(
+      {
+        io::ObsfReader r(path);
+        while (r.next_block()) {
+        }
+      },
+      util::CorruptionError);
+  io::ObsfReader::Options ro;
+  ro.recover = true;
+  io::ObsfReader r(path, ro);
+  ASSERT_TRUE(r.next_block());
+  EXPECT_EQ(r.col_u64(0), std::vector<std::uint64_t>{7});
+  EXPECT_FALSE(r.next_block());
+  EXPECT_TRUE(r.truncated());
+  EXPECT_EQ(r.blocks_read(), 1u);
+  std::remove(path.c_str());
+}
+
 TEST(ObsfFaultMatrix, RecoverModeKeepsIntactPrefix) {
   const std::string path = temp_path("odlp_obsf_recover.obsf");
   write_all_types(path, 100, /*block_rows=*/20);
@@ -637,38 +705,6 @@ TEST(ObsSinks, MetricsObsfBitFlipThrows) {
   spit(path, bytes);
   EXPECT_THROW(obs::load_metrics(path), util::CorruptionError);
   std::remove(path.c_str());
-}
-
-TEST(ObsSinks, BinaryTraceFlushConvertsToBalancedChromeJson) {
-  const std::string bin = temp_path("odlp_trace.obsf");
-  const std::string json = temp_path("odlp_trace.json");
-  obs::enable_tracing(temp_path("odlp_trace_unused.json"));
-  {
-    ODLP_TRACE_SCOPE("outer");
-    { ODLP_TRACE_SCOPE("inner"); }
-    { ODLP_TRACE_SCOPE("inner"); }
-  }
-  obs::disable_tracing();
-  ASSERT_TRUE(obs::flush_trace_binary(bin));
-  obs::trace_binary_to_chrome_json(bin, json);
-
-  const std::vector<unsigned char> raw = slurp(json);
-  const std::string text(raw.begin(), raw.end());
-  // Balanced B/E stream with the recorded span names.
-  const auto count = [&text](const std::string& needle) {
-    std::size_t n = 0;
-    for (std::size_t at = text.find(needle); at != std::string::npos;
-         at = text.find(needle, at + 1)) {
-      ++n;
-    }
-    return n;
-  };
-  EXPECT_EQ(count("\"ph\":\"B\""), count("\"ph\":\"E\""));
-  EXPECT_GE(count("\"name\":\"inner\""), 4u);  // 2 spans x B+E
-  EXPECT_GE(count("\"name\":\"outer\""), 2u);
-  std::remove(bin.c_str());
-  std::remove(json.c_str());
-  std::remove(temp_path("odlp_trace_unused.json").c_str());
 }
 
 }  // namespace

@@ -464,5 +464,34 @@ TEST(FrozenPanels, MergeDropsPanelsAndReattachPacksTheMergedWeights) {
   expect_matches_rebuilt(*model);
 }
 
+// A frozen parameter holds no gradient: attach_lora and freeze free every
+// frozen grad, and merge_lora, which unfreezes, gives each one back zeroed.
+TEST(FrozenGrads, FrozenParametersHoldNoGradient) {
+  const auto expect_grads = [](MiniLlm& model) {
+    for (const nn::Parameter* p : model.parameters()) {
+      if (p->trainable) {
+        EXPECT_TRUE(p->grad.same_shape(p->value)) << p->name;
+        EXPECT_FLOAT_EQ(p->grad.l2_norm(), 0.0f) << p->name;
+      } else {
+        EXPECT_TRUE(p->grad.empty()) << p->name;
+      }
+    }
+  };
+  MiniLlm model(tiny_config(), 5);
+  nn::LoraConfig lc;
+  lc.rank = 2;
+  model.attach_lora(lc);
+  expect_grads(model);
+  ASSERT_GT(nn::count_trainable(model.parameters()), 0u);
+  model.merge_lora();
+  EXPECT_EQ(nn::count_trainable(model.parameters()), model.num_parameters());
+  expect_grads(model);
+
+  MiniLlm frozen(tiny_config(), 6);
+  frozen.freeze();
+  EXPECT_EQ(nn::count_trainable(frozen.parameters()), 0u);
+  expect_grads(frozen);
+}
+
 }  // namespace
 }  // namespace odlp::llm

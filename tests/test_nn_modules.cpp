@@ -139,8 +139,7 @@ void fill_normal(Tensor& t, util::Rng& rng, double stddev) {
 // fixed stream) from fixed upstream gradients: y, dX and the adapter
 // gradients, in that order.
 std::vector<Tensor> lora_step(Linear& lin, const Tensor& x) {
-  util::Rng dropout(0xD0);
-  lin.set_dropout_rng(&dropout);
+  lin.dropout_rng() = util::Rng(0xD0);
   ParameterList params;
   lin.collect_parameters(params);
   for (Parameter* p : params) p->zero_grad();
@@ -152,7 +151,6 @@ std::vector<Tensor> lora_step(Linear& lin, const Tensor& x) {
   out.push_back(lin.backward(dout));
   out.push_back(lin.lora_a()->grad);
   out.push_back(lin.lora_b()->grad);
-  lin.set_dropout_rng(nullptr);
   return out;
 }
 
@@ -182,7 +180,7 @@ TEST(LinearPanels, FrozenForwardBackwardMatchPerCallPacking) {
 
     ParameterList params;
     lin.collect_parameters(params);
-    params[0]->trainable = true;  // W only; its panels go with it
+    params[0]->set_trainable(true);  // W only; its panels go with it
     lin.sync_panels();
     ASSERT_EQ(lin.panels(), nullptr);
     expect_same_steps(with_panels, lora_step(lin, x));

@@ -1,6 +1,6 @@
 // Observability v2 (DESIGN.md §15): scoped metrics cardinality and
 // concurrency, OBSF metrics-journal round-trip + fault matrix, concurrent
-// binary-trace flush, sampling profiler, and SLO burn-rate alerting wired
+// trace flush, sampling profiler, and SLO burn-rate alerting wired
 // into the resource governor. Own binary with the "obs2" ctest label.
 #include <gtest/gtest.h>
 
@@ -13,6 +13,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <map>
 #include <random>
 #include <set>
 #include <string>
@@ -378,34 +380,42 @@ TEST(JournalFaultMatrix, WrongContainerRejected) {
   std::remove(path.c_str());
 }
 
-// --- trace: concurrent multi-thread binary flush ---
+// --- trace: concurrent multi-thread flush ---
 
-// Reads a binary trace and checks the stream balances: per tid, every E
-// matches an open B (replayed with a depth stack), and counts are equal.
-void expect_balanced_binary_trace(const std::string& path,
-                                  std::size_t* events_out = nullptr) {
-  io::ObsfReader r(path);
+// Reads a Chrome JSON trace and checks the stream balances: per tid, every
+// E matches an open B (replayed with a depth stack), and counts are equal.
+void expect_balanced_trace(const std::string& path,
+                           std::size_t* events_out = nullptr) {
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << path;
   std::map<int, std::int64_t> depth;
-  std::map<int, std::uint64_t> last_ts;
+  std::map<int, double> last_ts;
   std::size_t events = 0;
-  while (r.next_block()) {
-    for (std::size_t k = 0; k < r.rows(); ++k) {
-      const int tid = static_cast<int>(r.col_i64(0)[k]);
-      const std::uint64_t ts = r.col_u64(1)[k];
-      const char ph = static_cast<char>(r.col_u8(2)[k]);
-      ASSERT_TRUE(ph == 'B' || ph == 'E');
-      if (ph == 'B') {
-        ++depth[tid];
-      } else {
-        ASSERT_GT(depth[tid], 0) << "E without open B on tid " << tid;
-        --depth[tid];
-      }
-      if (last_ts.count(tid)) {
-        EXPECT_GE(ts, last_ts[tid]) << "time ran backwards on tid " << tid;
-      }
-      last_ts[tid] = ts;
-      ++events;
+  std::string line;
+  while (std::getline(in, line)) {
+    const std::size_t ph_at = line.find("\"ph\":\"");
+    if (ph_at == std::string::npos) continue;
+    const char ph = line[ph_at + 6];
+    const std::size_t tid_at = line.find("\"tid\":");
+    ASSERT_NE(tid_at, std::string::npos) << line;
+    int tid = 0;
+    double ts = 0.0;
+    ASSERT_EQ(std::sscanf(line.c_str() + tid_at, "\"tid\":%d,\"ts\":%lf",
+                          &tid, &ts),
+              2)
+        << line;
+    ASSERT_TRUE(ph == 'B' || ph == 'E');
+    if (ph == 'B') {
+      ++depth[tid];
+    } else {
+      ASSERT_GT(depth[tid], 0) << "E without open B on tid " << tid;
+      --depth[tid];
     }
+    if (last_ts.count(tid)) {
+      EXPECT_GE(ts, last_ts[tid]) << "time ran backwards on tid " << tid;
+    }
+    last_ts[tid] = ts;
+    ++events;
   }
   for (const auto& [tid, d] : depth) {
     EXPECT_EQ(d, 0) << "unbalanced spans on tid " << tid;
@@ -413,9 +423,8 @@ void expect_balanced_binary_trace(const std::string& path,
   if (events_out) *events_out = events;
 }
 
-TEST(TraceConcurrent, MultiThreadBinaryFlushBalanced) {
+TEST(TraceConcurrent, MultiThreadFlushBalanced) {
   const std::string json = temp_path("odlp_t2_trace.json");
-  const std::string bin = temp_path("odlp_t2_trace.obsf");
   obs::enable_tracing(json);
 
   constexpr int kThreads = 4;
@@ -436,32 +445,22 @@ TEST(TraceConcurrent, MultiThreadBinaryFlushBalanced) {
   // Flush concurrently with the recording threads: the snapshot must be
   // balanced even while spans are still being appended.
   for (int f = 0; f < 3; ++f) {
-    ASSERT_TRUE(obs::flush_trace_binary(bin));
-    expect_balanced_binary_trace(bin);
+    ASSERT_TRUE(obs::flush_trace());
+    expect_balanced_trace(json);
   }
   for (auto& th : threads) th.join();
 
-  ASSERT_TRUE(obs::flush_trace_binary(bin));
+  ASSERT_TRUE(obs::flush_trace());
   obs::disable_tracing();
   std::size_t events = 0;
-  expect_balanced_binary_trace(bin, &events);
+  expect_balanced_trace(json, &events);
   EXPECT_EQ(events, static_cast<std::size_t>(kThreads) * kSpansPerThread * 4);
   EXPECT_EQ(obs::trace_dropped_count(), 0u);
 
-  // The offline converter accepts it and produces loadable JSON.
-  const std::string chrome = temp_path("odlp_t2_trace_chrome.json");
-  obs::trace_binary_to_chrome_json(bin, chrome);
-  const std::vector<unsigned char> cj = slurp(chrome);
-  const std::string text(cj.begin(), cj.end());
-  EXPECT_NE(text.find("t2.inner"), std::string::npos);
-  EXPECT_NE(text.find("\"traceEvents\""), std::string::npos);
-
   std::remove(json.c_str());
-  std::remove(bin.c_str());
-  std::remove(chrome.c_str());
 }
 
-void ring_overflow_case(const std::string& json, const std::string& bin) {
+void ring_overflow_case(const std::string& json) {
   obs::enable_tracing(json);  // resets rings and drop counts
 
   const std::uint64_t reg_before =
@@ -483,16 +482,14 @@ void ring_overflow_case(const std::string& json, const std::string& bin) {
   EXPECT_EQ(reg_after - reg_before, dropped);
 
   // Dropped ends are balanced synthetically at flush time.
-  ASSERT_TRUE(obs::flush_trace_binary(bin));
-  expect_balanced_binary_trace(bin);
+  ASSERT_TRUE(obs::flush_trace());
+  expect_balanced_trace(json);
 
   std::remove(json.c_str());
-  std::remove(bin.c_str());
 }
 
 TEST(TraceDrops, RingOverflowCountsDropsAndStaysBalanced) {
-  ring_overflow_case(temp_path("odlp_t2_drops.json"),
-                     temp_path("odlp_t2_drops.obsf"));
+  ring_overflow_case(temp_path("odlp_t2_drops.json"));
 }
 
 // The case above disables tracing and deletes its JSON. The exit flush that
@@ -501,15 +498,13 @@ TEST(TraceDrops, RingOverflowCountsDropsAndStaysBalanced) {
 // handlers run), then look for the file.
 TEST(TraceDrops, RingOverflowLeavesNoTraceFileAtExit) {
   const std::string json = temp_path("odlp_t2_drops.json");
-  const std::string bin = temp_path("odlp_t2_drops.obsf");
   EXPECT_EXIT(
       {
-        ring_overflow_case(json, bin);
+        ring_overflow_case(json);
         std::exit(0);
       },
       ::testing::ExitedWithCode(0), "");
   EXPECT_FALSE(fs::exists(json));
-  EXPECT_FALSE(fs::exists(bin));
   std::remove(json.c_str());
 }
 

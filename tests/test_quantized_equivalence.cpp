@@ -149,8 +149,9 @@ TEST(QuantizedEquivalence, GreedyDecodeAgreesAtLeast95Percent) {
   const std::size_t steps = tiny_config().max_seq_len - 1;
   std::vector<int> fed = {3};
   std::vector<int> fp32_choice;
+  model.set_inference_precision(nn::InferencePrecision::kFp32);
   {
-    llm::DecodeSession session(model, nn::InferencePrecision::kFp32);
+    llm::DecodeSession session(model);
     const tensor::Tensor* logits = &session.step(fed[0]);
     for (std::size_t i = 0; i < steps; ++i) {
       const int tok = argmax_token(*logits);
@@ -164,8 +165,9 @@ TEST(QuantizedEquivalence, GreedyDecodeAgreesAtLeast95Percent) {
   ASSERT_EQ(fed.size(), steps);
 
   std::size_t agree = 0;
+  model.set_inference_precision(nn::InferencePrecision::kInt8);
   {
-    llm::DecodeSession session(model, nn::InferencePrecision::kInt8);
+    llm::DecodeSession session(model);
     for (std::size_t i = 0; i < steps; ++i) {
       const tensor::Tensor& logits = session.step(fed[i]);
       if (argmax_token(logits) == fp32_choice[i]) ++agree;

@@ -1,8 +1,8 @@
 // Runtime SIMD dispatch matrix (DESIGN.md §12): every level available on
 // this host must produce bit-identical GEMM results — fp32 across levels
 // and int8 against qmatmul_reference — and kernel_build_info() must report
-// the forced level. ODLP_SIMD-style spellings parse (and only they do);
-// requests above the host capability clamp down, never up.
+// the forced level. Requests above the host capability clamp down, never
+// up.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -156,24 +156,6 @@ TEST(SimdDispatch, BuildInfoReportsForcedLevel) {
     }
     EXPECT_EQ(info.int8_block, kQuantBlock);
   }
-}
-
-TEST(SimdDispatch, ParseAcceptsExactSpellingsOnly) {
-  SimdLevel out = SimdLevel::kAvx2;
-  EXPECT_TRUE(parse_simd_level("scalar", out));
-  EXPECT_EQ(out, SimdLevel::kScalar);
-  EXPECT_TRUE(parse_simd_level("sse2", out));
-  EXPECT_EQ(out, SimdLevel::kSse2);
-  EXPECT_TRUE(parse_simd_level("avx2", out));
-  EXPECT_EQ(out, SimdLevel::kAvx2);
-  EXPECT_TRUE(parse_simd_level("vnni", out));
-  EXPECT_EQ(out, SimdLevel::kVnni);
-  out = SimdLevel::kSse2;
-  EXPECT_FALSE(parse_simd_level("AVX2", out));
-  EXPECT_FALSE(parse_simd_level("avx512", out));
-  EXPECT_FALSE(parse_simd_level("", out));
-  EXPECT_FALSE(parse_simd_level(nullptr, out));
-  EXPECT_EQ(out, SimdLevel::kSse2);  // untouched on failure
 }
 
 TEST(SimdDispatch, SetLevelClampsToHostCapability) {

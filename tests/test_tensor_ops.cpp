@@ -231,17 +231,6 @@ TEST(Gelu, CachedTanhBackwardMatchesRecomputeBitForBit) {
   }
 }
 
-TEST(Relu, ForwardAndBackward) {
-  Tensor x = Tensor::from(1, 3, {-1, 0, 2});
-  Tensor y = relu(x);
-  EXPECT_FLOAT_EQ(y.at(0, 0), 0);
-  EXPECT_FLOAT_EQ(y.at(0, 2), 2);
-  Tensor dout = Tensor::ones(1, 3);
-  Tensor din = relu_backward(x, dout);
-  EXPECT_FLOAT_EQ(din.at(0, 0), 0);
-  EXPECT_FLOAT_EQ(din.at(0, 2), 1);
-}
-
 TEST(LayerNorm, RowsHaveZeroMeanUnitVariance) {
   util::Rng rng(5);
   Tensor x(3, 16);
