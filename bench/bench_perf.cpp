@@ -7,6 +7,8 @@
 //     GFLOP/s,
 //   * the allocation probe: tensor heap allocations during a steady-state
 //     training step and decode step (the workspace design targets zero),
+//   * µs per LoRA training step (forward, loss, backward of one sequence)
+//     at the paper geometry for T = 16, 32 and 64,
 //   * cached-norm IDD vs. the direct Eq. 4-5 formula,
 //   * end-to-end engine throughput: score() rate, fine-tune seconds/epoch,
 //     and evaluate_per_set() rate, with a per-stage time breakdown read
@@ -212,6 +214,48 @@ int main(int argc, char** argv) {
                           {"steady_decode_step", double(decode_allocs)}}));
     std::printf("== allocations: steady train step %lld, decode step %lld\n",
                 train_allocs, decode_allocs);
+  }
+
+  // ---- LoRA training step at the paper geometry (kernel layer). ----
+  // One sequence's forward, loss and backward on a LoRA-attached model with
+  // the ExperimentConfig geometry (vocab 430, d 48, 4 heads, 2 layers,
+  // ff 96); the loss supervises the rows after T/3, as a dialogue does.
+  {
+    llm::ModelConfig mc;
+    mc.vocab_size = 430;
+    mc.dim = 48;
+    mc.heads = 4;
+    mc.layers = 2;
+    mc.ff_hidden = 96;
+    mc.max_seq_len = 64;
+    llm::MiniLlm model(mc, opt.seed);
+    model.attach_lora(nn::LoraConfig{});
+    nn::CrossEntropyResult ce;
+    util::Rng ids_rng(opt.seed + 1);
+    std::string rows = "[";
+    for (const std::size_t T : {16, 32, 64}) {
+      std::vector<int> ids(T);
+      for (int& id : ids) {
+        id = 5 + static_cast<int>(ids_rng.uniform_index(mc.vocab_size - 5));
+      }
+      std::vector<int> targets(T, -1);
+      for (std::size_t t = T / 3; t + 1 < T; ++t) targets[t] = ids[t + 1];
+      const llm::HeadSpan head = llm::supervised_head_span(targets);
+      const int steps = opt.quick ? 40 : 200;
+      const double t = timed_seconds(reps, [&] {
+        for (int i = 0; i < steps; ++i) {
+          tensor::Tensor& logits = model.forward_shared(ids, /*training=*/true, head);
+          nn::cross_entropy_into(logits, targets, ce, /*ignore_index=*/-1,
+                                 head.begin);
+          model.backward(ce.dlogits);
+        }
+      });
+      const double us = t / steps * 1e6;
+      if (T != 16) rows += ", ";
+      rows += json_object({{"T", double(T)}, {"us", us}});
+      std::printf("== train_step (LoRA, paper geometry) T=%zu: %.1f us\n", T, us);
+    }
+    json.raw("train_step", rows + "]");
   }
 
   // ---- IDD: cached-norm fast path vs. direct Eq. 4-5. ----

@@ -111,7 +111,14 @@ void MiniLlm::backward(const tensor::Tensor& dlogits) {
     }
   }
   const tensor::Tensor* dx = &final_ln_.backward_ws(*dhidden, ws_);
+  // Only trainable embeddings read the gradient into block 0's input; under
+  // LoRA neither does, so block 0 computes its parameter gradients only.
+  const bool input_grad = tok_emb_.trainable() || pos_emb_.trainable();
   for (std::size_t l = blocks_.size(); l-- > 0;) {
+    if (l == 0 && !input_grad) {
+      blocks_[0]->backward_params_ws(*dx, ws_);
+      return;
+    }
     dx = &blocks_[l]->backward_ws(*dx, ws_);
   }
   tok_emb_.backward(*dx);

@@ -8,31 +8,6 @@
 
 namespace odlp::nn {
 
-namespace {
-
-// Copy columns [c0, c0+w) of `src` into the [T, w] tensor `out`.
-void slice_cols_into(const tensor::Tensor& src, std::size_t c0, std::size_t w,
-                     tensor::Tensor& out) {
-  out.resize_uninitialized(src.rows(), w);
-  for (std::size_t i = 0; i < src.rows(); ++i) {
-    const float* s = src.row(i) + c0;
-    float* d = out.row(i);
-    for (std::size_t j = 0; j < w; ++j) d[j] = s[j];
-  }
-}
-
-// Write a [T, w] block into columns [c0, c0+w) of `dst` (per-head column
-// blocks are disjoint, so heads overwrite rather than accumulate).
-void store_cols(tensor::Tensor& dst, const tensor::Tensor& block, std::size_t c0) {
-  for (std::size_t i = 0; i < dst.rows(); ++i) {
-    float* d = dst.row(i) + c0;
-    const float* s = block.row(i);
-    for (std::size_t j = 0; j < block.cols(); ++j) d[j] = s[j];
-  }
-}
-
-}  // namespace
-
 MultiHeadSelfAttention::MultiHeadSelfAttention(std::string name, std::size_t dim,
                                                std::size_t heads, util::Rng& rng)
     : dim_(dim),
@@ -57,23 +32,24 @@ tensor::Tensor& MultiHeadSelfAttention::forward_ws(const tensor::Tensor& x,
   if (cached_probs_.size() != heads_) cached_probs_.resize(heads_);
 
   tensor::Tensor& concat = ws.acquire(T, dim_);
-  tensor::Tensor& qh = ws.acquire(T, head_dim_);
-  tensor::Tensor& kh = ws.acquire(T, head_dim_);
-  tensor::Tensor& vh = ws.acquire(T, head_dim_);
   tensor::Tensor& scores = ws.acquire(T, T);
-  tensor::Tensor& oh = ws.acquire(T, head_dim_);
   const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(head_dim_));
   for (std::size_t h = 0; h < heads_; ++h) {
+    // Head h reads its columns of Q/K/V where they lie and writes its
+    // output columns of concat in place (DESIGN.md §8).
     const std::size_t c0 = h * head_dim_;
-    slice_cols_into(cached_q_, c0, head_dim_, qh);
-    slice_cols_into(cached_k_, c0, head_dim_, kh);
-    slice_cols_into(cached_v_, c0, head_dim_, vh);
-    // scores[i, j] = qh_i · kh_j; probs = causal softmax of scores / sqrt(dh),
-    // which touches only j <= i and writes +0 above the diagonal.
-    tensor::matmul_nt_into(qh, kh, scores);
-    tensor::softmax_causal_rows_into(scores, inv_sqrt_dh, cached_probs_[h]);
-    tensor::matmul_into(cached_probs_[h], vh, oh);
-    store_cols(concat, oh, c0);
+    tensor::Tensor& probs = cached_probs_[h];
+    // scores[i, j] = q_i · k_j for j <= i only; probs = causal softmax of
+    // scores / sqrt(dh), which reads j <= i and writes +0 above the
+    // diagonal, so probs · V can stop k at each row.
+    tensor::matmul_nt_into(tensor::col_block(cached_q_, c0, head_dim_),
+                           tensor::col_block(cached_k_, c0, head_dim_),
+                           tensor::view(scores), false, tensor::Triangle::kLower);
+    tensor::softmax_causal_rows_into(scores, inv_sqrt_dh, probs);
+    tensor::matmul_into(tensor::view(probs),
+                        tensor::col_block(cached_v_, c0, head_dim_),
+                        tensor::col_block(concat, c0, head_dim_), false,
+                        tensor::Triangle::kLower);
   }
   return o_proj_.forward_ws(concat, training, ws);
 }
@@ -166,54 +142,61 @@ tensor::Tensor& MultiHeadSelfAttention::forward_incremental_batch_ws(
   return out;
 }
 
-tensor::Tensor& MultiHeadSelfAttention::backward_ws(const tensor::Tensor& dout,
-                                                    tensor::Workspace& ws) {
+MultiHeadSelfAttention::HeadGrads MultiHeadSelfAttention::heads_backward_ws(
+    const tensor::Tensor& dout, tensor::Workspace& ws) {
   const std::size_t T = dout.rows();
-  tensor::Tensor& dconcat = o_proj_.backward_ws(dout, ws);
+  const tensor::Tensor& dconcat = o_proj_.backward_ws(dout, ws);
 
-  tensor::Tensor& dq = ws.acquire(T, dim_);
-  tensor::Tensor& dk = ws.acquire(T, dim_);
-  tensor::Tensor& dv = ws.acquire(T, dim_);
-  tensor::Tensor& qh = ws.acquire(T, head_dim_);
-  tensor::Tensor& kh = ws.acquire(T, head_dim_);
-  tensor::Tensor& vh = ws.acquire(T, head_dim_);
-  tensor::Tensor& doh = ws.acquire(T, head_dim_);
+  HeadGrads g{ws.acquire(T, dim_), ws.acquire(T, dim_), ws.acquire(T, dim_)};
   tensor::Tensor& dprobs = ws.acquire(T, T);
   tensor::Tensor& dscores = ws.acquire(T, T);
-  tensor::Tensor& dqh = ws.acquire(T, head_dim_);
-  tensor::Tensor& dkh = ws.acquire(T, head_dim_);
-  tensor::Tensor& dvh = ws.acquire(T, head_dim_);
   const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(head_dim_));
+  const tensor::Triangle causal = tensor::Triangle::kLower;
   for (std::size_t h = 0; h < heads_; ++h) {
     const std::size_t c0 = h * head_dim_;
-    slice_cols_into(cached_q_, c0, head_dim_, qh);
-    slice_cols_into(cached_k_, c0, head_dim_, kh);
-    slice_cols_into(cached_v_, c0, head_dim_, vh);
-    slice_cols_into(dconcat, c0, head_dim_, doh);
+    const tensor::ConstMatView qh = tensor::col_block(cached_q_, c0, head_dim_);
+    const tensor::ConstMatView kh = tensor::col_block(cached_k_, c0, head_dim_);
+    const tensor::ConstMatView vh = tensor::col_block(cached_v_, c0, head_dim_);
+    const tensor::ConstMatView doh = tensor::col_block(dconcat, c0, head_dim_);
     const tensor::Tensor& probs = cached_probs_[h];
 
-    // oh = probs · vh  =>  dprobs = doh · vhᵀ, dvh = probsᵀ · doh.
-    tensor::matmul_nt_into(doh, vh, dprobs);
-    tensor::matmul_tn_into(probs, doh, dvh);
+    // oh = probs · vh  =>  dprobs = doh · vhᵀ (j <= i is all the softmax
+    // backward reads), dvh = probsᵀ · doh.
+    tensor::matmul_nt_into(doh, vh, tensor::view(dprobs), false, causal);
+    tensor::matmul_tn_into(tensor::view(probs), doh,
+                           tensor::col_block(g.dv, c0, head_dim_), false,
+                           causal);
 
-    // probs = softmax(scores); masked entries have probs == 0 => dscores == 0.
-    tensor::softmax_rows_backward_into(probs, dprobs, dscores);
-    dscores *= inv_sqrt_dh;
+    // probs = causal softmax(scores / sqrt(dh)); dscores carries the scale
+    // and is +0 above the diagonal.
+    tensor::softmax_causal_rows_backward_into(probs, dprobs, inv_sqrt_dh,
+                                              dscores);
 
-    // scores·sqrt(dh) = qh · khᵀ  =>  dqh = dscores · kh, dkh = dscoresᵀ · qh
-    // (both via the transposed-operand GEMM — no transposed copies).
-    tensor::matmul_into(dscores, kh, dqh);
-    tensor::matmul_tn_into(dscores, qh, dkh);
-
-    store_cols(dq, dqh, c0);
-    store_cols(dk, dkh, c0);
-    store_cols(dv, dvh, c0);
+    // scores·sqrt(dh) = qh · khᵀ  =>  dqh = dscores · kh, dkh = dscoresᵀ · qh.
+    tensor::matmul_into(tensor::view(dscores), kh,
+                        tensor::col_block(g.dq, c0, head_dim_), false, causal);
+    tensor::matmul_tn_into(tensor::view(dscores), qh,
+                           tensor::col_block(g.dk, c0, head_dim_), false,
+                           causal);
   }
+  return g;
+}
 
-  tensor::Tensor& dx = q_proj_.backward_ws(dq, ws);
-  dx += k_proj_.backward_ws(dk, ws);
-  dx += v_proj_.backward_ws(dv, ws);
+tensor::Tensor& MultiHeadSelfAttention::backward_ws(const tensor::Tensor& dout,
+                                                    tensor::Workspace& ws) {
+  const HeadGrads g = heads_backward_ws(dout, ws);
+  tensor::Tensor& dx = q_proj_.backward_ws(g.dq, ws);
+  dx += k_proj_.backward_ws(g.dk, ws);
+  dx += v_proj_.backward_ws(g.dv, ws);
   return dx;
+}
+
+void MultiHeadSelfAttention::backward_params_ws(const tensor::Tensor& dout,
+                                                tensor::Workspace& ws) {
+  const HeadGrads g = heads_backward_ws(dout, ws);
+  q_proj_.backward_params_ws(g.dq, ws);
+  k_proj_.backward_params_ws(g.dk, ws);
+  v_proj_.backward_params_ws(g.dv, ws);
 }
 
 tensor::Tensor MultiHeadSelfAttention::backward(const tensor::Tensor& dout) {

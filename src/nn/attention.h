@@ -31,6 +31,10 @@ class MultiHeadSelfAttention {
   tensor::Tensor& forward_ws(const tensor::Tensor& x, bool training,
                              tensor::Workspace& ws);
   tensor::Tensor& backward_ws(const tensor::Tensor& dout, tensor::Workspace& ws);
+  // backward_ws without dX: accumulates the parameter gradients only, and
+  // skips the q/k/v input gradients and their sum. For a module whose input
+  // gradient nothing reads (block 0 under LoRA, DESIGN.md §8).
+  void backward_params_ws(const tensor::Tensor& dout, tensor::Workspace& ws);
   tensor::Tensor forward(const tensor::Tensor& x, bool training);
   tensor::Tensor backward(const tensor::Tensor& dout);
 
@@ -65,6 +69,9 @@ class MultiHeadSelfAttention {
 
   std::size_t dim() const { return dim_; }
   std::size_t heads() const { return heads_; }
+  // Head h's attention weights [T, T] from the last forward_ws: causal
+  // softmax rows, +0 above the diagonal.
+  const tensor::Tensor& probs(std::size_t h) const { return cached_probs_[h]; }
 
  private:
   std::size_t dim_;
@@ -74,6 +81,14 @@ class MultiHeadSelfAttention {
   Linear k_proj_;
   Linear v_proj_;
   Linear o_proj_;
+
+  // The o_proj backward and the per-head loop: dQ, dK, dV in `ws` slots.
+  struct HeadGrads {
+    tensor::Tensor& dq;
+    tensor::Tensor& dk;
+    tensor::Tensor& dv;
+  };
+  HeadGrads heads_backward_ws(const tensor::Tensor& dout, tensor::Workspace& ws);
 
   // Forward caches (one entry per head).
   tensor::Tensor cached_q_, cached_k_, cached_v_;

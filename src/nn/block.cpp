@@ -43,15 +43,30 @@ tensor::Tensor& TransformerBlock::forward_incremental_batch_ws(
   return out;
 }
 
-tensor::Tensor& TransformerBlock::backward_ws(const tensor::Tensor& dout,
-                                              tensor::Workspace& ws) {
-  // out = h + ff(ln2(h))
+tensor::Tensor& TransformerBlock::ff_backward_ws(const tensor::Tensor& dout,
+                                                 tensor::Workspace& ws) {
   tensor::Tensor& dh = ws.acquire(dout.rows(), dout.cols());
   tensor::add_into(dout, ln2_.backward_ws(ff_.backward_ws(dout, ws), ws), dh);
+  return dh;
+}
+
+tensor::Tensor& TransformerBlock::backward_ws(const tensor::Tensor& dout,
+                                              tensor::Workspace& ws) {
+  const tensor::Tensor& dh = ff_backward_ws(dout, ws);
   // h = x + attn(ln1(x))
   tensor::Tensor& dx = ws.acquire(dout.rows(), dout.cols());
   tensor::add_into(dh, ln1_.backward_ws(attn_.backward_ws(dh, ws), ws), dx);
   return dx;
+}
+
+void TransformerBlock::backward_params_ws(const tensor::Tensor& dout,
+                                          tensor::Workspace& ws) {
+  const tensor::Tensor& dh = ff_backward_ws(dout, ws);
+  if (ln1_.frozen()) {
+    attn_.backward_params_ws(dh, ws);
+  } else {
+    ln1_.backward_ws(attn_.backward_ws(dh, ws), ws);
+  }
 }
 
 tensor::Tensor TransformerBlock::backward(const tensor::Tensor& dout) {

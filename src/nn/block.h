@@ -25,6 +25,10 @@ class TransformerBlock {
   tensor::Tensor& forward_ws(const tensor::Tensor& x, bool training,
                              tensor::Workspace& ws);
   tensor::Tensor& backward_ws(const tensor::Tensor& dout, tensor::Workspace& ws);
+  // backward_ws for a block whose input gradient nothing reads: the same
+  // parameter gradients without dX. When ln1 is frozen too (block 0 under
+  // LoRA) it also skips ln1's backward and the attention's input gradient.
+  void backward_params_ws(const tensor::Tensor& dout, tensor::Workspace& ws);
   tensor::Tensor forward(const tensor::Tensor& x, bool training);
   tensor::Tensor backward(const tensor::Tensor& dout);
 
@@ -54,6 +58,10 @@ class TransformerBlock {
   Norm ln2_;
   MultiHeadSelfAttention attn_;
   FeedForward ff_;
+
+  // dh = dout + the FFN branch's backward (out = h + ff(ln2(h))).
+  tensor::Tensor& ff_backward_ws(const tensor::Tensor& dout,
+                                 tensor::Workspace& ws);
 };
 
 }  // namespace odlp::nn

@@ -48,6 +48,7 @@ class Embedding {
   std::size_t vocab_size() const { return table_.value.rows(); }
   std::size_t dim() const { return table_.value.cols(); }
   const Parameter& table() const { return table_; }
+  bool trainable() const { return table_.trainable; }
   Parameter& mutable_table() { return table_; }
 
  private:

@@ -25,6 +25,7 @@ class LayerNorm {
   }
 
   std::size_t dim() const { return gain_.value.cols(); }
+  bool frozen() const { return !gain_.trainable && !bias_.trainable; }
 
  private:
   Parameter gain_;  // [1, dim], init 1

@@ -100,47 +100,58 @@ tensor::Tensor& Linear::backward_ws(const tensor::Tensor& dout,
   assert(dout.cols() == weight_.value.cols());
   assert(dout.rows() == cached_x_.rows());
   tensor::Tensor& dx = ws.acquire(cached_x_.rows(), cached_x_.cols());
-
-  // Base path: dX = dY·Wᵀ always; dW/db only when trainable (frozen under
-  // LoRA — skipping them removes the whole Aᵀ·dC product, not just its
-  // destination).
+  // Base path: dX = dY·Wᵀ always.
   tensor::matmul_nt_into(dout, weight_.value, dx, /*accumulate=*/false,
                          panels_ ? &panels_->w_t : nullptr);
+  param_backward_ws(dout, ws, &dx);
+  return dx;
+}
+
+void Linear::backward_params_ws(const tensor::Tensor& dout,
+                                tensor::Workspace& ws) {
+  assert(dout.cols() == weight_.value.cols());
+  assert(dout.rows() == cached_x_.rows());
+  param_backward_ws(dout, ws, nullptr);
+}
+
+void Linear::param_backward_ws(const tensor::Tensor& dout,
+                               tensor::Workspace& ws, tensor::Tensor* dx) {
+  // dW/db only when trainable (frozen under LoRA — skipping them removes
+  // the whole Aᵀ·dC product, not just its destination).
   if (weight_.trainable) {
     tensor::matmul_tn_into(cached_x_, dout, weight_.grad, /*accumulate=*/true);
   }
   if (has_bias_ && bias_.trainable) {
     tensor::add_row_broadcast_backward(dout, bias_.grad);
   }
+  if (!lora_) return;
 
-  if (lora_) {
-    const float scaling = lora_->config.alpha / static_cast<float>(lora_->config.rank);
-    tensor::Tensor& ddelta = ws.acquire(dout.rows(), dout.cols());
-    tensor::scale_into(dout, scaling, ddelta);
-    // delta = (x_dropped · A) · B
-    tensor::Tensor& dxa = ws.acquire(cached_xa_.rows(), cached_xa_.cols());
-    tensor::matmul_nt_into(ddelta, lora_->b.value, dxa, /*accumulate=*/false);
-    tensor::matmul_tn_into(cached_xa_, ddelta, lora_->b.grad, /*accumulate=*/true);
-    tensor::Tensor& dx_dropped =
-        ws.acquire(cached_x_dropped_.rows(), cached_x_dropped_.cols());
-    tensor::matmul_nt_into(dxa, lora_->a.value, dx_dropped, /*accumulate=*/false);
-    tensor::matmul_tn_into(cached_x_dropped_, dxa, lora_->a.grad,
-                           /*accumulate=*/true);
-    // Dropout backward: the mask (with inverted-dropout scaling) is implicit in
-    // cached_x_dropped_ — reconstruct it as ratio where x != 0.
-    for (std::size_t i = 0; i < dx.size(); ++i) {
-      const float x = cached_x_.data()[i];
-      const float xd = cached_x_dropped_.data()[i];
-      if (x != 0.0f) {
-        dx.data()[i] += dx_dropped.data()[i] * (xd / x);
-      } else if (!cached_training_ || lora_->config.dropout == 0.0f) {
-        dx.data()[i] += dx_dropped.data()[i];
-      }
-      // x == 0 under active dropout: mask state unknowable, but gradient
-      // contribution through a zero input is zero for matmul anyway.
+  const float scaling = lora_->config.alpha / static_cast<float>(lora_->config.rank);
+  tensor::Tensor& ddelta = ws.acquire(dout.rows(), dout.cols());
+  tensor::scale_into(dout, scaling, ddelta);
+  // delta = (x_dropped · A) · B
+  tensor::Tensor& dxa = ws.acquire(cached_xa_.rows(), cached_xa_.cols());
+  tensor::matmul_nt_into(ddelta, lora_->b.value, dxa, /*accumulate=*/false);
+  tensor::matmul_tn_into(cached_xa_, ddelta, lora_->b.grad, /*accumulate=*/true);
+  tensor::matmul_tn_into(cached_x_dropped_, dxa, lora_->a.grad,
+                         /*accumulate=*/true);
+  if (!dx) return;
+  tensor::Tensor& dx_dropped =
+      ws.acquire(cached_x_dropped_.rows(), cached_x_dropped_.cols());
+  tensor::matmul_nt_into(dxa, lora_->a.value, dx_dropped, /*accumulate=*/false);
+  // Dropout backward: the mask (with inverted-dropout scaling) is implicit in
+  // cached_x_dropped_ — reconstruct it as ratio where x != 0.
+  for (std::size_t i = 0; i < dx->size(); ++i) {
+    const float x = cached_x_.data()[i];
+    const float xd = cached_x_dropped_.data()[i];
+    if (x != 0.0f) {
+      dx->data()[i] += dx_dropped.data()[i] * (xd / x);
+    } else if (!cached_training_ || lora_->config.dropout == 0.0f) {
+      dx->data()[i] += dx_dropped.data()[i];
     }
+    // x == 0 under active dropout: mask state unknowable, but gradient
+    // contribution through a zero input is zero for matmul anyway.
   }
-  return dx;
 }
 
 tensor::Tensor Linear::backward(const tensor::Tensor& dout) {

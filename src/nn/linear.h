@@ -47,6 +47,10 @@ class Linear {
   // for frozen parameters — the big FLOP saving under LoRA), returns dX in a
   // `ws` slot. Must be preceded by a forward on the same input.
   tensor::Tensor& backward_ws(const tensor::Tensor& dout, tensor::Workspace& ws);
+  // backward_ws without dX: the same parameter grads, but neither the base
+  // dY·Wᵀ nor the LoRA path's input gradient and dropout mask (for an input
+  // whose gradient nothing reads).
+  void backward_params_ws(const tensor::Tensor& dout, tensor::Workspace& ws);
 
   // Allocating wrappers over the _ws entry points (tests, cold paths); they
   // run in the thread-local scratch arena and return an owned copy.
@@ -138,6 +142,11 @@ class Linear {
     Parameter a;  // [in, r]
     Parameter b;  // [r, out]
   };
+
+  // Accumulates the parameter grads from dY; adds the LoRA path's input
+  // gradient into *dx unless dx is null.
+  void param_backward_ws(const tensor::Tensor& dout, tensor::Workspace& ws,
+                         tensor::Tensor* dx);
 
   std::string name_;
   Parameter weight_;  // [in, out]

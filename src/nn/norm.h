@@ -52,6 +52,10 @@ class Norm {
   }
 
   Kind kind() const { return kind_; }
+  // True when no parameter of the norm trains.
+  bool frozen() const {
+    return kind_ == Kind::kLayerNorm ? layer_->frozen() : rms_->frozen();
+  }
 
  private:
   Kind kind_;

@@ -25,6 +25,7 @@ class RmsNorm {
 
   void collect_parameters(ParameterList& out) { out.push_back(&gain_); }
   std::size_t dim() const { return gain_.value.cols(); }
+  bool frozen() const { return !gain_.trainable; }
 
  private:
   Parameter gain_;  // [1, dim], init 1

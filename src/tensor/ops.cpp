@@ -18,33 +18,17 @@
 
 namespace odlp::tensor {
 
+using detail::AQuad;
+using detail::BPanels;
 using detail::kKC;
 using detail::kMR;
 using detail::kNR;
 using detail::Operand;
+using detail::Skip;
 
-// One micro-kernel plus trans-aware packing serves all three products (nn,
-// nt, tn) — the transpose happens during packing, never as a materialized
-// copy. Rows past mr are zero-padded so the micro-kernel is branch-free;
-// padded lanes never reach C.
-void detail::pack_a(const Operand& a, std::size_t i0, std::size_t mr,
-                    std::size_t p0, std::size_t p1, float* __restrict__ ap) {
-  if (!a.trans) {
-    for (std::size_t r = 0; r < mr; ++r) {
-      const float* __restrict__ src = a.data + (i0 + r) * a.ld;
-      for (std::size_t p = p0; p < p1; ++p) ap[(p - p0) * kMR + r] = src[p];
-    }
-  } else {
-    for (std::size_t p = p0; p < p1; ++p) {
-      const float* __restrict__ src = a.data + p * a.ld + i0;
-      float* __restrict__ dst = ap + (p - p0) * kMR;
-      for (std::size_t r = 0; r < mr; ++r) dst[r] = src[r];
-    }
-  }
-  for (std::size_t r = mr; r < kMR; ++r) {
-    for (std::size_t p = p0; p < p1; ++p) ap[(p - p0) * kMR + r] = 0.0f;
-  }
-}
+// One micro-kernel serves all three products (nn, nt, tn): A is read in
+// place through AQuad (rows, or columns when transposed), and B through
+// BPanels. No operand is ever transposed into a copy.
 
 namespace {
 
@@ -53,79 +37,90 @@ std::size_t packed_b_floats(std::size_t K, std::size_t N) {
   return ((N + kNR - 1) / kNR) * kNR * K;
 }
 
-// Pack all of logical B (K×N) into kNR-wide panels: panel j0/kNR holds
-// bp[panel*K*kNR + p*kNR + j']. Columns past N are zero-padded.
+// Packs logical B columns [j0, j0+nr) into one kNR-wide panel:
+// dst[p*kNR + j'], zero-padding columns past nr.
+void pack_panel(const Operand& b, std::size_t K, std::size_t j0,
+                std::size_t nr, float* __restrict__ dst) {
+  if (!b.trans) {
+    for (std::size_t p = 0; p < K; ++p) {
+      const float* __restrict__ src = b.data + p * b.ld + j0;
+      float* __restrict__ d = dst + p * kNR;
+      for (std::size_t j = 0; j < nr; ++j) d[j] = src[j];
+      for (std::size_t j = nr; j < kNR; ++j) d[j] = 0.0f;
+    }
+    return;
+  }
+  for (std::size_t j = 0; j < nr; ++j) {
+    const float* __restrict__ src = b.data + (j0 + j) * b.ld;
+    for (std::size_t p = 0; p < K; ++p) dst[p * kNR + j] = src[p];
+  }
+  for (std::size_t p = 0; p < K; ++p) {
+    for (std::size_t j = nr; j < kNR; ++j) dst[p * kNR + j] = 0.0f;
+  }
+}
+
+// Packs all of logical B (K×N) into kNR-wide panels: panel j0/kNR holds
+// bp[panel*K*kNR + p*kNR + j'].
 void pack_b(const Operand& b, std::size_t K, std::size_t N,
             float* __restrict__ bp) {
-  const std::size_t panels = (N + kNR - 1) / kNR;
-  for (std::size_t panel = 0; panel < panels; ++panel) {
-    const std::size_t j0 = panel * kNR;
-    const std::size_t nr = std::min(kNR, N - j0);
-    float* __restrict__ dst_panel = bp + panel * K * kNR;
-    if (!b.trans) {
-      for (std::size_t p = 0; p < K; ++p) {
-        const float* __restrict__ src = b.data + p * b.ld + j0;
-        float* __restrict__ dst = dst_panel + p * kNR;
-        for (std::size_t j = 0; j < nr; ++j) dst[j] = src[j];
-        for (std::size_t j = nr; j < kNR; ++j) dst[j] = 0.0f;
-      }
-    } else {
-      for (std::size_t j = 0; j < nr; ++j) {
-        const float* __restrict__ src = b.data + (j0 + j) * b.ld;
-        for (std::size_t p = 0; p < K; ++p) dst_panel[p * kNR + j] = src[p];
-      }
-      if (nr < kNR) {
-        for (std::size_t p = 0; p < K; ++p) {
-          for (std::size_t j = nr; j < kNR; ++j) dst_panel[p * kNR + j] = 0.0f;
-        }
-      }
-    }
+  for (std::size_t j0 = 0; j0 < N; j0 += kNR) {
+    pack_panel(b, K, j0, std::min(kNR, N - j0), bp + (j0 / kNR) * K * kNR);
   }
 }
 
-// The hot core: acc[kMR][kNR] += A-quad × B-panel over kc steps. Fixed-trip
-// inner loops over a flat accumulator array — exactly the shape GCC/Clang
-// auto-vectorize into mulps/addps with the accumulators held in registers.
-// Branch-free by construction (zero padding replaced the old `if (av == 0)`
-// skip), so throughput is independent of sparsity.
-inline void micro_kernel(const float* __restrict__ ap,
-                         const float* __restrict__ bp, std::size_t kc,
+// The hot core: acc[kMR][kNR] += A's quad × one B panel over kc steps.
+// Fixed-trip inner loops over a flat accumulator array — exactly the shape
+// GCC/Clang auto-vectorize into mulps/addps with the accumulators held in
+// registers. Branch-free, so throughput is independent of sparsity.
+inline void micro_kernel(const AQuad& a, const float* __restrict__ bp,
+                         std::size_t bstep, std::size_t kc,
                          float* __restrict__ acc) {
+  const float* a0 = a.row[0];
+  const float* a1 = a.row[1];
+  const float* a2 = a.row[2];
+  const float* a3 = a.row[3];
   for (std::size_t p = 0; p < kc; ++p) {
-    const float a0 = ap[0], a1 = ap[1], a2 = ap[2], a3 = ap[3];
+    const float v0 = *a0, v1 = *a1, v2 = *a2, v3 = *a3;
     for (std::size_t j = 0; j < kNR; ++j) {
       const float bv = bp[j];
-      acc[0 * kNR + j] += a0 * bv;
-      acc[1 * kNR + j] += a1 * bv;
-      acc[2 * kNR + j] += a2 * bv;
-      acc[3 * kNR + j] += a3 * bv;
+      acc[0 * kNR + j] += v0 * bv;
+      acc[1 * kNR + j] += v1 * bv;
+      acc[2 * kNR + j] += v2 * bv;
+      acc[3 * kNR + j] += v3 * bv;
     }
-    ap += kMR;
-    bp += kNR;
+    a0 += a.step;
+    a1 += a.step;
+    a2 += a.step;
+    a3 += a.step;
+    bp += bstep;
   }
 }
 
-// C rows [i0, i1) of the tiled product. Per output element the accumulation
+// The tiled product C[M×N] (+)= A · B. Per output element the accumulation
 // order is strictly ascending k: k-blocks run in order with C loaded/stored
 // between them (bit-exact equal to one continuous float accumulation), and
-// within a block the micro-kernel walks p upward. Row ranges touch disjoint
-// C rows, so any row partition yields bit-identical results.
-// detail::gemm_tiled_rows_avx2 (ops_avx2.cpp) is the AVX2 build of
-// this loop, with the same per-element op sequence.
-void gemm_tiled_rows(const Operand& a, const float* __restrict__ bp,
+// within a block the micro-kernel walks p upward. A quad's k range and
+// panel count come from detail::quad_span; every term it leaves out is an
+// exact ±0 product (DESIGN.md §8). detail::gemm_tiled_rows_avx2
+// (ops_avx2.cpp) is the AVX2 build of this loop, with the same per-element
+// op sequence.
+void gemm_tiled_rows(const Operand& a, const BPanels& b, std::size_t M,
                      std::size_t K, std::size_t N, float* __restrict__ c,
-                     std::size_t ldc, bool accumulate, std::size_t i0,
-                     std::size_t i1) {
+                     std::size_t ldc, bool accumulate, Skip skip) {
   const std::size_t panels = (N + kNR - 1) / kNR;
-  float apack[kMR * kKC];
   float acc[kMR * kNR];
   for (std::size_t p0 = 0; p0 < K; p0 += kKC) {
     const std::size_t p1 = std::min(K, p0 + kKC);
     const bool first = (p0 == 0) && !accumulate;
-    for (std::size_t i = i0; i < i1; i += kMR) {
-      const std::size_t mr = std::min(kMR, i1 - i);
-      detail::pack_a(a, i, mr, p0, p1, apack);
-      for (std::size_t panel = 0; panel < panels; ++panel) {
+    for (std::size_t i = 0; i < M; i += kMR) {
+      const std::size_t mr = std::min(kMR, M - i);
+      const detail::QuadSpan span = detail::quad_span(skip, i, mr, K, panels);
+      const std::size_t lo = std::max(p0, span.k_lo);
+      const std::size_t hi = std::min(p1, span.k_hi);
+      const std::size_t kc = hi > lo ? hi - lo : 0;
+      if (kc == 0 && !first) continue;
+      const AQuad quad = detail::quad_at(a, i, mr, lo);
+      for (std::size_t panel = 0; panel < span.panels; ++panel) {
         const std::size_t j0 = panel * kNR;
         const std::size_t nr = std::min(kNR, N - j0);
         std::fill(acc, acc + kMR * kNR, 0.0f);
@@ -135,7 +130,8 @@ void gemm_tiled_rows(const Operand& a, const float* __restrict__ bp,
             for (std::size_t j = 0; j < nr; ++j) acc[r * kNR + j] = crow[j];
           }
         }
-        micro_kernel(apack, bp + panel * K * kNR + p0 * kNR, p1 - p0, acc);
+        const std::size_t bstep = b.step(panel);
+        micro_kernel(quad, b.panel(panel) + lo * bstep, bstep, kc, acc);
         for (std::size_t r = 0; r < mr; ++r) {
           float* crow = c + (i + r) * ldc + j0;
           for (std::size_t j = 0; j < nr; ++j) crow[j] = acc[r * kNR + j];
@@ -148,15 +144,16 @@ void gemm_tiled_rows(const Operand& a, const float* __restrict__ bp,
 // Small-shape paths (m < kMR or n < kNR): packing would cost more than it
 // saves, so these run unpacked — but still branch-free in the inner loop and
 // with the same ascending-k per-element order. Covers m=1 incremental
-// decode and the rank-8 LoRA products.
-void small_nn(const Operand& a, const Operand& b, std::size_t K, std::size_t N,
-              float* __restrict__ c, std::size_t ldc, bool accumulate,
-              std::size_t i0, std::size_t i1) {
-  for (std::size_t i = i0; i < i1; ++i) {
+// decode and the rank-8 LoRA products. Each honours `skip` per row.
+void small_nn(const Operand& a, const Operand& b, std::size_t M, std::size_t K,
+              std::size_t N, float* __restrict__ c, std::size_t ldc,
+              bool accumulate, Skip skip) {
+  for (std::size_t i = 0; i < M; ++i) {
     const float* __restrict__ arow = a.data + i * a.ld;
     float* __restrict__ crow = c + i * ldc;
     if (!accumulate) std::fill(crow, crow + N, 0.0f);
-    for (std::size_t p = 0; p < K; ++p) {
+    const std::size_t k_end = skip == Skip::kKPastRow ? std::min(K, i + 1) : K;
+    for (std::size_t p = 0; p < k_end; ++p) {
       const float av = arow[p];
       const float* __restrict__ brow = b.data + p * b.ld;
       for (std::size_t j = 0; j < N; ++j) crow[j] += av * brow[j];
@@ -164,13 +161,15 @@ void small_nn(const Operand& a, const Operand& b, std::size_t K, std::size_t N,
   }
 }
 
-void small_nt(const Operand& a, const Operand& b, std::size_t K, std::size_t N,
-              float* __restrict__ c, std::size_t ldc, bool accumulate,
-              std::size_t i0, std::size_t i1) {
-  for (std::size_t i = i0; i < i1; ++i) {
+void small_nt(const Operand& a, const Operand& b, std::size_t M, std::size_t K,
+              std::size_t N, float* __restrict__ c, std::size_t ldc,
+              bool accumulate, Skip skip) {
+  for (std::size_t i = 0; i < M; ++i) {
     const float* __restrict__ arow = a.data + i * a.ld;
     float* __restrict__ crow = c + i * ldc;
-    for (std::size_t j = 0; j < N; ++j) {
+    const std::size_t n_end =
+        skip == Skip::kColsPastRow ? std::min(N, i + 1) : N;
+    for (std::size_t j = 0; j < n_end; ++j) {
       const float* __restrict__ brow = b.data + j * b.ld;
       // Fixed 4-way split dot: order depends only on K.
       float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
@@ -188,13 +187,13 @@ void small_nt(const Operand& a, const Operand& b, std::size_t K, std::size_t N,
   }
 }
 
-void small_tn(const Operand& a, const Operand& b, std::size_t K, std::size_t N,
-              float* __restrict__ c, std::size_t ldc, bool accumulate,
-              std::size_t i0, std::size_t i1) {
-  for (std::size_t i = i0; i < i1; ++i) {
+void small_tn(const Operand& a, const Operand& b, std::size_t M, std::size_t K,
+              std::size_t N, float* __restrict__ c, std::size_t ldc,
+              bool accumulate, Skip skip) {
+  for (std::size_t i = 0; i < M; ++i) {
     float* __restrict__ crow = c + i * ldc;
     if (!accumulate) std::fill(crow, crow + N, 0.0f);
-    for (std::size_t p = 0; p < K; ++p) {
+    for (std::size_t p = skip == Skip::kKBeforeRow ? i : 0; p < K; ++p) {
       const float av = a.data[p * a.ld + i];
       const float* __restrict__ brow = b.data + p * b.ld;
       for (std::size_t j = 0; j < N; ++j) crow[j] += av * brow[j];
@@ -202,62 +201,64 @@ void small_tn(const Operand& a, const Operand& b, std::size_t K, std::size_t N,
   }
 }
 
-void gemm_small_rows(const Operand& a, const Operand& b, std::size_t K,
-                     std::size_t N, float* c, std::size_t ldc, bool accumulate,
-                     std::size_t i0, std::size_t i1) {
-  assert(!(a.trans && b.trans));  // tt never occurs
-  if (a.trans) {
-    small_tn(a, b, K, N, c, ldc, accumulate, i0, i1);
-  } else if (b.trans) {
-    small_nt(a, b, K, N, c, ldc, accumulate, i0, i1);
-  } else {
-    small_nn(a, b, K, N, c, ldc, accumulate, i0, i1);
-  }
-}
-
-// Shared driver for all three products. B's panels come from `packed_b`
-// when the caller holds them, else B is packed once into a thread-local
-// buffer; then the row loop runs over all of A.
+// One entry point for all three products: C[M×N] (+)= A · B at row stride
+// ldc. B's panels come from `packed_b` when the caller holds them; else a
+// transposed B is packed once into a thread-local buffer, and a plain B is
+// read in place with only its partial last panel packed there.
 void gemm(const Operand& a, const Operand& b, std::size_t M, std::size_t K,
-          std::size_t N, Tensor& out, bool accumulate,
-          const PackedB* packed_b = nullptr) {
-  if (!accumulate) {
-    out.resize_uninitialized(M, N);
-  }
-  assert(out.rows() == M && out.cols() == N);
-  assert(out.data() != a.data && out.data() != b.data);
-  float* c = out.data();
-  const std::size_t ldc = N;
+          std::size_t N, float* c, std::size_t ldc, bool accumulate,
+          Skip skip, const PackedB* packed_b) {
+  assert(!(a.trans && b.trans));  // tt never occurs
+  assert(c != a.data && c != b.data);
   if (M == 0 || N == 0) return;
   if (K == 0) {
-    if (!accumulate) out.zero();
+    if (!accumulate) {
+      for (std::size_t i = 0; i < M; ++i) {
+        std::fill(c + i * ldc, c + i * ldc + N, 0.0f);
+      }
+    }
     return;
   }
-  // Path choice is a function of shape only (determinism: a given shape
-  // always takes the same path).
+  // Path choice is a function of the full shape only (determinism: a given
+  // shape always takes the same path, whatever `skip` leaves out).
   if (M < kMR || N < kNR) {
-    gemm_small_rows(a, b, K, N, c, ldc, accumulate, 0, M);
+    if (a.trans) {
+      small_tn(a, b, M, K, N, c, ldc, accumulate, skip);
+    } else if (b.trans) {
+      small_nt(a, b, M, K, N, c, ldc, accumulate, skip);
+    } else {
+      small_nn(a, b, M, K, N, c, ldc, accumulate, skip);
+    }
     return;
   }
-  const float* bp = nullptr;
+  BPanels panels{nullptr, b.data, b.ld, nullptr, K, N / kNR};
   if (packed_b) {
     assert(packed_b->k() == K && packed_b->n() == N &&
            packed_b->transposed() == b.trans);
-    bp = packed_b->data();
-  } else {
+    panels.packed = packed_b->data();
+  } else if (b.trans || N % kNR != 0) {
     thread_local std::vector<float> pack_buffer;
-    const std::size_t need = packed_b_floats(K, N);
+    const std::size_t need = b.trans ? packed_b_floats(K, N) : K * kNR;
     if (pack_buffer.size() < need) pack_buffer.resize(need);
-    pack_b(b, K, N, pack_buffer.data());
-    bp = pack_buffer.data();
+    if (b.trans) {
+      pack_b(b, K, N, pack_buffer.data());
+      panels.packed = pack_buffer.data();
+    } else {
+      pack_panel(b, K, panels.full * kNR, N % kNR, pack_buffer.data());
+      panels.tail = pack_buffer.data();
+    }
   }
 #ifdef ODLP_SIMD_KERNELS_X86
   if (active_simd_level() >= SimdLevel::kAvx2) {
-    detail::gemm_tiled_rows_avx2(a, bp, K, N, c, ldc, accumulate, 0, M);
+    detail::gemm_tiled_rows_avx2(a, panels, M, K, N, c, ldc, accumulate, skip);
     return;
   }
 #endif
-  gemm_tiled_rows(a, bp, K, N, c, ldc, accumulate, 0, M);
+  gemm_tiled_rows(a, panels, M, K, N, c, ldc, accumulate, skip);
+}
+
+Operand operand(ConstMatView v, bool trans) {
+  return Operand{v.data, v.ld, trans};
 }
 
 }  // namespace
@@ -280,8 +281,8 @@ KernelBuildInfo kernel_build_info() {
   const SimdLevel level = active_simd_level();
   KernelBuildInfo info;
   // The AVX2 row loop runs two adjacent panels per quad (a 4×16 tile).
-  info.variant = level >= SimdLevel::kAvx2 ? "tiled-4x16-packed-avx2"
-                                           : "tiled-4x8-packed";
+  info.variant = level >= SimdLevel::kAvx2 ? "tiled-4x16-inplace-avx2"
+                                           : "tiled-4x8-inplace";
   info.simd_level = simd_level_name(level);
 #ifdef ODLP_NATIVE_ARCH
   info.native_arch = true;
@@ -304,28 +305,54 @@ KernelBuildInfo kernel_build_info() {
   return info;
 }
 
+void matmul_into(ConstMatView a, ConstMatView b, MatView out, bool accumulate,
+                 Triangle tri, const PackedB* packed_b) {
+  ODLP_TRACE_SCOPE("tensor.gemm");
+  assert(a.cols == b.rows && out.rows == a.rows && out.cols == b.cols);
+  assert(tri == Triangle::kFull || a.rows == a.cols);
+  gemm(operand(a, false), operand(b, false), a.rows, a.cols, b.cols, out.data,
+       out.ld, accumulate,
+       tri == Triangle::kLower ? Skip::kKPastRow : Skip::kNone, packed_b);
+}
+
+void matmul_nt_into(ConstMatView a, ConstMatView b, MatView out,
+                    bool accumulate, Triangle tri, const PackedB* packed_b) {
+  ODLP_TRACE_SCOPE("tensor.gemm");
+  assert(a.cols == b.cols && out.rows == a.rows && out.cols == b.rows);
+  assert(tri == Triangle::kFull || out.rows == out.cols);
+  gemm(operand(a, false), operand(b, true), a.rows, a.cols, b.rows, out.data,
+       out.ld, accumulate,
+       tri == Triangle::kLower ? Skip::kColsPastRow : Skip::kNone, packed_b);
+}
+
+void matmul_tn_into(ConstMatView a, ConstMatView b, MatView out,
+                    bool accumulate, Triangle tri) {
+  ODLP_TRACE_SCOPE("tensor.gemm");
+  assert(a.rows == b.rows && out.rows == a.cols && out.cols == b.cols);
+  assert(tri == Triangle::kFull || a.rows == a.cols);
+  gemm(operand(a, true), operand(b, false), a.cols, a.rows, b.cols, out.data,
+       out.ld, accumulate,
+       tri == Triangle::kLower ? Skip::kKBeforeRow : Skip::kNone, nullptr);
+}
+
 void matmul_into(const Tensor& a, const Tensor& b, Tensor& out,
                  bool accumulate, const PackedB* packed_b) {
-  ODLP_TRACE_SCOPE("tensor.gemm");
-  assert(a.cols() == b.rows());
-  gemm(Operand{a.data(), a.cols(), false}, Operand{b.data(), b.cols(), false},
-       a.rows(), a.cols(), b.cols(), out, accumulate, packed_b);
+  if (!accumulate) out.resize_uninitialized(a.rows(), b.cols());
+  matmul_into(view(a), view(b), view(out), accumulate, Triangle::kFull,
+              packed_b);
 }
 
 void matmul_nt_into(const Tensor& a, const Tensor& b, Tensor& out,
                     bool accumulate, const PackedB* packed_b) {
-  ODLP_TRACE_SCOPE("tensor.gemm");
-  assert(a.cols() == b.cols());
-  gemm(Operand{a.data(), a.cols(), false}, Operand{b.data(), b.cols(), true},
-       a.rows(), a.cols(), b.rows(), out, accumulate, packed_b);
+  if (!accumulate) out.resize_uninitialized(a.rows(), b.rows());
+  matmul_nt_into(view(a), view(b), view(out), accumulate, Triangle::kFull,
+                 packed_b);
 }
 
 void matmul_tn_into(const Tensor& a, const Tensor& b, Tensor& out,
                     bool accumulate) {
-  ODLP_TRACE_SCOPE("tensor.gemm");
-  assert(a.rows() == b.rows());
-  gemm(Operand{a.data(), a.cols(), true}, Operand{b.data(), b.cols(), false},
-       a.cols(), a.rows(), b.cols(), out, accumulate);
+  if (!accumulate) out.resize_uninitialized(a.cols(), b.cols());
+  matmul_tn_into(view(a), view(b), view(out), accumulate);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
@@ -480,26 +507,22 @@ Tensor softmax_rows(const Tensor& logits) {
   return out;
 }
 
-void softmax_rows_backward_into(const Tensor& softmax_out, const Tensor& dout,
-                                Tensor& din) {
-  assert(softmax_out.same_shape(dout));
-  din.resize_uninitialized(softmax_out.rows(), softmax_out.cols());
-  for (std::size_t i = 0; i < softmax_out.rows(); ++i) {
-    const float* s = softmax_out.row(i);
+void softmax_causal_rows_backward_into(const Tensor& probs, const Tensor& dout,
+                                       float scale, Tensor& din) {
+  assert(probs.same_shape(dout) && probs.rows() == probs.cols());
+  const std::size_t T = probs.rows();
+  din.resize_uninitialized(T, T);
+  for (std::size_t i = 0; i < T; ++i) {
+    const float* s = probs.row(i);
     const float* d = dout.row(i);
     float* o = din.row(i);
     double dot = 0.0;
-    for (std::size_t j = 0; j < softmax_out.cols(); ++j) dot += static_cast<double>(d[j]) * s[j];
-    for (std::size_t j = 0; j < softmax_out.cols(); ++j) {
-      o[j] = s[j] * (d[j] - static_cast<float>(dot));
+    for (std::size_t j = 0; j <= i; ++j) dot += static_cast<double>(d[j]) * s[j];
+    for (std::size_t j = 0; j <= i; ++j) {
+      o[j] = (s[j] * (d[j] - static_cast<float>(dot))) * scale;
     }
+    std::fill(o + i + 1, o + T, 0.0f);
   }
-}
-
-Tensor softmax_rows_backward(const Tensor& softmax_out, const Tensor& dout) {
-  Tensor din;
-  softmax_rows_backward_into(softmax_out, dout, din);
-  return din;
 }
 
 namespace {

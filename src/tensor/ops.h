@@ -10,9 +10,12 @@
 //    tensor::Workspace slot) so hot paths run allocation-free; the
 //    allocating spellings are thin wrappers over them.
 //  * The GEMM products (matmul / matmul_nt / matmul_tn) share one
-//    register-tiled row loop over packed panels (ops.cpp, with a 4×16 AVX2
-//    build in ops_avx2.cpp; both compiled with -O3 -ffp-contract=off, see
-//    src/CMakeLists.txt).
+//    register-tiled row loop (ops.cpp, with a 4×16 AVX2 build in
+//    ops_avx2.cpp; both compiled with -O3 -ffp-contract=off, see
+//    src/CMakeLists.txt). It reads A in place, and B in place too unless B
+//    is transposed (nt), which it packs into column panels per call.
+//    Their view spellings read and write column blocks of wider tensors
+//    (an attention head's columns) and can skip a causal triangle.
 //  * `*_reference` kernels are the plain serial implementations, retained as
 //    the numerical baseline. The tiled kernels are *deterministic* — the
 //    per-element accumulation order is a fixed function of the shape, so
@@ -60,8 +63,8 @@ auto reduce_row_chunks(std::size_t rows, Map map, Add add) {
 // forcing a level via set_simd_level() changes what this reports
 // (tests/test_simd_dispatch.cpp pins the mapping).
 struct KernelBuildInfo {
-  const char* variant;       // fp32 core: "tiled-4x8-packed" or, at the
-                             // AVX2 level, "tiled-4x16-packed-avx2"
+  const char* variant;       // fp32 core: "tiled-4x8-inplace" or, at the
+                             // AVX2 level, "tiled-4x16-inplace-avx2"
   const char* simd_level;    // active dispatch level:
                              // "scalar"|"sse2"|"avx2"|"vnni"
   bool native_arch;          // true when built with ODLP_NATIVE_ARCH (-march=native)
@@ -74,10 +77,11 @@ KernelBuildInfo kernel_build_info();
 
 // A constant B packed once into the tiled kernel's kNR-wide column panels,
 // for a B that many products read (a frozen weight, DESIGN.md §8). `nn(w)`
-// holds the panels matmul_into(·, w) packs per call, `nt(w)` those
-// matmul_nt_into(·, w) packs (B = wᵀ). Passing one to the product swaps
-// only where the tiled kernel reads B's panels from: the same floats in the
-// same order, so the same bytes. Immutable once built.
+// holds w's panels, which matmul_into(·, w) otherwise reads in place, and
+// `nt(w)` those matmul_nt_into(·, w) packs per call (B = wᵀ). Passing one
+// to the product swaps only where the tiled kernel reads B's panels from:
+// the same floats in the same order, so the same bytes. Immutable once
+// built.
 class PackedB {
  public:
   static PackedB nn(const Tensor& w);
@@ -97,22 +101,74 @@ class PackedB {
   bool transposed_ = false;
 };
 
-// out[m,n] (+)= A[m,k] * B[k,n]. Register-tiled 4xN micro-kernel over packed
-// B panels: `packed_b` (PackedB::nn(b)) when given, else B packed per call.
-// The small path (m < 4 or n < 8) reads `b` itself either way.
+// out[m,n] (+)= A[m,k] * B[k,n]. Register-tiled 4xN micro-kernel reading A
+// in place and B's panels from `packed_b` (PackedB::nn(b)) when given, else
+// from B in place (only a partial last panel is packed per call). The small
+// path (m < 4 or n < 8) reads `b` itself either way.
 // When accumulate is false, `out` is reshaped (uninitialized) and every
 // element is written exactly once. `out` must not alias `a` or `b`.
 void matmul_into(const Tensor& a, const Tensor& b, Tensor& out,
                  bool accumulate = false, const PackedB* packed_b = nullptr);
 
-// out[m,n] (+)= A[m,k] * B[n,k]^T  (shared micro-kernel, B packed transposed;
-// `packed_b` is PackedB::nt(b) when given).
+// out[m,n] (+)= A[m,k] * B[n,k]^T  (shared micro-kernel, B packed transposed
+// per call; `packed_b` is PackedB::nt(b) when given).
 void matmul_nt_into(const Tensor& a, const Tensor& b, Tensor& out,
                     bool accumulate = false, const PackedB* packed_b = nullptr);
 
-// out[m,n] (+)= A[k,m]^T * B[k,n]  (shared micro-kernel, A packed transposed).
+// out[m,n] (+)= A[k,m]^T * B[k,n]  (shared micro-kernel, A read in place by
+// columns).
 void matmul_tn_into(const Tensor& a, const Tensor& b, Tensor& out,
                     bool accumulate = false);
+
+// A row-major matrix read or written in place, possibly a column block of
+// a wider tensor: element [r][c] at data[r*ld + c], ld >= cols.
+struct ConstMatView {
+  const float* data;
+  std::size_t rows, cols, ld;
+};
+struct MatView {
+  float* data;
+  std::size_t rows, cols, ld;
+  operator ConstMatView() const { return {data, rows, cols, ld}; }
+};
+inline ConstMatView view(const Tensor& t) {
+  return {t.data(), t.rows(), t.cols(), t.cols()};
+}
+inline MatView view(Tensor& t) { return {t.data(), t.rows(), t.cols(), t.cols()}; }
+// Columns [c0, c0+w) of t.
+inline ConstMatView col_block(const Tensor& t, std::size_t c0, std::size_t w) {
+  return {t.data() + c0, t.rows(), w, t.cols()};
+}
+inline MatView col_block(Tensor& t, std::size_t c0, std::size_t w) {
+  return {t.data() + c0, t.rows(), w, t.cols()};
+}
+
+// Causal structure a view product may skip (DESIGN.md §8). kLower names a
+// square T×T operand that is lower-triangular:
+//  * matmul_into: A, whose entries above the diagonal are finite zeros
+//    (causal probs, or dscores); row quads stop k at their last row.
+//  * matmul_tn_into: A likewise; since C = Aᵀ·B, row quads start k at
+//    their first row.
+//  * matmul_nt_into: C, of which only the causal part j <= i is asked for;
+//    row quads compute only the panels up to their last row, and entries
+//    above the diagonal are left unspecified.
+// Every term skipped is an exact ±0 product, and a float sum that starts at
+// +0 is never −0, so the bytes equal the full product's. An accumulating
+// product keeps that guarantee unless C holds a −0 where a term is skipped.
+// Path choice (tiled or small) stays a function of the full shape.
+enum class Triangle { kFull, kLower };
+
+// The three products over views, which the Tensor spellings above call:
+// the same kernels, with out's shape fixed by the caller (it is not
+// reshaped). `out` must not overlap `a` or `b`.
+void matmul_into(ConstMatView a, ConstMatView b, MatView out, bool accumulate,
+                 Triangle tri = Triangle::kFull,
+                 const PackedB* packed_b = nullptr);
+void matmul_nt_into(ConstMatView a, ConstMatView b, MatView out,
+                    bool accumulate, Triangle tri = Triangle::kFull,
+                    const PackedB* packed_b = nullptr);
+void matmul_tn_into(ConstMatView a, ConstMatView b, MatView out,
+                    bool accumulate, Triangle tri = Triangle::kFull);
 
 // Allocating wrapper over matmul_into.
 Tensor matmul(const Tensor& a, const Tensor& b);
@@ -152,10 +208,16 @@ void softmax_rows_into(const Tensor& logits, Tensor& out);
 // scale·scores with −inf over the upper triangle (DESIGN.md §8).
 void softmax_causal_rows_into(const Tensor& scores, float scale, Tensor& out);
 
-// Backward through row-wise softmax: dIn = softmax ⊙ (dOut − rowdot(dOut, softmax)).
-Tensor softmax_rows_backward(const Tensor& softmax_out, const Tensor& dout);
-void softmax_rows_backward_into(const Tensor& softmax_out, const Tensor& dout,
-                                Tensor& din);
+// Backward through softmax_causal_rows_into, with the scale folded in:
+// for j <= i, din[i, j] = (p[i, j]·(dout[i, j] − dot_i))·scale, where
+// dot_i = Σ_{k<=i} dout[i, k]·p[i, k] in double; +0 above the diagonal.
+// Reads only j <= i of `probs` and `dout`, so entries of `dout` above the
+// diagonal may hold anything. These are the bytes a full-row backward
+// followed by `din *= scale` writes for j <= i (DESIGN.md §8); the +0
+// keeps the products that read din's upper triangle as a known zero
+// finite.
+void softmax_causal_rows_backward_into(const Tensor& probs, const Tensor& dout,
+                                       float scale, Tensor& din);
 
 // GELU (tanh approximation) forward / backward. The forward also writes
 // tanh_u = tanh(√(2/π)·(x + 0.044715·x³)) per element, and the backward

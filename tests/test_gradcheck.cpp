@@ -56,14 +56,23 @@ TEST(GradCheck, MatmulLeftAndRight) {
   EXPECT_LT(rb.max_rel_error, kTol);
 }
 
-TEST(GradCheck, SoftmaxRows) {
+// The causal softmax and its backward with the scale folded in: entries
+// above the diagonal never reach the output, so their gradient is 0.
+TEST(GradCheck, SoftmaxCausalRows) {
   util::Rng rng(2);
-  Tensor x = random_tensor(2, 6, rng);
-  Tensor coeffs = coeffs_for(2, 6, rng);
-  Tensor p = tensor::softmax_rows(x);
-  Tensor dx = tensor::softmax_rows_backward(p, coeffs);
-  auto loss_fn = [&] { return weighted_sum(tensor::softmax_rows(x), coeffs); };
-  auto r = tensor::check_gradient(x, dx, loss_fn, 4e-3f, 12);
+  constexpr float kScale = 0.6f;
+  Tensor x = random_tensor(6, 6, rng);
+  Tensor coeffs = coeffs_for(6, 6, rng);
+  Tensor p, dx;
+  tensor::softmax_causal_rows_into(x, kScale, p);
+  tensor::softmax_causal_rows_backward_into(p, coeffs, kScale, dx);
+  auto loss_fn = [&] {
+    Tensor out;
+    tensor::softmax_causal_rows_into(x, kScale, out);
+    return weighted_sum(out, coeffs);
+  };
+  auto r = tensor::check_gradient(x, dx, loss_fn, 4e-3f, 36);
+  EXPECT_EQ(r.checked, 36u);
   EXPECT_LT(r.max_rel_error, kTol);
 }
 

@@ -1,8 +1,8 @@
 // Edge-shape coverage for the register-tiled GEMM micro-kernels.
 //
-// The tiled path packs A into 4-row quads and B into 8-column panels with
-// zero padding at the edges, and falls back to small-path kernels when a
-// dimension is below one tile. These tests sweep shapes that land exactly
+// The tiled path reads A in place in 4-row quads and B in 8-column panels
+// (packed, zero-padded, for a transposed B and for a partial last panel),
+// and falls back to small-path kernels when a dimension is below one tile. These tests sweep shapes that land exactly
 // on, just below, and just above every boundary — plus degenerate 1×1,
 // prime, all-zero, and denormal inputs — for the forward product and both
 // backward products (dA += dC·Bᵀ via the nt kernel, dB += Aᵀ·dC via tn).
@@ -147,7 +147,8 @@ TEST(KernelShapes, DenormalInputsStayFiniteAndMatchReference) {
 
 // A PackedB handed to matmul_into / matmul_nt_into changes only where the
 // tiled kernel reads B's panels from, so every output byte must equal the
-// per-call packing's, on a fresh and on a seeded (accumulating) output. M
+// per-call path's (B in place, or packed per call when transposed), on a
+// fresh and on a seeded (accumulating) output. M
 // runs 1..70, so the small path (m < 4) is covered too; N and K take the
 // paper geometry's sizes (48, 96, 600) plus panel edges.
 void expect_prepacked_matches_per_call(bool nt) {
@@ -209,9 +210,9 @@ TEST(KernelShapes, BuildInfoReportsTileGeometry) {
   // adjacent 8-wide panels (4x16), the portable micro-kernel one (4x8).
   const tensor::KernelBuildInfo info = tensor::kernel_build_info();
   if (tensor::active_simd_level() >= tensor::SimdLevel::kAvx2) {
-    EXPECT_STREQ(info.variant, "tiled-4x16-packed-avx2");
+    EXPECT_STREQ(info.variant, "tiled-4x16-inplace-avx2");
   } else {
-    EXPECT_STREQ(info.variant, "tiled-4x8-packed");
+    EXPECT_STREQ(info.variant, "tiled-4x8-inplace");
   }
   EXPECT_STREQ(info.simd_level,
                tensor::simd_level_name(tensor::active_simd_level()));

@@ -136,9 +136,9 @@ TEST(SimdDispatch, BuildInfoReportsForcedLevel) {
     const KernelBuildInfo info = kernel_build_info();
     EXPECT_STREQ(info.simd_level, simd_level_name(level));
     if (level >= SimdLevel::kAvx2) {
-      EXPECT_STREQ(info.variant, "tiled-4x16-packed-avx2");
+      EXPECT_STREQ(info.variant, "tiled-4x16-inplace-avx2");
     } else {
-      EXPECT_STREQ(info.variant, "tiled-4x8-packed");
+      EXPECT_STREQ(info.variant, "tiled-4x8-inplace");
     }
     switch (level) {
       case SimdLevel::kVnni:

@@ -154,12 +154,23 @@ TEST(Softmax, HandlesNegativeInfinityMask) {
 
 TEST(Softmax, BackwardZeroWhenGradientUniform) {
   // softmax backward of a constant upstream gradient is zero (softmax is
-  // invariant to constant shifts).
-  Tensor logits = Tensor::from(1, 4, {0.1f, 0.9f, -0.3f, 0.5f});
-  Tensor p = softmax_rows(logits);
-  Tensor dout = Tensor::ones(1, 4);
-  Tensor din = softmax_rows_backward(p, dout);
-  for (std::size_t j = 0; j < 4; ++j) EXPECT_NEAR(din.at(0, j), 0.0f, 1e-6);
+  // invariant to constant shifts), on every causal row, and the entries
+  // above the diagonal are +0.
+  Tensor scores = Tensor::from(4, 4, {0.1f, 0.9f, -0.3f, 0.5f,  //
+                                      1.2f, -0.4f, 0.7f, 0.0f,  //
+                                      -1.0f, 0.3f, 0.8f, 2.0f,  //
+                                      0.5f, 0.5f, -0.2f, 1.1f});
+  Tensor p, din;
+  softmax_causal_rows_into(scores, 0.5f, p);
+  softmax_causal_rows_backward_into(p, Tensor::ones(4, 4), 0.5f, din);
+  for (std::size_t i = 0; i < 4; ++i) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      EXPECT_NEAR(din.at(i, j), 0.0f, 1e-6);
+      if (j > i) {
+        EXPECT_FALSE(std::signbit(din.at(i, j)));
+      }
+    }
+  }
 }
 
 TEST(Gelu, KnownPointsAndMonotoneRegion) {
