@@ -9,6 +9,8 @@
 //     training step and decode step (the workspace design targets zero),
 //   * µs per LoRA training step (forward, loss, backward of one sequence)
 //     at the paper geometry for T = 16, 32 and 64,
+//   * cross-tenant overlay decode at the paper geometry: tok/s of a
+//     12-lane flush over 8 users' LoRA overlays, next to the bare base,
 //   * cached-norm IDD vs. the direct Eq. 4-5 formula,
 //   * end-to-end engine throughput: score() rate, fine-tune seconds/epoch,
 //     and evaluate_per_set() rate, with a per-stage time breakdown read
@@ -42,6 +44,7 @@
 #include "llm/batch_decode.h"
 #include "llm/decode_session.h"
 #include "llm/sampler.h"
+#include "nn/lora_overlay.h"
 #include "nn/loss.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -256,6 +259,101 @@ int main(int argc, char** argv) {
       std::printf("== train_step (LoRA, paper geometry) T=%zu: %.1f us\n", T, us);
     }
     json.raw("train_step", rows + "]");
+  }
+
+  // ---- Cross-tenant overlay decode at the paper geometry (decode layer).
+  // The fleet's evaluation flush: 8 users' LoRA overlays (r 8, alpha 16)
+  // over one frozen adapter-free base, 12 decode lanes, 4 requests per
+  // user interleaved across users; tok/s next to the same requests on the
+  // bare base. The width-12 overlay ids must equal a width-1 run's (a
+  // mismatch fails the bench, DESIGN.md §12-§13). ----
+  {
+    llm::ModelConfig mc;
+    mc.vocab_size = 430;
+    mc.dim = 48;
+    mc.heads = 4;
+    mc.layers = 2;
+    mc.ff_hidden = 96;
+    mc.max_seq_len = 64;
+    llm::MiniLlm model(mc, opt.seed + 2);
+    model.freeze();
+    constexpr std::size_t kUsers = 8;
+    constexpr std::size_t kWidth = 12;
+    constexpr std::size_t kRequests = 4 * kUsers;
+    constexpr std::size_t kPromptLen = 8;
+    util::Rng overlay_rng(opt.seed + 3);
+    std::vector<nn::LoraOverlaySet> users(kUsers);
+    for (nn::LoraOverlaySet& user : users) {
+      user.scaling = 16.0f / 8.0f;
+      for (const nn::Linear* site : model.lora_linears()) {
+        user.sites.push_back(
+            {random_tensor(site->in_features(), 8, overlay_rng),
+             random_tensor(8, site->out_features(), overlay_rng)});
+        for (tensor::Tensor* t : {&user.sites.back().a, &user.sites.back().b}) {
+          *t *= 0.05f;
+        }
+      }
+    }
+    llm::SamplerConfig sc;
+    sc.temperature = 0.5f;
+    sc.max_new_tokens = 24;
+    const auto prompt_for = [&](std::size_t r) {
+      std::vector<int> p(kPromptLen);
+      for (std::size_t i = 0; i < kPromptLen; ++i) {
+        p[i] = 5 + static_cast<int>(((r * kPromptLen + i) * 2654435761ull) %
+                                    (mc.vocab_size - 5));
+      }
+      return p;
+    };
+    // One flush of every request; returns the tokens pushed through the
+    // model (prompt + generated).
+    const auto run_flush = [&](std::size_t width, bool overlays,
+                               std::vector<std::vector<int>>* outs) {
+      llm::BatchedDecodeScheduler sched(model, width);
+      std::vector<std::size_t> tickets(kRequests);
+      for (std::size_t r = 0; r < kRequests; ++r) {
+        tickets[r] = sched.submit(prompt_for(r), sc, util::Rng(300 + r),
+                                  overlays ? &users[r % kUsers] : nullptr);
+      }
+      sched.run();
+      std::size_t tokens = 0;
+      for (std::size_t r = 0; r < kRequests; ++r) {
+        tokens += kPromptLen + sched.result(tickets[r]).size();
+        if (outs) outs->push_back(sched.result(tickets[r]));
+      }
+      return tokens;
+    };
+    std::vector<std::vector<int>> wide, narrow;
+    const std::size_t overlay_tokens = run_flush(kWidth, true, &wide);
+    run_flush(1, true, &narrow);
+    const bool exact = wide == narrow;
+    if (!exact) {
+      std::fprintf(stderr,
+                   "bench_perf: overlay decode at batch=%zu is NOT "
+                   "bit-identical to batch=1\n",
+                   kWidth);
+      ++failures;
+    }
+    const std::size_t base_tokens = run_flush(kWidth, false, nullptr);
+    const double overlay_tok_s =
+        double(overlay_tokens) /
+        timed_seconds(reps, [&] { run_flush(kWidth, true, nullptr); });
+    const double base_tok_s =
+        double(base_tokens) /
+        timed_seconds(reps, [&] { run_flush(kWidth, false, nullptr); });
+    json.raw("overlay_decode",
+             json_object({{"users", double(kUsers)},
+                          {"batch", double(kWidth)},
+                          {"overlay_tokens", double(overlay_tokens)},
+                          {"overlay_tokens_per_sec", overlay_tok_s},
+                          {"base_tokens", double(base_tokens)},
+                          {"base_tokens_per_sec", base_tok_s},
+                          {"overlay_vs_base", overlay_tok_s / base_tok_s},
+                          {"batch1_exact", exact ? 1.0 : 0.0}}));
+    std::printf("== overlay decode (paper geometry, %zu users, batch=%zu): "
+                "%.0f tok/s, bare base %.0f tok/s (%.2fx)%s\n",
+                kUsers, kWidth, overlay_tok_s, base_tok_s,
+                overlay_tok_s / base_tok_s, exact ? "" : "  [MISMATCH]");
   }
 
   // ---- IDD: cached-norm fast path vs. direct Eq. 4-5. ----

@@ -101,25 +101,27 @@ void BatchedDecodeScheduler::admit_pending() {
     }
     Request& req = requests_[ticket];
     PrefixGroup* group = req.group == kNoGroup ? nullptr : &groups_[req.group];
+    if (slot.caches.empty()) {
+      slot.caches.reserve(model_.num_blocks());
+      for (std::size_t l = 0; l < model_.num_blocks(); ++l) {
+        slot.caches.emplace_back(model_.config().max_seq_len,
+                                 model_.config().dim);
+      }
+    }
     if (group && !req.leader && group->fed > 0) {
-      // Fork: adopt the group's primed KV (bytes identical to re-priming
-      // the prefix) and feed only the last prompt token ourselves, so the
-      // sampled continuation reads this request's own logits row.
-      slot.caches = group->snapshot;
+      // Fork: adopt the group's primed KV rows (bytes identical to
+      // re-priming the prefix) and feed only the last prompt token
+      // ourselves, so the sampled continuation reads this request's own
+      // logits row.
+      for (std::size_t l = 0; l < slot.caches.size(); ++l) {
+        slot.caches[l].assign_prefix(group->snapshot[l]);
+      }
       slot.position = group->fed;
       slot.prompt_cursor = req.prompt.size() - 1;
       slot.pending_token = req.prompt[slot.prompt_cursor];
       c_forks.inc();
     } else {
-      if (slot.caches.empty()) {
-        slot.caches.reserve(model_.num_blocks());
-        for (std::size_t l = 0; l < model_.num_blocks(); ++l) {
-          slot.caches.emplace_back(model_.config().max_seq_len,
-                                   model_.config().dim);
-        }
-      } else {
-        for (auto& cache : slot.caches) cache.reset();
-      }
+      for (auto& cache : slot.caches) cache.reset();
       slot.position = 0;
       slot.prompt_cursor = 0;
       slot.pending_token = req.prompt[0];
@@ -196,7 +198,10 @@ void BatchedDecodeScheduler::advance(Slot& slot, const float* logits,
         // snapshot is taken BEFORE the last token is fed so each group
         // member computes its own final-prompt-token logits.
         PrefixGroup& group = groups_[req.group];
-        group.snapshot = slot.caches;
+        group.snapshot.assign(slot.caches.size(), nn::KvCache(0, 0));
+        for (std::size_t l = 0; l < slot.caches.size(); ++l) {
+          group.snapshot[l].assign_prefix(slot.caches[l]);
+        }
         group.fed = slot.position;
         group.ready = true;
       }

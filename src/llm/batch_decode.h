@@ -98,8 +98,8 @@ class BatchedDecodeScheduler {
   };
 
   // One shared prompt prefix: the leader's KV after feeding all prompt
-  // tokens but the last, deep-copied at the fork point and freed once every
-  // member has been admitted.
+  // tokens but the last, its `fed` rows copied at the fork point (and into
+  // each follower's slot) and freed once every member has been admitted.
   struct PrefixGroup {
     std::vector<nn::KvCache> snapshot;
     std::size_t fed = 0;  // tokens in the snapshot (= prompt size - 1)

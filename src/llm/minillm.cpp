@@ -59,17 +59,13 @@ HeadSpan supervised_head_span(const std::vector<int>& targets,
   return span;
 }
 
-tensor::Tensor& MiniLlm::forward_shared(const std::vector<int>& ids,
-                                        bool training, HeadSpan head) {
+const tensor::Tensor& MiniLlm::final_hidden_ws(const std::vector<int>& ids,
+                                               bool training) {
   assert(!ids.empty());
   ws_.reset();
   std::vector<int> clipped = ids;
   if (clipped.size() > config_.max_seq_len) clipped.resize(config_.max_seq_len);
-  cached_ids_ = clipped;
   const std::size_t T = clipped.size();
-  head_span_ = HeadSpan{std::min(head.begin, T), std::min(head.end, T)};
-  assert(head_span_.begin <= head_span_.end);
-
   std::vector<int> positions(T);
   for (std::size_t t = 0; t < T; ++t) positions[t] = static_cast<int>(t);
 
@@ -78,14 +74,23 @@ tensor::Tensor& MiniLlm::forward_shared(const std::vector<int>& ids,
   pos_emb_.forward_into(positions, emb, /*accumulate=*/true, training);
   const tensor::Tensor* x = &emb;
   for (auto& block : blocks_) x = &block->forward_ws(*x, training, ws_);
-  cached_final_hidden_ = final_ln_.forward_ws(*x, ws_);
+  return final_ln_.forward_ws(*x, training, ws_);
+}
+
+tensor::Tensor& MiniLlm::forward_shared(const std::vector<int>& ids,
+                                        bool training, HeadSpan head) {
+  const tensor::Tensor& hidden = final_hidden_ws(ids, training);
+  const std::size_t T = hidden.rows();
+  seq_len_ = T;
+  head_span_ = HeadSpan{std::min(head.begin, T), std::min(head.end, T)};
+  assert(head_span_.begin <= head_span_.end);
 
   const std::size_t rows = head_span_.end - head_span_.begin;
-  if (rows == T) return lm_head_.forward_ws(cached_final_hidden_, training, ws_);
+  if (rows == T) return lm_head_.forward_ws(hidden, training, ws_);
   if (rows == 0) return ws_.acquire(0, config_.vocab_size);
   tensor::Tensor& head_in = ws_.acquire(rows, config_.dim);
-  std::copy(cached_final_hidden_.row(head_span_.begin),
-            cached_final_hidden_.row(head_span_.end), head_in.data());
+  std::copy(hidden.row(head_span_.begin), hidden.row(head_span_.end),
+            head_in.data());
   return lm_head_.forward_ws(head_in, training, ws_);
 }
 
@@ -94,7 +99,7 @@ tensor::Tensor MiniLlm::forward(const std::vector<int>& ids, bool training) {
 }
 
 void MiniLlm::backward(const tensor::Tensor& dlogits) {
-  const std::size_t T = cached_ids_.size();
+  const std::size_t T = seq_len_;
   const std::size_t rows = head_span_.end - head_span_.begin;
   assert(dlogits.rows() == rows);
   ws_.reset();
@@ -158,13 +163,12 @@ tensor::Tensor& MiniLlm::forward_incremental_batch(
     x = &blocks_[l]->forward_incremental_batch_ws(
         *x, layer_cache_scratch_.data(), n, ws_, overlays, l * 4);
   }
-  return lm_head_.forward_ws(final_ln_.forward_ws(*x, ws_), /*training=*/false,
-                             ws_);
+  return lm_head_.forward_ws(final_ln_.forward_ws(*x, /*training=*/false, ws_),
+                             /*training=*/false, ws_);
 }
 
 tensor::Tensor MiniLlm::hidden_states(const std::vector<int>& ids) {
-  forward_shared(ids, /*training=*/false, HeadSpan{0, 0});
-  return cached_final_hidden_;
+  return final_hidden_ws(ids, /*training=*/false);
 }
 
 void MiniLlm::freeze() {

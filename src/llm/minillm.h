@@ -63,7 +63,10 @@ class MiniLlm {
   MiniLlm(const ModelConfig& config, std::uint64_t seed);
 
   // Forward pass over a token sequence (<= max_seq_len after truncation).
-  // Returns logits [T, vocab]. Caches activations for backward().
+  // Returns logits [T, vocab]. `training` means a backward() follows: a
+  // training forward draws LoRA dropout and caches activations for it; an
+  // inference forward caches nothing, and a backward() after one throws
+  // std::logic_error (DESIGN.md §8).
   //
   // The _shared spelling returns a reference into the model-owned workspace:
   // zero-copy and allocation-free at steady state, but only valid until the
@@ -119,8 +122,8 @@ class MiniLlm {
 
   // Hidden states of the last transformer block after the final LayerNorm,
   // [T, dim] — the paper's "last hidden layer" embedding source. Runs a fresh
-  // inference forward pass that stops before the LM head, so it invalidates
-  // any pending backward().
+  // inference forward pass that stops before the LM head, so a pending
+  // backward() throws after it.
   tensor::Tensor hidden_states(const std::vector<int>& ids);
 
   // Marks every parameter frozen, and packs each Linear's weight into the
@@ -213,9 +216,13 @@ class MiniLlm {
   bool has_lora_ = false;
   nn::InferencePrecision precision_ = nn::InferencePrecision::kFp32;
 
-  std::vector<int> cached_ids_;
-  tensor::Tensor cached_final_hidden_;  // final-norm output, all T rows
-  HeadSpan head_span_;                  // forward's head rows, clipped to T
+  // Embeddings, blocks and the final norm over `ids` (clipped to
+  // max_seq_len): the final-norm output [T, dim] in a ws_ slot.
+  const tensor::Tensor& final_hidden_ws(const std::vector<int>& ids,
+                                        bool training);
+
+  std::size_t seq_len_ = 0;  // forward's T
+  HeadSpan head_span_;       // forward's head rows, clipped to T
 
   // Per-layer cache-pointer scratch for forward_incremental_batch; member
   // so steady-state decode steps stay allocation-free.

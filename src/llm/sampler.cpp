@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <vector>
 
 #include "llm/batch_decode.h"
 
@@ -33,37 +35,47 @@ int sample_from_logits(const float* logits, std::size_t vocab,
     return static_cast<int>(best);
   }
 
-  std::vector<double> scaled(vocab);
+  // Per-thread scratch that only grows, so a steady decode samples with no
+  // allocation and no zero-fill; every element read below is written first.
+  thread_local std::vector<double> probs_buf;
+  thread_local std::vector<double> sorted_buf;
+  thread_local std::vector<std::size_t> order_buf;
+  if (probs_buf.size() < vocab) probs_buf.resize(vocab);
+  double* probs = probs_buf.data();
+
+  // probs holds the scaled logits until the exponentials replace them.
   double mx = -1e30;
   for (std::size_t j = 0; j < vocab; ++j) {
-    scaled[j] = static_cast<double>(logits[j]) / config.temperature;
-    mx = std::max(mx, scaled[j]);
+    probs[j] = static_cast<double>(logits[j]) / config.temperature;
+    mx = std::max(mx, probs[j]);
   }
 
   // Optional top-k: mask everything below the k-th largest logit.
   if (config.top_k > 0 && config.top_k < vocab) {
-    std::vector<double> sorted = scaled;
-    std::nth_element(sorted.begin(), sorted.begin() + (config.top_k - 1),
-                     sorted.end(), std::greater<>());
+    if (sorted_buf.size() < vocab) sorted_buf.resize(vocab);
+    double* sorted = sorted_buf.data();
+    std::copy(probs, probs + vocab, sorted);
+    std::nth_element(sorted, sorted + (config.top_k - 1), sorted + vocab,
+                     std::greater<>());
     const double cutoff = sorted[config.top_k - 1];
-    for (double& v : scaled) {
-      if (v < cutoff) v = -1e30;
+    for (std::size_t j = 0; j < vocab; ++j) {
+      if (probs[j] < cutoff) probs[j] = -1e30;
     }
   }
 
-  std::vector<double> probs(vocab);
   double sum = 0.0;
   for (std::size_t j = 0; j < vocab; ++j) {
-    probs[j] = std::exp(scaled[j] - mx);
+    probs[j] = std::exp(probs[j] - mx);
     sum += probs[j];
   }
 
   // Nucleus (top-p) truncation: keep the smallest probability mass >= top_p,
   // zeroing the tail.
   if (config.top_p < 1.0f && config.top_p > 0.0f) {
-    std::vector<std::size_t> order(vocab);
+    if (order_buf.size() < vocab) order_buf.resize(vocab);
+    std::size_t* order = order_buf.data();
     for (std::size_t j = 0; j < vocab; ++j) order[j] = j;
-    std::sort(order.begin(), order.end(),
+    std::sort(order, order + vocab,
               [&](std::size_t a, std::size_t b) { return probs[a] > probs[b]; });
     const double target = static_cast<double>(config.top_p) * sum;
     double kept = 0.0;

@@ -2,7 +2,7 @@
 //
 // The paper fixes temperature τ = 0.5 for all evaluation generation; the
 // sampler supports temperature scaling (τ → 0 degenerates to greedy argmax)
-// and optional top-k truncation.
+// and optional top-k and top-p (nucleus) truncation.
 #pragma once
 
 #include <vector>
@@ -23,7 +23,9 @@ struct SamplerConfig {
 // Samples one token id from a row of logits under `config` (temperature
 // scaling, optional top-k and top-p truncation), consuming randomness from
 // `rng`. Shared by Sampler and BatchedDecodeScheduler so batched decode
-// reproduces the serial sampling stream bit-for-bit.
+// reproduces the serial sampling stream bit-for-bit. Its vocab-sized
+// scratch is per-thread and reused, so a steady decode samples without
+// allocating.
 int sample_from_logits(const float* logits, std::size_t vocab,
                        const SamplerConfig& config, util::Rng& rng);
 

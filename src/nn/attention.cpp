@@ -25,29 +25,36 @@ tensor::Tensor& MultiHeadSelfAttention::forward_ws(const tensor::Tensor& x,
                                                    tensor::Workspace& ws) {
   assert(x.cols() == dim_);
   const std::size_t T = x.rows();
-  cached_q_ = q_proj_.forward_ws(x, training, ws);
-  cached_k_ = k_proj_.forward_ws(x, training, ws);
-  cached_v_ = v_proj_.forward_ws(x, training, ws);
-  // Member-owned per-head caches: resized once, storage reused every step.
-  if (cached_probs_.size() != heads_) cached_probs_.resize(heads_);
+  const tensor::Tensor& q = q_proj_.forward_ws(x, training, ws);
+  const tensor::Tensor& k = k_proj_.forward_ws(x, training, ws);
+  const tensor::Tensor& v = v_proj_.forward_ws(x, training, ws);
+  if (training) {
+    // Member-owned caches for backward: resized once, storage reused
+    // every step. An inference forward keeps Q/K/V and probs in `ws`.
+    cached_q_ = q;
+    cached_k_ = k;
+    cached_v_ = v;
+    if (cached_probs_.size() != heads_) cached_probs_.resize(heads_);
+  }
 
   tensor::Tensor& concat = ws.acquire(T, dim_);
   tensor::Tensor& scores = ws.acquire(T, T);
+  tensor::Tensor* inference_probs = training ? nullptr : &ws.acquire(T, T);
   const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(head_dim_));
   for (std::size_t h = 0; h < heads_; ++h) {
     // Head h reads its columns of Q/K/V where they lie and writes its
     // output columns of concat in place (DESIGN.md §8).
     const std::size_t c0 = h * head_dim_;
-    tensor::Tensor& probs = cached_probs_[h];
+    tensor::Tensor& probs = training ? cached_probs_[h] : *inference_probs;
     // scores[i, j] = q_i · k_j for j <= i only; probs = causal softmax of
     // scores / sqrt(dh), which reads j <= i and writes +0 above the
     // diagonal, so probs · V can stop k at each row.
-    tensor::matmul_nt_into(tensor::col_block(cached_q_, c0, head_dim_),
-                           tensor::col_block(cached_k_, c0, head_dim_),
+    tensor::matmul_nt_into(tensor::col_block(q, c0, head_dim_),
+                           tensor::col_block(k, c0, head_dim_),
                            tensor::view(scores), false, tensor::Triangle::kLower);
     tensor::softmax_causal_rows_into(scores, inv_sqrt_dh, probs);
     tensor::matmul_into(tensor::view(probs),
-                        tensor::col_block(cached_v_, c0, head_dim_),
+                        tensor::col_block(v, c0, head_dim_),
                         tensor::col_block(concat, c0, head_dim_), false,
                         tensor::Triangle::kLower);
   }
@@ -110,16 +117,38 @@ tensor::Tensor& MultiHeadSelfAttention::forward_incremental_batch_ws(
       const std::size_t c0 = h * head_dim_;
       // scores[j] = q_h · k_h[j] / sqrt(dh) over this session's cached
       // positions (causal by construction: the cache only holds <= t).
-      float mx = -std::numeric_limits<float>::infinity();
-      for (std::size_t j = 0; j < cache.len; ++j) {
+      // Four positions at a time: each dot is its own double chain in
+      // ascending d, so the four run side by side and no byte moves.
+      const float* qh = qrow + c0;
+      std::size_t j4 = 0;
+      for (; j4 + 4 <= cache.len; j4 += 4) {
+        const float* k0 = cache.k.row(j4) + c0;
+        const float* k1 = cache.k.row(j4 + 1) + c0;
+        const float* k2 = cache.k.row(j4 + 2) + c0;
+        const float* k3 = cache.k.row(j4 + 3) + c0;
+        double d0 = 0.0, d1 = 0.0, d2 = 0.0, d3 = 0.0;
+        for (std::size_t d = 0; d < head_dim_; ++d) {
+          const double qd = qh[d];
+          d0 += qd * k0[d];
+          d1 += qd * k1[d];
+          d2 += qd * k2[d];
+          d3 += qd * k3[d];
+        }
+        scores[j4] = static_cast<float>(d0) * inv_sqrt_dh;
+        scores[j4 + 1] = static_cast<float>(d1) * inv_sqrt_dh;
+        scores[j4 + 2] = static_cast<float>(d2) * inv_sqrt_dh;
+        scores[j4 + 3] = static_cast<float>(d3) * inv_sqrt_dh;
+      }
+      for (std::size_t j = j4; j < cache.len; ++j) {
         const float* krow = cache.k.row(j) + c0;
         double dot = 0.0;
         for (std::size_t d = 0; d < head_dim_; ++d) {
-          dot += static_cast<double>(qrow[c0 + d]) * krow[d];
+          dot += static_cast<double>(qh[d]) * krow[d];
         }
         scores[j] = static_cast<float>(dot) * inv_sqrt_dh;
-        mx = std::max(mx, scores[j]);
       }
+      float mx = -std::numeric_limits<float>::infinity();
+      for (std::size_t j = 0; j < cache.len; ++j) mx = std::max(mx, scores[j]);
       double sum = 0.0;
       for (std::size_t j = 0; j < cache.len; ++j) {
         scores[j] = std::exp(scores[j] - mx);

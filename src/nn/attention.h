@@ -24,10 +24,11 @@ class MultiHeadSelfAttention {
                          util::Rng& rng);
 
   // x: [T, dim] -> [T, dim]; causal (token t attends to positions <= t).
-  // The _ws entry points return a `ws` slot (valid until ws.reset()); all
-  // state needed by backward lives in member caches, never in `ws`. Scores
-  // are computed as Q·Kᵀ with the transposed-operand GEMM — no transposed
-  // copy of K is ever materialized.
+  // The _ws entry points return a `ws` slot (valid until ws.reset()). A
+  // training forward keeps all state needed by backward in member caches,
+  // never in `ws`; an inference forward (training=false) writes none.
+  // Scores are computed as Q·Kᵀ with the transposed-operand GEMM — no
+  // transposed copy of K is ever materialized.
   tensor::Tensor& forward_ws(const tensor::Tensor& x, bool training,
                              tensor::Workspace& ws);
   tensor::Tensor& backward_ws(const tensor::Tensor& dout, tensor::Workspace& ws);
@@ -69,8 +70,8 @@ class MultiHeadSelfAttention {
 
   std::size_t dim() const { return dim_; }
   std::size_t heads() const { return heads_; }
-  // Head h's attention weights [T, T] from the last forward_ws: causal
-  // softmax rows, +0 above the diagonal.
+  // Head h's attention weights [T, T] from the last training forward_ws:
+  // causal softmax rows, +0 above the diagonal.
   const tensor::Tensor& probs(std::size_t h) const { return cached_probs_[h]; }
 
  private:
@@ -90,7 +91,7 @@ class MultiHeadSelfAttention {
   };
   HeadGrads heads_backward_ws(const tensor::Tensor& dout, tensor::Workspace& ws);
 
-  // Forward caches (one entry per head).
+  // Training-forward caches (probs: one entry per head).
   tensor::Tensor cached_q_, cached_k_, cached_v_;
   std::vector<tensor::Tensor> cached_probs_;
 };

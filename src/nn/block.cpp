@@ -15,10 +15,12 @@ TransformerBlock::TransformerBlock(std::string name, std::size_t dim,
 tensor::Tensor& TransformerBlock::forward_ws(const tensor::Tensor& x,
                                              bool training,
                                              tensor::Workspace& ws) {
-  tensor::Tensor& a = attn_.forward_ws(ln1_.forward_ws(x, ws), training, ws);
+  tensor::Tensor& a =
+      attn_.forward_ws(ln1_.forward_ws(x, training, ws), training, ws);
   tensor::Tensor& h = ws.acquire(x.rows(), x.cols());
   tensor::add_into(x, a, h);
-  tensor::Tensor& f = ff_.forward_ws(ln2_.forward_ws(h, ws), training, ws);
+  tensor::Tensor& f =
+      ff_.forward_ws(ln2_.forward_ws(h, training, ws), training, ws);
   tensor::Tensor& out = ws.acquire(x.rows(), x.cols());
   tensor::add_into(h, f, out);
   return out;
@@ -33,11 +35,13 @@ tensor::Tensor& TransformerBlock::forward_incremental_batch_ws(
     tensor::Workspace& ws, const LoraOverlaySet* const* overlays,
     std::size_t site_base) {
   tensor::Tensor& a = attn_.forward_incremental_batch_ws(
-      ln1_.forward_ws(x, ws), caches, n, ws, overlays, site_base);
+      ln1_.forward_ws(x, /*training=*/false, ws), caches, n, ws, overlays,
+      site_base);
   tensor::Tensor& h = ws.acquire(x.rows(), x.cols());
   tensor::add_into(x, a, h);
   tensor::Tensor& f =
-      ff_.forward_ws(ln2_.forward_ws(h, ws), /*training=*/false, ws);
+      ff_.forward_ws(ln2_.forward_ws(h, /*training=*/false, ws),
+                     /*training=*/false, ws);
   tensor::Tensor& out = ws.acquire(x.rows(), x.cols());
   tensor::add_into(h, f, out);
   return out;

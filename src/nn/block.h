@@ -20,8 +20,9 @@ class TransformerBlock {
                    std::size_t ff_hidden, util::Rng& rng,
                    Norm::Kind norm_kind = Norm::Kind::kLayerNorm);
 
-  // _ws entry points return a `ws` slot (valid until ws.reset()); backward
-  // state lives in member caches of the submodules.
+  // _ws entry points return a `ws` slot (valid until ws.reset()); a
+  // training forward keeps backward state in member caches of the
+  // submodules, an inference forward writes none.
   tensor::Tensor& forward_ws(const tensor::Tensor& x, bool training,
                              tensor::Workspace& ws);
   tensor::Tensor& backward_ws(const tensor::Tensor& dout, tensor::Workspace& ws);

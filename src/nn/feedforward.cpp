@@ -11,9 +11,12 @@ FeedForward::FeedForward(std::string name, std::size_t dim, std::size_t hidden,
 
 tensor::Tensor& FeedForward::forward_ws(const tensor::Tensor& x, bool training,
                                         tensor::Workspace& ws) {
-  cached_pre_act_ = fc_in_.forward_ws(x, training, ws);
-  tensor::Tensor& h = ws.acquire(cached_pre_act_.rows(), cached_pre_act_.cols());
-  tensor::gelu_into(cached_pre_act_, h, cached_tanh_);
+  const tensor::Tensor& pre_act = fc_in_.forward_ws(x, training, ws);
+  if (training) cached_pre_act_ = pre_act;
+  tensor::Tensor& h = ws.acquire(pre_act.rows(), pre_act.cols());
+  tensor::Tensor& tanh_u =
+      training ? cached_tanh_ : ws.acquire(pre_act.rows(), pre_act.cols());
+  tensor::gelu_into(pre_act, h, tanh_u);
   return fc_out_.forward_ws(h, training, ws);
 }
 

@@ -16,8 +16,9 @@ class FeedForward {
  public:
   FeedForward(std::string name, std::size_t dim, std::size_t hidden, util::Rng& rng);
 
-  // _ws entry points return a `ws` slot; backward state lives in member
-  // caches. The allocating spellings wrap them for tests/cold paths.
+  // _ws entry points return a `ws` slot; a training forward keeps backward
+  // state in member caches, an inference forward writes none. The
+  // allocating spellings wrap them for tests/cold paths.
   tensor::Tensor& forward_ws(const tensor::Tensor& x, bool training,
                              tensor::Workspace& ws);
   tensor::Tensor& backward_ws(const tensor::Tensor& dout, tensor::Workspace& ws);

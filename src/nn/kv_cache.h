@@ -6,6 +6,9 @@
 // latency, so the cache is a first-class part of the inference path.
 #pragma once
 
+#include <algorithm>
+#include <cassert>
+
 #include "tensor/tensor.h"
 
 namespace odlp::nn {
@@ -23,6 +26,21 @@ struct KvCache {
   std::size_t capacity() const { return k.rows(); }
   bool full() const { return len >= capacity(); }
   void reset() { len = 0; }
+
+  // Copies rows [0, src.len) of `src` — all that a reader of src sees —
+  // and takes its len, growing the capacity to src.len if it is smaller.
+  // Rows at or past len keep whatever they held; nothing reads them.
+  void assign_prefix(const KvCache& src) {
+    assert(src.k.cols() == k.cols() || capacity() == 0);
+    if (capacity() < src.len) {
+      k.resize_uninitialized(src.len, src.k.cols());
+      v.resize_uninitialized(src.len, src.v.cols());
+    }
+    const std::size_t n = src.len * src.k.cols();
+    std::copy(src.k.data(), src.k.data() + n, k.data());
+    std::copy(src.v.data(), src.v.data() + n, v.data());
+    len = src.len;
+  }
 };
 
 }  // namespace odlp::nn

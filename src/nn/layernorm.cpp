@@ -1,6 +1,7 @@
 #include "nn/layernorm.h"
 
 #include <cassert>
+#include <stdexcept>
 #include <vector>
 
 namespace odlp::nn {
@@ -10,13 +11,14 @@ LayerNorm::LayerNorm(std::string name, std::size_t dim, float eps)
   gain_.value.fill(1.0f);
 }
 
-tensor::Tensor& LayerNorm::forward_ws(const tensor::Tensor& x,
+tensor::Tensor& LayerNorm::forward_ws(const tensor::Tensor& x, bool training,
                                       tensor::Workspace& ws) {
   assert(x.cols() == dim());
   tensor::Tensor& out = ws.acquire(x.rows(), x.cols());
-  tensor::layernorm_rows_into(x, eps_, &cache_, out);
-  // Affine applied in place over the normalized values (the pre-affine copy
-  // lives in cache_.normalized for backward).
+  if (!training) cache_.normalized.resize_uninitialized(0, 0);
+  tensor::layernorm_rows_into(x, eps_, training ? &cache_ : nullptr, out);
+  // Affine applied in place over the normalized values (a training
+  // forward keeps the pre-affine copy in cache_.normalized for backward).
   const float* g = gain_.value.row(0);
   const float* b = bias_.value.row(0);
   for (std::size_t i = 0; i < out.rows(); ++i) {
@@ -26,13 +28,17 @@ tensor::Tensor& LayerNorm::forward_ws(const tensor::Tensor& x,
   return out;
 }
 
-tensor::Tensor LayerNorm::forward(const tensor::Tensor& x) {
-  return forward_ws(x, tensor::Workspace::enter(nullptr));
+tensor::Tensor LayerNorm::forward(const tensor::Tensor& x, bool training) {
+  return forward_ws(x, training, tensor::Workspace::enter(nullptr));
 }
 
 tensor::Tensor& LayerNorm::backward_ws(const tensor::Tensor& dout,
                                        tensor::Workspace& ws) {
   assert(dout.cols() == dim());
+  if (cache_.normalized.rows() == 0 || !dout.same_shape(cache_.normalized)) {
+    throw std::logic_error(
+        "LayerNorm: backward without a matching training forward");
+  }
   // d/d gain, d/d bias
   tensor::Tensor& dnorm = ws.acquire(dout.rows(), dout.cols());
   const float* g = gain_.value.row(0);

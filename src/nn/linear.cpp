@@ -1,6 +1,8 @@
 #include "nn/linear.h"
 
+#include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "tensor/ops.h"
 #include "tensor/qops.h"
@@ -20,8 +22,13 @@ Linear::Linear(std::string name, std::size_t in, std::size_t out, util::Rng& rng
 tensor::Tensor& Linear::forward_ws(const tensor::Tensor& x, bool training,
                                    tensor::Workspace& ws) {
   assert(x.cols() == weight_.value.rows());
-  cached_x_ = x;
-  cached_training_ = training;
+  if (training) {
+    cached_x_ = x;
+  } else {
+    // Keep the storage, drop the rows: a backward from here on fails
+    // instead of reading an older training forward's input.
+    cached_x_.resize_uninitialized(0, 0);
+  }
   tensor::Tensor& y = ws.acquire(x.rows(), weight_.value.cols());
   if (quantized_ && !training) {
     // Inference-time base product against the int8 snapshot; training
@@ -34,22 +41,38 @@ tensor::Tensor& Linear::forward_ws(const tensor::Tensor& x, bool training,
   }
   if (has_bias_) tensor::add_row_broadcast_inplace(y, bias_.value);
   if (lora_) {
-    const float keep = 1.0f - lora_->config.dropout;
-    cached_x_dropped_ = x;
-    if (training && lora_->config.dropout > 0.0f) {
-      const float inv_keep = keep > 0.0f ? 1.0f / keep : 0.0f;
-      for (std::size_t i = 0; i < cached_x_dropped_.size(); ++i) {
-        cached_x_dropped_.data()[i] =
-            rng_.bernoulli(keep) ? cached_x_dropped_.data()[i] * inv_keep : 0.0f;
+    // A training forward keeps dropout(x) and its product with A for
+    // backward; an inference forward reads x itself and puts xA in `ws`.
+    if (training) {
+      cached_x_dropped_ = x;
+      if (lora_->config.dropout > 0.0f) {
+        const float keep = 1.0f - lora_->config.dropout;
+        const float inv_keep = keep > 0.0f ? 1.0f / keep : 0.0f;
+        for (std::size_t i = 0; i < cached_x_dropped_.size(); ++i) {
+          cached_x_dropped_.data()[i] =
+              rng_.bernoulli(keep) ? cached_x_dropped_.data()[i] * inv_keep
+                                   : 0.0f;
+        }
       }
     }
-    tensor::matmul_into(cached_x_dropped_, lora_->a.value, cached_xa_);
-    tensor::Tensor& delta = ws.acquire(cached_xa_.rows(), lora_->b.value.cols());
-    tensor::matmul_into(cached_xa_, lora_->b.value, delta);
+    const tensor::Tensor& x_dropped = training ? cached_x_dropped_ : x;
+    tensor::Tensor& xa =
+        training ? cached_xa_ : ws.acquire(x.rows(), lora_->config.rank);
+    tensor::matmul_into(x_dropped, lora_->a.value, xa);
+    tensor::Tensor& delta = ws.acquire(xa.rows(), lora_->b.value.cols());
+    tensor::matmul_into(xa, lora_->b.value, delta);
     const float scaling = lora_->config.alpha / static_cast<float>(lora_->config.rank);
     y.add_scaled(delta, scaling);
   }
   return y;
+}
+
+void Linear::check_backward(const tensor::Tensor& dout) const {
+  assert(dout.cols() == weight_.value.cols());
+  if (cached_x_.rows() == 0 || dout.rows() != cached_x_.rows()) {
+    throw std::logic_error("Linear '" + name_ +
+                           "': backward without a matching training forward");
+  }
 }
 
 tensor::Tensor Linear::forward(const tensor::Tensor& x, bool training) {
@@ -64,41 +87,52 @@ void Linear::apply_lora_rows_ws(const tensor::Tensor& x, tensor::Tensor& y,
   assert(x.rows() == n && y.rows() == n);
   const std::size_t in = x.cols();
   const std::size_t out = y.cols();
-  std::size_t rank = 0;
-  for (std::size_t b = 0; b < n; ++b) {
-    if (overlays[b]) {
-      rank = overlays[b]->sites[site].a.cols();
-      break;
-    }
-  }
-  if (rank == 0) return;  // no row carries an adapter
-  tensor::Tensor& xrow = ws.acquire(1, in);
-  tensor::Tensor& xa = ws.acquire(1, rank);
-  tensor::Tensor& delta = ws.acquire(1, out);
-  tensor::Tensor& yrow = ws.acquire(1, out);
+  // One group's rows and products, acquired at the first group.
+  tensor::Tensor* xg = nullptr;
+  tensor::Tensor* yg = nullptr;
+  tensor::Tensor* xa = nullptr;
+  tensor::Tensor* delta = nullptr;
   for (std::size_t b = 0; b < n; ++b) {
     const LoraOverlaySet* o = overlays[b];
-    if (!o) continue;
+    // Each user's rows run once, as a group led by the user's first row.
+    if (!o || std::find(overlays, overlays + b, o) != overlays + b) continue;
     const LoraOverlaySet::Site& s = o->sites[site];
-    assert(s.a.rows() == in && s.a.cols() == rank);
-    assert(s.b.rows() == rank && s.b.cols() == out);
-    for (std::size_t j = 0; j < in; ++j) xrow.row(0)[j] = x.row(b)[j];
-    // Inference path (no dropout): delta = (x · A) · B, exactly the
-    // attached-adapter forward at m=1 — row-invariant vs the m=n GEMM.
-    tensor::matmul_into(xrow, s.a, xa);
-    tensor::matmul_into(xa, s.b, delta);
-    // Route the scaled add through the same add_scaled the attached path
-    // uses so the floating-point expression (and its codegen) match.
-    for (std::size_t j = 0; j < out; ++j) yrow.row(0)[j] = y.row(b)[j];
-    yrow.add_scaled(delta, o->scaling);
-    for (std::size_t j = 0; j < out; ++j) y.row(b)[j] = yrow.row(0)[j];
+    assert(s.a.rows() == in && s.b.rows() == s.a.cols() && s.b.cols() == out);
+    if (!xg) {
+      xg = &ws.acquire(n, in);
+      yg = &ws.acquire(n, out);
+      xa = &ws.acquire(n, s.a.cols());
+      delta = &ws.acquire(n, out);
+    }
+    const std::size_t g =
+        static_cast<std::size_t>(std::count(overlays + b, overlays + n, o));
+    xg->resize_uninitialized(g, in);
+    yg->resize_uninitialized(g, out);
+    for (std::size_t r = b, i = 0; r < n; ++r) {
+      if (overlays[r] != o) continue;
+      std::copy(x.row(r), x.row(r) + in, xg->row(i));
+      std::copy(y.row(r), y.row(r) + out, yg->row(i));
+      ++i;
+    }
+    // delta = (xg · A) · B, the attached-adapter inference forward on these
+    // rows. Both products are nn, whose rows each sum in ascending k on
+    // the small and the tiled path alike, so row i is the bytes of an m=1
+    // product on that row (DESIGN.md §13). add_scaled is the attached
+    // path's own expression.
+    tensor::matmul_into(*xg, s.a, *xa);
+    tensor::matmul_into(*xa, s.b, *delta);
+    yg->add_scaled(*delta, o->scaling);
+    for (std::size_t r = b, i = 0; r < n; ++r) {
+      if (overlays[r] != o) continue;
+      std::copy(yg->row(i), yg->row(i) + out, y.row(r));
+      ++i;
+    }
   }
 }
 
 tensor::Tensor& Linear::backward_ws(const tensor::Tensor& dout,
                                     tensor::Workspace& ws) {
-  assert(dout.cols() == weight_.value.cols());
-  assert(dout.rows() == cached_x_.rows());
+  check_backward(dout);
   tensor::Tensor& dx = ws.acquire(cached_x_.rows(), cached_x_.cols());
   // Base path: dX = dY·Wᵀ always.
   tensor::matmul_nt_into(dout, weight_.value, dx, /*accumulate=*/false,
@@ -109,8 +143,7 @@ tensor::Tensor& Linear::backward_ws(const tensor::Tensor& dout,
 
 void Linear::backward_params_ws(const tensor::Tensor& dout,
                                 tensor::Workspace& ws) {
-  assert(dout.cols() == weight_.value.cols());
-  assert(dout.rows() == cached_x_.rows());
+  check_backward(dout);
   param_backward_ws(dout, ws, nullptr);
 }
 
@@ -146,7 +179,7 @@ void Linear::param_backward_ws(const tensor::Tensor& dout,
     const float xd = cached_x_dropped_.data()[i];
     if (x != 0.0f) {
       dx->data()[i] += dx_dropped.data()[i] * (xd / x);
-    } else if (!cached_training_ || lora_->config.dropout == 0.0f) {
+    } else if (lora_->config.dropout == 0.0f) {
       dx->data()[i] += dx_dropped.data()[i];
     }
     // x == 0 under active dropout: mask state unknowable, but gradient

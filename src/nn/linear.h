@@ -36,16 +36,18 @@ class Linear {
          bool bias = true);
 
   // Forward one sequence x [T, in] -> [T, out], written into a `ws` slot
-  // (the returned reference is valid until ws.reset()). Caches activations
-  // needed by backward in member storage — never in the workspace — so the
-  // caller may reset `ws` between forward and backward. `training` enables
-  // LoRA dropout. `x` may itself be a slot of `ws`.
+  // (the returned reference is valid until ws.reset()). `training` means a
+  // backward follows (DESIGN.md §8): a training forward draws LoRA dropout
+  // and caches what backward reads in member storage — never in the
+  // workspace — so the caller may reset `ws` between forward and backward.
+  // An inference forward writes no cache. `x` may itself be a slot of `ws`.
   tensor::Tensor& forward_ws(const tensor::Tensor& x, bool training,
                              tensor::Workspace& ws);
 
   // Backward from dY [T, out]; accumulates parameter grads (skipped entirely
   // for frozen parameters — the big FLOP saving under LoRA), returns dX in a
-  // `ws` slot. Must be preceded by a forward on the same input.
+  // `ws` slot. Must follow a training forward with T rows and no inference
+  // forward since; otherwise throws std::logic_error.
   tensor::Tensor& backward_ws(const tensor::Tensor& dout, tensor::Workspace& ws);
   // backward_ws without dX: the same parameter grads, but neither the base
   // dY·Wᵀ nor the LoRA path's input gradient and dropout mask (for an input
@@ -123,10 +125,11 @@ class Linear {
   // null = no adapter for that row) on top of y [n, out], where x [n, in]
   // is the same input the base product consumed. `site` indexes each
   // overlay's `sites` array (the model assigns site indices in
-  // lora_linears() order). Replicates the attached-adapter inference math
-  // exactly — same m=1 GEMMs, same add_scaled — so row b is bit-identical
-  // to forward_ws on a model with row b's adapter attached. Must not be
-  // combined with an attached adapter (asserted): the overlay replaces it.
+  // lora_linears() order). The rows that share an overlay run as one
+  // group: one (g×in)·A, one (g×r)·B and one add_scaled per distinct
+  // overlay. Row b is bit-identical to forward_ws on a model with row b's
+  // adapter attached (DESIGN.md §13). Must not be combined with an
+  // attached adapter (asserted): the overlay replaces it.
   void apply_lora_rows_ws(const tensor::Tensor& x, tensor::Tensor& y,
                           const LoraOverlaySet* const* overlays, std::size_t n,
                           std::size_t site, tensor::Workspace& ws);
@@ -143,6 +146,8 @@ class Linear {
     Parameter b;  // [r, out]
   };
 
+  // Throws unless dY matches the cached training forward.
+  void check_backward(const tensor::Tensor& dout) const;
   // Accumulates the parameter grads from dY; adds the LoRA path's input
   // gradient into *dx unless dx is null.
   void param_backward_ws(const tensor::Tensor& dout, tensor::Workspace& ws,
@@ -158,11 +163,10 @@ class Linear {
   bool quantized_ = false;
   util::Rng rng_;  // the LoRA dropout stream
 
-  // Forward caches.
+  // Training-forward caches; an inference forward leaves cached_x_ empty.
   tensor::Tensor cached_x_;         // input
   tensor::Tensor cached_x_dropped_; // LoRA-path input after dropout
   tensor::Tensor cached_xa_;        // dropout(x)·A
-  bool cached_training_ = false;
 };
 
 }  // namespace odlp::nn

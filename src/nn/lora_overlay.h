@@ -4,14 +4,17 @@
 // one BatchedDecodeScheduler over a shared base model that has no adapters
 // attached. Each request carries a LoraOverlaySet — a snapshot of that
 // user's adapter tensors — and every LoRA-site Linear applies the snapshot
-// to its own row of the batched forward:
+// to that request's row of the batched forward:
 //
 //   y[b] += ((x[b] · A_b) · B_b) · scaling_b
 //
-// computed with the same m=1 GEMMs and the same add_scaled expression the
-// attached-adapter path uses, so row b is bit-identical to decoding on a
-// model with user b's adapters attached (matmul rows are independent
-// k-ascending accumulations; see DESIGN.md §8/§12).
+// The rows that share one user's snapshot run as a group: one (g×in)·A,
+// one (g×r)·B and one add_scaled per user per site. Both products are nn
+// GEMMs, whose small (g < 4) and tiled (g >= 4) paths give every element
+// the same ascending-k float sum with no FMA, so each row is the bytes of
+// an m=1 product on that row alone, and add_scaled is the expression the
+// attached-adapter path uses: row b is bit-identical to decoding on a
+// model with user b's adapters attached (DESIGN.md §8, §13).
 #pragma once
 
 #include <cstddef>

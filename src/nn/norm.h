@@ -24,9 +24,12 @@ class Norm {
     }
   }
 
-  tensor::Tensor& forward_ws(const tensor::Tensor& x, tensor::Workspace& ws) {
-    return kind_ == Kind::kLayerNorm ? layer_->forward_ws(x, ws)
-                                     : rms_->forward_ws(x, ws);
+  // `training` as in Linear::forward_ws: only a training forward caches
+  // what backward reads.
+  tensor::Tensor& forward_ws(const tensor::Tensor& x, bool training,
+                             tensor::Workspace& ws) {
+    return kind_ == Kind::kLayerNorm ? layer_->forward_ws(x, training, ws)
+                                     : rms_->forward_ws(x, training, ws);
   }
 
   tensor::Tensor& backward_ws(const tensor::Tensor& dout, tensor::Workspace& ws) {
@@ -34,8 +37,9 @@ class Norm {
                                      : rms_->backward_ws(dout, ws);
   }
 
-  tensor::Tensor forward(const tensor::Tensor& x) {
-    return kind_ == Kind::kLayerNorm ? layer_->forward(x) : rms_->forward(x);
+  tensor::Tensor forward(const tensor::Tensor& x, bool training) {
+    return kind_ == Kind::kLayerNorm ? layer_->forward(x, training)
+                                     : rms_->forward(x, training);
   }
 
   tensor::Tensor backward(const tensor::Tensor& dout) {

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "tensor/ops.h"
 
@@ -12,11 +13,15 @@ RmsNorm::RmsNorm(std::string name, std::size_t dim, float eps)
   gain_.value.fill(1.0f);
 }
 
-tensor::Tensor& RmsNorm::forward_ws(const tensor::Tensor& x,
+tensor::Tensor& RmsNorm::forward_ws(const tensor::Tensor& x, bool training,
                                     tensor::Workspace& ws) {
   assert(x.cols() == dim());
-  cached_x_ = x;
-  cached_inv_rms_.resize(x.rows());
+  if (training) {
+    cached_x_ = x;
+    cached_inv_rms_.resize(x.rows());
+  } else {
+    cached_x_.resize_uninitialized(0, 0);
+  }
   tensor::Tensor& out = ws.acquire(x.rows(), x.cols());
   const std::size_t n = x.cols();
   const float* g = gain_.value.row(0);
@@ -26,20 +31,23 @@ tensor::Tensor& RmsNorm::forward_ws(const tensor::Tensor& x,
     for (std::size_t j = 0; j < n; ++j) ms += static_cast<double>(xi[j]) * xi[j];
     ms /= static_cast<double>(n);
     const float inv_rms = static_cast<float>(1.0 / std::sqrt(ms + eps_));
-    cached_inv_rms_[i] = inv_rms;
+    if (training) cached_inv_rms_[i] = inv_rms;
     float* o = out.row(i);
     for (std::size_t j = 0; j < n; ++j) o[j] = xi[j] * inv_rms * g[j];
   }
   return out;
 }
 
-tensor::Tensor RmsNorm::forward(const tensor::Tensor& x) {
-  return forward_ws(x, tensor::Workspace::enter(nullptr));
+tensor::Tensor RmsNorm::forward(const tensor::Tensor& x, bool training) {
+  return forward_ws(x, training, tensor::Workspace::enter(nullptr));
 }
 
 tensor::Tensor& RmsNorm::backward_ws(const tensor::Tensor& dout,
                                      tensor::Workspace& ws) {
-  assert(dout.same_shape(cached_x_));
+  if (cached_x_.rows() == 0 || !dout.same_shape(cached_x_)) {
+    throw std::logic_error(
+        "RmsNorm: backward without a matching training forward");
+  }
   const std::size_t n = dout.cols();
   const float* g = gain_.value.row(0);
   tensor::Tensor& din = ws.acquire(dout.rows(), dout.cols());

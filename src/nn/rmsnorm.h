@@ -18,9 +18,13 @@ class RmsNorm {
  public:
   RmsNorm(std::string name, std::size_t dim, float eps = 1e-5f);
 
-  tensor::Tensor& forward_ws(const tensor::Tensor& x, tensor::Workspace& ws);
+  // Only a training forward caches what backward reads; backward without
+  // a matching training forward (none, or an inference forward since)
+  // throws std::logic_error.
+  tensor::Tensor& forward_ws(const tensor::Tensor& x, bool training,
+                             tensor::Workspace& ws);
   tensor::Tensor& backward_ws(const tensor::Tensor& dout, tensor::Workspace& ws);
-  tensor::Tensor forward(const tensor::Tensor& x);
+  tensor::Tensor forward(const tensor::Tensor& x, bool training);
   tensor::Tensor backward(const tensor::Tensor& dout);
 
   void collect_parameters(ParameterList& out) { out.push_back(&gain_); }

@@ -111,7 +111,7 @@ TEST(GradCheck, LinearWeightBiasAndInput) {
   nn::ParameterList params;
   lin.collect_parameters(params);
   nn::zero_grads(params);
-  lin.forward(x, false);
+  lin.forward(x, /*training=*/true);
   lin.backward(coeffs);
 
   auto loss_fn = [&] { return weighted_sum(lin.forward(x, false), coeffs); };
@@ -126,7 +126,7 @@ TEST(GradCheck, LinearInputGradient) {
   nn::Linear lin("lin", 4, 3, rng);
   Tensor x = random_tensor(2, 4, rng);
   Tensor coeffs = coeffs_for(2, 3, rng);
-  lin.forward(x, false);
+  lin.forward(x, /*training=*/true);
   Tensor dx = lin.backward(coeffs);
   auto loss_fn = [&] { return weighted_sum(lin.forward(x, false), coeffs); };
   auto r = tensor::check_gradient(x, dx, loss_fn, 4e-3f, 12);
@@ -171,7 +171,7 @@ TEST(GradCheck, AttentionAllParameters) {
   nn::ParameterList params;
   attn.collect_parameters(params);
   nn::zero_grads(params);
-  attn.forward(x, false);
+  attn.forward(x, /*training=*/true);
   attn.backward(coeffs);
   auto loss_fn = [&] { return weighted_sum(attn.forward(x, false), coeffs); };
   for (nn::Parameter* p : params) {
@@ -185,7 +185,7 @@ TEST(GradCheck, AttentionInputGradient) {
   nn::MultiHeadSelfAttention attn("attn", 8, 2, rng);
   Tensor x = random_tensor(3, 8, rng);
   Tensor coeffs = coeffs_for(3, 8, rng);
-  attn.forward(x, false);
+  attn.forward(x, /*training=*/true);
   Tensor dx = attn.backward(coeffs);
   auto loss_fn = [&] { return weighted_sum(attn.forward(x, false), coeffs); };
   auto r = tensor::check_gradient(x, dx, loss_fn, 4e-3f, 16);
@@ -200,7 +200,7 @@ TEST(GradCheck, TransformerBlock) {
   nn::ParameterList params;
   block.collect_parameters(params);
   nn::zero_grads(params);
-  block.forward(x, false);
+  block.forward(x, /*training=*/true);
   Tensor dx = block.backward(coeffs);
   auto loss_fn = [&] { return weighted_sum(block.forward(x, false), coeffs); };
   // Probe a subset of parameters (block has many); input gradient too.
@@ -238,7 +238,7 @@ TEST(GradCheck, FullModelLanguageModelLoss) {
 
   nn::ParameterList params = model.parameters();
   nn::zero_grads(params);
-  Tensor logits = model.forward(ids, false);
+  Tensor logits = model.forward(ids, /*training=*/true);
   auto ce = nn::cross_entropy(logits, targets);
   model.backward(ce.dlogits);
 

@@ -8,7 +8,10 @@
 
 #include "llm/minillm.h"
 #include "llm/trainer.h"
+#include "nn/block.h"
+#include "nn/layernorm.h"
 #include "nn/loss.h"
+#include "nn/rmsnorm.h"
 #include "tensor/ops.h"
 #include "text/tokenizer.h"
 #include "util/crc32.h"
@@ -355,6 +358,7 @@ TEST(Trainer, FineTuneMatchesGoldenDigest) {
 nn::LoraConfig panel_lora() {
   nn::LoraConfig lc;
   lc.rank = 4;
+  lc.dropout = 0.0f;  // logits_and_grads runs training forwards
   return lc;
 }
 
@@ -393,13 +397,14 @@ std::unique_ptr<MiniLlm> rebuilt(MiniLlm& src) {
   return model;
 }
 
-// The bytes of an inference forward's logits and, after a backward from
-// fixed upstream gradients, of every trainable parameter's gradient.
+// The bytes of a training forward's logits and, after a backward from
+// fixed upstream gradients, of every trainable parameter's gradient
+// (panel_lora() has dropout 0, so no dropout stream is drawn).
 std::vector<std::vector<unsigned char>> logits_and_grads(MiniLlm& model) {
   util::Rng rng(0x51);
   const std::vector<int> ids = random_ids(20, model.config().vocab_size, rng);
   for (nn::Parameter* p : model.parameters()) p->zero_grad();
-  const tensor::Tensor logits = model.forward(ids, /*training=*/false);
+  const tensor::Tensor logits = model.forward(ids, /*training=*/true);
   tensor::Tensor dlogits(logits.rows(), logits.cols());
   for (std::size_t i = 0; i < dlogits.size(); ++i) {
     dlogits.data()[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
@@ -491,6 +496,61 @@ TEST(FrozenGrads, FrozenParametersHoldNoGradient) {
   frozen.freeze();
   EXPECT_EQ(nn::count_trainable(frozen.parameters()), 0u);
   expect_grads(frozen);
+}
+
+// An inference forward writes no backward cache (DESIGN.md §8), so a
+// backward with no training forward before it, or with an inference
+// forward since, throws instead of reading stale caches. A training
+// forward afterwards makes the backward valid again.
+TEST(InferenceForward, BackwardWithoutTrainingForwardThrows) {
+  util::Rng rng(12);
+  tensor::Tensor x(3, 8);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x.data()[i] = static_cast<float>(rng.normal());
+  }
+  const tensor::Tensor dy(3, 8, 0.5f);
+
+  nn::Linear lin("lin", 8, 8, rng);
+  EXPECT_THROW(lin.backward(dy), std::logic_error);
+  lin.forward(x, /*training=*/true);
+  lin.forward(x, /*training=*/false);
+  EXPECT_THROW(lin.backward(dy), std::logic_error);
+  lin.forward(x, /*training=*/true);
+  EXPECT_NO_THROW(lin.backward(dy));
+
+  nn::LayerNorm ln("ln", 8);
+  EXPECT_THROW(ln.backward(dy), std::logic_error);
+  ln.forward(x, /*training=*/true);
+  ln.forward(x, /*training=*/false);
+  EXPECT_THROW(ln.backward(dy), std::logic_error);
+
+  nn::RmsNorm rms("rms", 8);
+  EXPECT_THROW(rms.backward(dy), std::logic_error);
+  rms.forward(x, /*training=*/true);
+  rms.forward(x, /*training=*/false);
+  EXPECT_THROW(rms.backward(dy), std::logic_error);
+
+  nn::MultiHeadSelfAttention attn("attn", 8, 2, rng);
+  attn.attach_lora(nn::LoraConfig{}, rng);
+  attn.forward(x, /*training=*/true);
+  attn.forward(x, /*training=*/false);
+  EXPECT_THROW(attn.backward(dy), std::logic_error);
+
+  nn::TransformerBlock block("blk", 8, 2, 16, rng);
+  block.forward(x, /*training=*/false);
+  EXPECT_THROW(block.backward(dy), std::logic_error);
+
+  MiniLlm model(tiny_config(), 13);
+  model.attach_lora(nn::LoraConfig{});
+  const std::vector<int> ids = {2, 5, 7, 6};
+  const tensor::Tensor dlogits(ids.size(), tiny_config().vocab_size, 0.1f);
+  model.forward(ids, /*training=*/false);
+  EXPECT_THROW(model.backward(dlogits), std::logic_error);
+  model.forward(ids, /*training=*/true);
+  model.hidden_states(ids);
+  EXPECT_THROW(model.backward(dlogits), std::logic_error);
+  model.forward(ids, /*training=*/true);
+  EXPECT_NO_THROW(model.backward(dlogits));
 }
 
 }  // namespace

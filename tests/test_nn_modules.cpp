@@ -115,9 +115,11 @@ TEST(Linear, DetachRestoresTrainability) {
 TEST(Linear, FrozenWeightAccumulatesNoGradient) {
   util::Rng rng(8);
   Linear lin("l", 3, 2, rng);
-  lin.attach_lora(LoraConfig{}, rng);
+  LoraConfig lc;
+  lc.dropout = 0.0f;
+  lin.attach_lora(lc, rng);
   Tensor x(2, 3, 1.0f);
-  lin.forward(x, false);
+  lin.forward(x, /*training=*/true);
   lin.backward(Tensor::ones(2, 2));
   EXPECT_FLOAT_EQ(lin.weight().grad.l2_norm(), 0.0f);
 }
@@ -261,7 +263,7 @@ TEST(LayerNormModule, GainAndBiasApplied) {
   params[0]->value.fill(2.0f);  // gain
   params[1]->value.fill(1.0f);  // bias
   Tensor x = Tensor::from(1, 4, {1, 2, 3, 4});
-  Tensor y = ln.forward(x);
+  Tensor y = ln.forward(x, /*training=*/false);
   // mean of y should equal bias (normalized rows have zero mean).
   double mean = 0;
   for (std::size_t j = 0; j < 4; ++j) mean += y.at(0, j);
@@ -293,7 +295,7 @@ TEST(LayerNormModule, ChunkedGradientMatchesFixed32RowPartials) {
   ParameterList params;  // gain, bias
   ln.collect_parameters(params);
   auto run = [&](std::size_t b, std::size_t e) {
-    ln.forward(rows_of(x, b, e));
+    ln.forward(rows_of(x, b, e), /*training=*/true);
     ln.backward(rows_of(dout, b, e));
   };
 

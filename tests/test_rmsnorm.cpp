@@ -20,7 +20,7 @@ using tensor::Tensor;
 TEST(RmsNorm, UnitGainNormalizesRms) {
   RmsNorm norm("n", 4);
   Tensor x = Tensor::from(1, 4, {2, -2, 2, -2});
-  Tensor y = norm.forward(x);
+  Tensor y = norm.forward(x, /*training=*/false);
   // rms(x) = 2 -> y = x / 2.
   EXPECT_NEAR(y.at(0, 0), 1.0f, 1e-4f);
   EXPECT_NEAR(y.at(0, 1), -1.0f, 1e-4f);
@@ -31,7 +31,7 @@ TEST(RmsNorm, NoMeanSubtractionUnlikeLayerNorm) {
   // map it to zero).
   RmsNorm norm("n", 4);
   Tensor x(1, 4, 3.0f);
-  Tensor y = norm.forward(x);
+  Tensor y = norm.forward(x, /*training=*/false);
   for (std::size_t j = 0; j < 4; ++j) EXPECT_GT(y.at(0, j), 0.9f);
 }
 
@@ -42,7 +42,7 @@ TEST(RmsNorm, GainScalesOutput) {
   ASSERT_EQ(params.size(), 1u);  // gain only, no bias
   params[0]->value.fill(3.0f);
   Tensor x = Tensor::from(1, 2, {1, 1});
-  Tensor y = norm.forward(x);
+  Tensor y = norm.forward(x, /*training=*/false);
   EXPECT_NEAR(y.at(0, 0), 3.0f, 1e-4f);
 }
 
@@ -68,10 +68,10 @@ TEST(RmsNorm, GradCheckInputAndGain) {
   ParameterList params;
   norm.collect_parameters(params);
   zero_grads(params);
-  norm.forward(x);
+  norm.forward(x, /*training=*/true);
   Tensor dx = norm.backward(coeffs);
 
-  auto loss_fn = [&] { return weighted(norm.forward(x)); };
+  auto loss_fn = [&] { return weighted(norm.forward(x, /*training=*/false)); };
   auto rx = tensor::check_gradient(x, dx, loss_fn, 4e-3f, 18);
   EXPECT_LT(rx.max_rel_error, 2e-2f);
   auto rg = tensor::check_gradient(params[0]->value, params[0]->grad, loss_fn,
@@ -84,7 +84,7 @@ TEST(RmsNorm, FrozenGainAccumulatesNoGradient) {
   ParameterList params;
   norm.collect_parameters(params);
   params[0]->trainable = false;
-  norm.forward(Tensor::from(1, 3, {1, 2, 3}));
+  norm.forward(Tensor::from(1, 3, {1, 2, 3}), /*training=*/true);
   norm.backward(Tensor::ones(1, 3));
   EXPECT_FLOAT_EQ(params[0]->grad.l2_norm(), 0.0f);
 }
@@ -115,7 +115,7 @@ TEST(RmsNorm, ChunkedGainGradientMatchesFixed32RowPartials) {
   norm.collect_parameters(params);
   Tensor& grad = params[0]->grad;
   auto run = [&](std::size_t b, std::size_t e) {
-    norm.forward(rows_of(x, b, e));
+    norm.forward(rows_of(x, b, e), /*training=*/true);
     norm.backward(rows_of(dout, b, e));
   };
 
